@@ -72,6 +72,10 @@ func main() {
 	if *intEvery > 0 {
 		t.EnableINT(*intEvery, *intSlots)
 	}
+	if err := t.Build(); err != nil {
+		log.Fatalf("%s: %v", flag.Arg(0), err)
+	}
+	defer t.Close()
 	deliveries, series := t.RunSampled(*sample)
 	fmt.Printf("\n%d deliveries:\n", len(deliveries))
 	for _, d := range deliveries {

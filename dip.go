@@ -49,6 +49,7 @@ import (
 	"dip/internal/host"
 	"dip/internal/journey"
 	"dip/internal/ndn"
+	"dip/internal/node"
 	"dip/internal/ops"
 	"dip/internal/opt"
 	"dip/internal/pisa"
@@ -309,8 +310,9 @@ func ClassifyPacket(pkt []byte) GuardClass { return guard.Classify(pkt) }
 // NewSpeaker builds a route-exchange agent for one router. Peer it with
 // AddNeighbor (the send func typically wraps BuildPacket(RouteExchange(), msg)
 // toward that neighbor), feed received control payloads to Handle, and call
-// Refresh periodically to re-advertise and expire stale routes.
-func NewSpeaker(cfg SpeakerConfig) *Speaker { return bootstrap.NewSpeaker(cfg) }
+// Refresh periodically to re-advertise and expire stale routes. A NodeSpec
+// with Speaker set does all of that.
+var NewSpeaker = bootstrap.NewSpeaker
 
 // CatalogOf derives the advertised FN catalog from a router registry.
 func CatalogOf(reg *Registry) Catalog { return bootstrap.CatalogOf(reg) }
@@ -324,110 +326,33 @@ func RouteExchange() *Header { return profiles.RouteExchange() }
 // packet; a local-delivery sink demultiplexes on it to feed the Speaker.
 const NHRouteExchange = profiles.NHRouteExchange
 
-// NodeState bundles the forwarding state a fully-featured DIP node keeps.
-// Zero-valued fields are valid: a node built from a fresh NodeState
-// supports every operation in Table 1 except those needing extra
-// configuration (XIA routes, OPT secret).
-type NodeState struct {
-	FIB32        *fib.Table
-	FIB128       *fib.Table
-	NameFIB      *fib.Table
-	PIT          *pit.Table[uint32]
-	ContentStore *cs.Store[uint32]
-	TieredStore  *cs.Tiered[uint32]
-	Secret       *drkey.SecretValue
-	MACKind      opt.Kind
-	PrevLabel    [16]byte
-	HopIndex     uint8
-	XIARoutes    *xia.RouteTable
-	GuardKey     [16]byte
-	// RequirePass puts the node in content-poisoning defense posture
-	// (F_PIT refuses to cache unlabelled payloads, §2.4).
-	RequirePass bool
-}
+// NodeState bundles the forwarding state a fully-featured DIP node keeps
+// (see node.State: EnableCache, EnableTieredCache, EnableOPT, OpsConfig).
+type NodeState = node.State
 
 // NewNodeState allocates fresh tables (no content store; pass csCapacity
 // via EnableCache).
-func NewNodeState() *NodeState {
-	return &NodeState{
-		FIB32:     fib.New(),
-		FIB128:    fib.New(),
-		NameFIB:   fib.New(),
-		PIT:       pit.New[uint32](),
-		XIARoutes: xia.NewRouteTable(),
-	}
-}
+func NewNodeState() *NodeState { return node.NewState() }
 
-// EnableCache attaches a content store of the given capacity (one shard,
-// exact LRU).
-func (s *NodeState) EnableCache(capacity int) *NodeState {
-	s.ContentStore = cs.New[uint32](capacity)
-	return s
-}
+// One node description, one constructor: a NodeSpec is the plain-data
+// description of a router (every field is a diprouter flag or topo DSL
+// key), a NodeEnv is the live-process or simulator environment, and
+// BuildNode assembles the running Node — cache tiers, PIT sizing, guarded
+// ingress, recorder stack, F_tel, postcard collector and speaker included.
+// Node.ServeUDP is the socket loop cmd/diprouter runs.
+type (
+	NodeSpec  = node.Spec
+	NodeRoute = node.Route
+	NodeEnv   = node.Env
+	Node      = node.Node
+)
 
-// EnableCacheSharded attaches a content store split into shards lock
-// domains for concurrent forwarding workers (approximate global LRU; see
-// cs.NewSharded).
-func (s *NodeState) EnableCacheSharded(capacity, shards int) *NodeState {
-	s.ContentStore = cs.NewSharded[uint32](capacity, shards)
-	return s
-}
-
-// EnableTieredCache layers a file-backed cold arena under a fresh sharded
-// hot tier: hot evictions spill to disk under insert-on-second-hit
-// admission, and cold hits are served by async re-injection so forwarders
-// never block on a read. The returned store must be Closed by the caller
-// (it owns the arena file and reader pool); wire its completion callback
-// with TieredStore.SetReinject before serving traffic.
-func (s *NodeState) EnableTieredCache(capacity, shards int, cold TieredConfig) (*cs.Tiered[uint32], error) {
-	hot := cs.NewSharded[uint32](capacity, shards)
-	t, err := cs.NewTiered(hot, cold)
-	if err != nil {
-		return nil, err
-	}
-	s.ContentStore = hot
-	s.TieredStore = t
-	return t, nil
-}
-
-// EnableOPT attaches the DRKey secret and MAC configuration the
-// authentication operations need.
-func (s *NodeState) EnableOPT(secret *drkey.SecretValue, kind opt.Kind, prevLabel [16]byte, hopIndex uint8) *NodeState {
-	s.Secret = secret
-	s.MACKind = kind
-	s.PrevLabel = prevLabel
-	s.HopIndex = hopIndex
-	return s
-}
-
-// OpsConfig converts the node state into the operation-module binding.
-func (s *NodeState) OpsConfig() ops.Config {
-	return ops.Config{
-		FIB32:        s.FIB32,
-		FIB128:       s.FIB128,
-		NameFIB:      s.NameFIB,
-		PIT:          s.PIT,
-		ContentStore: s.ContentStore,
-		TieredStore:  s.TieredStore,
-		Secret:       s.Secret,
-		MACKind:      s.MACKind,
-		PrevLabel:    s.PrevLabel,
-		HopIndex:     s.HopIndex,
-		XIARoutes:    s.XIARoutes,
-		GuardKey:     s.GuardKey,
-		RequirePass:  s.RequirePass,
-	}
-}
-
-// Maintain sweeps expired soft state (PIT entries). Long-running nodes
-// call it periodically; correctness never depends on it because every
-// read path re-checks expiry.
-func (s *NodeState) Maintain() (expired int) {
-	if s.PIT != nil {
-		expired = s.PIT.Expire()
-	}
-	return expired
-}
+var (
+	// BuildNode validates spec and assembles the node it describes.
+	BuildNode = node.Build
+	// WallEnv is the live-process NodeEnv (log may be nil).
+	WallEnv = node.WallEnv
+)
 
 // NewRouter builds a DIP router: an operation registry over cfg plus the
 // per-hop pipeline (hop limit, Algorithm 1, verdict handling).

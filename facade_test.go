@@ -139,10 +139,9 @@ func TestRouteExchangeThroughFacade(t *testing.T) {
 
 	// Learner: a router whose local-delivery sink feeds its Speaker.
 	state := NewNodeState()
-	learner := NewRouter(state.OpsConfig(), RouterOptions{})
 	sp := NewSpeaker(SpeakerConfig{Name: "learner", FIB32: state.FIB32, Now: now})
 	sp.AddNeighbor(0, func([]byte) {}) // return path, unused here
-	learner.SetLocalDelivery(func(pkt []byte, inPort int) {
+	learner := NewRouter(state.OpsConfig(), RouterOptions{LocalDelivery: func(pkt []byte, inPort int) {
 		v, err := ParsePacket(pkt)
 		if err != nil || v.NextHeader() != NHRouteExchange {
 			t.Errorf("unexpected local delivery: %v", err)
@@ -151,7 +150,7 @@ func TestRouteExchangeThroughFacade(t *testing.T) {
 		if err := sp.Handle(v.Payload(), inPort); err != nil {
 			t.Errorf("speaker: %v", err)
 		}
-	})
+	}})
 
 	// Origin: its Speaker wraps messages in the control profile and injects
 	// them into the learner's pipeline as port-0 arrivals.

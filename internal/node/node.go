@@ -1,0 +1,433 @@
+package node
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dip/internal/bootstrap"
+	"dip/internal/core"
+	"dip/internal/cs"
+	"dip/internal/drkey"
+	"dip/internal/export"
+	"dip/internal/extops"
+	"dip/internal/fib"
+	"dip/internal/guard"
+	"dip/internal/host"
+	"dip/internal/inband"
+	"dip/internal/journey"
+	"dip/internal/netsim"
+	"dip/internal/nhash"
+	"dip/internal/ops"
+	"dip/internal/opt"
+	"dip/internal/pit"
+	"dip/internal/profiles"
+	"dip/internal/router"
+	"dip/internal/telemetry"
+	"dip/internal/trace"
+)
+
+// Env is what genuinely differs between a live process and a virtual-time
+// simulation. None of it is a user option: WallEnv and SimEnv are the only
+// two values in the tree.
+type Env struct {
+	// Clock is the dataplane clock — elapsed time since the environment
+	// started. The serve layer stamps admission with it, F_tel reads it
+	// back for per-hop latency, and the speaker ages soft state on it.
+	Clock func() time.Duration
+	// Stamp supplies absolute nanosecond timestamps for spans, postcards,
+	// F_tel records and the cold-read histogram. Nil is the wall clock; a
+	// simulation passes its virtual clock so every timestamp is comparable.
+	Stamp func() int64
+	// Defer schedules work that must not run re-entrantly inside the
+	// current packet: a synchronous cold read completes inside the
+	// interest's own handling, so its re-inject (and a pump-mode burst)
+	// enters the router as a separate event. Nil runs fn inline — correct
+	// for a live process, where cold reads complete on reader goroutines.
+	Defer func(fn func())
+	// QueueDepth is F_tel's fabric queue-depth probe (a simulation counts
+	// in-flight packets on the node's egress links). Nil leaves only the
+	// serve layer's burst depth.
+	QueueDepth func() int
+	// SyncCold makes cold-tier reads synchronous (no reader goroutines), so
+	// a simulation stays single-goroutine deterministic.
+	SyncCold bool
+	// Journeys receives the node's journey spans. A simulation passes one
+	// collector shared by every node; nil gives the node its own emitter
+	// ring, exported on /journeys.
+	Journeys journey.SpanSink
+	// Log receives a line per notable event; nil discards.
+	Log func(format string, args ...any)
+}
+
+// WallEnv is the live-process environment: wall time, inline re-injects,
+// async cold reads.
+func WallEnv(log func(format string, args ...any)) Env {
+	start := time.Now()
+	return Env{Clock: func() time.Duration { return time.Since(start) }, Log: log}
+}
+
+// SimEnv is the virtual-time environment over sim: one virtual clock for
+// every timestamp, re-injects and pump-mode bursts as Schedule(0) events,
+// synchronous cold reads — a run stays single-goroutine deterministic. The
+// caller adds what only it knows (QueueDepth, Journeys, Log).
+func SimEnv(sim *netsim.Simulator) Env {
+	return Env{
+		Clock:    sim.Now,
+		Stamp:    func() int64 { return int64(sim.Now()) },
+		Defer:    func(fn func()) { sim.Schedule(0, fn) },
+		SyncCold: true,
+	}
+}
+
+// Node is a built DIP node: a router over its state, with whichever of
+// the guarded ingress, cold tier, recorder stack, F_tel, postcard collector
+// and speaker its Spec asked for already wired together. The exported
+// fields are read-only after Build.
+type Node struct {
+	Spec    Spec               // as given, with derived defaults (HopID, IntSlots) filled in
+	State   *State             // forwarding tables
+	Router  *router.Router     // the pipeline
+	Ingress *router.Ingress    // guard layer; nil when packets are handled inline
+	Metrics *telemetry.Metrics // always counting
+	Speaker *bootstrap.Speaker // nil when off
+	Tiered  *cs.Tiered[uint32] // nil without a cold tier
+
+	env      Env
+	tracer   *trace.Recorder
+	journeys *journey.Emitter // nil when Env.Journeys collects instead
+	spans    journey.SpanSink // nil when journeys are off
+	intc     *inband.Collector
+	intSeen  atomic.Int64
+	// pumpMu serializes pump-mode bursts: Ingress.Pump must not run
+	// concurrently with itself, and in a live process the socket loop and
+	// the cold readers both enter Handle. pump is the bound method, made
+	// once so Handle does not allocate a closure per packet.
+	pumpMu sync.Mutex
+	pump   func()
+}
+
+// Build assembles the node s describes in environment env.
+func Build(s Spec, env Env) (*Node, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	n := &Node{Spec: s, env: env, State: NewState(), Metrics: &telemetry.Metrics{}}
+	n.pump = n.runPump
+	st := n.State
+	for _, t := range []struct {
+		table  *fib.Table
+		routes []Route
+	}{{st.FIB32, s.Routes32}, {st.FIB128, s.Routes128}, {st.NameFIB, s.Names}} {
+		for _, r := range t.routes {
+			if err := t.table.Add(r.Prefix, r.Len, fib.NextHop{Port: r.Port}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var popts []pit.Option[uint32]
+	if s.PITPerPort > 0 {
+		popts = append(popts, pit.WithPerPortCap[uint32](s.PITPerPort))
+	}
+	if s.PITShards > 0 {
+		popts = append(popts, pit.WithShards[uint32](s.PITShards))
+	}
+	st.PIT = pit.New[uint32](popts...)
+	if len(s.Secret) > 0 {
+		sv, err := drkey.NewSecretValue(s.Name, s.Secret)
+		if err != nil {
+			return nil, err
+		}
+		st.EnableOPT(sv, opt.Kind2EM, [16]byte{}, s.HopIndex)
+	}
+	st.RequirePass = s.RequirePass
+	switch {
+	case s.CSCold > 0:
+		readers := s.CSReaders
+		if env.SyncCold {
+			readers = 0
+		} else if readers == 0 {
+			readers = 2
+		}
+		var err error
+		n.Tiered, err = st.EnableTieredCache(s.Cache, s.CSShards, cs.ColdConfig{
+			Path: s.CSColdFile, Slots: s.CSCold, SlotSize: s.CSSlot, Readers: readers, Now: env.Stamp,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("cscold: %w", err)
+		}
+		n.Tiered.SetReinject(n.reinject)
+	case s.Cache > 0:
+		st.ContentStore = cs.NewSharded[uint32](s.Cache, s.CSShards)
+	}
+
+	// Recorder stack, innermost first: metrics always count; the trace
+	// sampler wraps them; the journey tap wraps whichever of the two the
+	// router got and forwards everything, so /metrics and /trace are
+	// unchanged while spans flow.
+	if s.TraceEvery > 0 {
+		n.tracer = trace.NewRecorder(n.Metrics, s.TraceEvery, s.TraceRing)
+	}
+	n.Router = router.New(ops.NewRouterRegistry(st.OpsConfig()), router.Config{
+		Name:          s.Name,
+		Limits:        core.Limits{MaxFNs: s.MaxFNs},
+		Metrics:       n.Metrics,
+		Trace:         n.tracer,
+		LocalDelivery: n.deliver,
+	})
+	if s.JourneyEvery > 0 {
+		if n.spans = env.Journeys; n.spans == nil {
+			n.journeys = journey.NewEmitter(s.JourneyRing)
+			n.spans = n.journeys
+		}
+		var inner core.Recorder = n.Metrics
+		if n.tracer != nil {
+			inner = n.tracer
+		}
+		n.Router.SetRecorder(journey.NewRouterTap(s.Name, n.spans, inner, s.JourneyEvery, env.Stamp))
+	}
+
+	if s.IntEvery > 0 {
+		if n.Spec.HopID == 0 {
+			n.Spec.HopID = uint32(nhash.Bytes([]byte(s.Name)))
+		}
+		if n.Spec.IntSlots == 0 {
+			n.Spec.IntSlots = 8
+		}
+		n.intc = inband.NewCollector(inband.Config{})
+		tel := extops.TelConfig{
+			HopID: n.Spec.HopID,
+			// The clock the serve layer stamps AdmittedAt with, so stamped
+			// per-hop latency is admission→execution.
+			ClockNs:    func() int64 { return int64(env.Clock()) },
+			QueueDepth: env.QueueDepth,
+			Epoch:      func() uint32 { return st.FIB32.Epoch() + st.FIB128.Epoch() + st.NameFIB.Epoch() },
+		}
+		if env.Stamp != nil {
+			tel.Now = func() time.Time { return time.Unix(0, env.Stamp()) }
+		}
+		n.Router.Registry().MustRegister(extops.NewTelWith(tel))
+	}
+
+	if s.Speaker {
+		hold := s.SpeakerHold
+		if hold == 0 {
+			hold = 3 * s.SpeakerRefresh
+		}
+		n.Speaker = bootstrap.NewSpeaker(bootstrap.SpeakerConfig{
+			Name:      s.Name,
+			FIB32:     st.FIB32,
+			FIB128:    st.FIB128,
+			NameFIB:   st.NameFIB,
+			Catalog:   bootstrap.CatalogOf(n.Router.Registry()),
+			Now:       env.Clock,
+			HoldFor:   hold,
+			MaxMetric: s.SpeakerMaxMetric,
+			Log:       env.Log,
+		})
+		n.Speaker.OriginateFromFIBs()
+	}
+
+	// With the guard layer on, classification, admission control, priority
+	// queues and the panic quarantine sit between Handle and the pipeline.
+	// It starts last: the burst sampler binds to the recorder installed above.
+	if s.guarded() {
+		var admission *guard.Admission
+		if (s.AdmitPort != guard.Rate{} || s.AdmitBulk != guard.Rate{}) {
+			policy := guard.Policy{PerPort: s.AdmitPort}
+			policy.PerClass[guard.ClassBulk] = s.AdmitBulk
+			admission = guard.NewAdmission(policy, env.Clock)
+		}
+		queue := s.Queue
+		if queue == 0 {
+			queue = 256
+		}
+		n.Ingress = n.Router.ServeGuarded(router.ServeConfig{
+			Workers:   s.Workers,
+			HighDepth: queue,
+			LowDepth:  queue,
+			Batch:     s.Batch,
+			Admission: admission,
+			Clock:     env.Clock,
+		})
+	}
+	return n, nil
+}
+
+// Handle is the node's one packet entry point — sockets, simulated links and
+// cold-tier re-injects all come through here. Without the guard layer it
+// runs the pipeline inline. With it, ownership of pkt passes to the ingress
+// (callers reusing their buffer hand over a copy); in pump mode the admitted
+// packet's burst is then run through Env.Defer.
+func (n *Node) Handle(pkt []byte, inPort int) {
+	switch {
+	case n.Ingress == nil:
+		n.Router.HandlePacket(pkt, inPort)
+	case n.Ingress.Submit(pkt, inPort) && n.Spec.Workers == 0:
+		n.deferred(n.pump)
+	}
+}
+
+func (n *Node) runPump() {
+	n.pumpMu.Lock()
+	n.Ingress.Pump()
+	n.pumpMu.Unlock()
+}
+
+func (n *Node) deferred(fn func()) {
+	if n.env.Defer != nil {
+		n.env.Defer(fn)
+	} else {
+		fn()
+	}
+}
+
+func (n *Node) logf(format string, args ...any) {
+	if n.env.Log != nil {
+		n.env.Log(format, args...)
+	}
+}
+
+func (n *Node) stamp() int64 {
+	if n.env.Stamp != nil {
+		return n.env.Stamp()
+	}
+	return time.Now().UnixNano()
+}
+
+// reinject is the cold tier's completion callback. The payload re-enters
+// through Handle as an ordinary NDN data packet: it consumes the parked PIT
+// entry, replicates to the requesting ports, and the cache insert promotes
+// it back to the hot tier.
+func (n *Node) reinject(cname uint32, data []byte, start, end int64) {
+	profile := profiles.NDNData(cname)
+	if n.Spec.IntEvery > 0 {
+		// Locally originated packets get a fresh telemetry region: this hop
+		// and everything downstream stamp into it.
+		profile = profiles.WithTelemetry(profile, n.Spec.IntSlots)
+	}
+	pkt, err := host.BuildPacket(profile, data)
+	if err != nil {
+		return
+	}
+	n.deferred(func() {
+		if n.spans != nil {
+			n.spans.AddSpan(journey.Span{
+				Trace:   journey.TraceOf(pkt),
+				Kind:    journey.SpanCSCold,
+				Node:    n.Spec.Name,
+				Start:   start,
+				End:     end,
+				Name:    cname,
+				HasName: true,
+				Proto:   "ndn-data",
+			})
+		}
+		n.logf("%s: cold read %#08x re-injected (%d bytes, %v)", n.Spec.Name, cname, len(data), time.Duration(end-start))
+		n.Handle(pkt, 0)
+	})
+}
+
+// deliver is the router's local-delivery sink: route-exchange control
+// packets go to the speaker, telemetry-carrying packets are terminated into
+// the postcard collector, and nothing else happens — a router is not a host.
+func (n *Node) deliver(pkt []byte, inPort int) {
+	if n.Speaker != nil || n.intc != nil {
+		if v, err := core.ParseView(pkt); err == nil {
+			if n.Speaker != nil && v.NextHeader() == profiles.NHRouteExchange {
+				if err := n.Speaker.Handle(v.Payload(), inPort); err != nil {
+					n.logf("%s: route exchange from port %d: %v", n.Spec.Name, inPort, err)
+				}
+				return
+			}
+			if n.intc != nil {
+				every := int64(n.Spec.IntEvery)
+				if region, off, ok := profiles.TelemetryRegion(v); ok && (n.intSeen.Add(1)-1)%every == 0 {
+					AddPostcard(n.intc, v, pkt, region, off, inband.Postcard{
+						Node: n.Spec.Name, At: n.stamp(), Proto: journey.ProtoOf(v),
+					})
+				}
+			}
+		}
+	}
+	if n.env.Log != nil { // per-packet path: no argument boxing when quiet
+		n.env.Log("%s: delivered locally: %d bytes from port %d", n.Spec.Name, len(pkt), inPort)
+	}
+}
+
+// AddPostcard is the delivering-edge telemetry termination: decode the
+// packet's F_tel region (as located by profiles.TelemetryRegion) into pc's
+// hop list, file pc with the collector, and zero the region so local
+// consumers never see fabric state. The caller fills pc's Node, At, Proto
+// and Dst.
+func AddPostcard(c *inband.Collector, v core.View, pkt, region []byte, off int, pc inband.Postcard) {
+	var err error
+	if pc.Hops, pc.Overflow, err = extops.DecodeTel(region); err != nil {
+		c.CountDecodeError()
+		return
+	}
+	// Fold the leading FN key into the flow identity so an interest and its
+	// data reply (same name bytes, opposite paths) stay distinct flows.
+	pc.Flow = inband.FlowOf(v.Locations(), off) ^ (uint64(v.FN(0).Key)+1)*0x9E3779B97F4A7C15
+	pc.Trace = uint64(journey.TraceOf(pkt))
+	c.Add(pc)
+	for i := range region {
+		region[i] = 0
+	}
+}
+
+// AttachPort registers an egress port and returns its index. With neighbor
+// set and the speaker running, the port is also a route-exchange adjacency:
+// the speaker's messages ride DIP control packets straight out of the port
+// (not through the forwarding pipeline — they are this hop's own control
+// traffic, not transit).
+func (n *Node) AttachPort(p router.Port, neighbor bool) int {
+	idx := n.Router.AttachPort(p)
+	if neighbor && n.Speaker != nil {
+		n.Speaker.AddNeighbor(idx, func(msg []byte) {
+			if pkt, err := host.BuildPacket(profiles.RouteExchange(), msg); err == nil {
+				p.Send(pkt)
+			}
+		})
+	}
+	return idx
+}
+
+// MetricsSource bundles everything the node exposes over a metrics
+// listener. Interface fields are left nil rather than filled with typed
+// nils, which the exporter would dereference on scrape.
+func (n *Node) MetricsSource() export.Source {
+	src := export.Source{
+		Node:     n.Spec.Name,
+		Metrics:  n.Metrics,
+		Health:   n.Router.Health,
+		PIT:      n.State.PIT,
+		Trace:    n.tracer,
+		Journeys: n.journeys,
+	}
+	if n.State.ContentStore != nil {
+		src.CS = n.State.ContentStore
+	}
+	if n.Tiered != nil {
+		src.CSTier = n.Tiered.Stats
+	}
+	if n.Speaker != nil {
+		src.Routes = n.Speaker.Stats
+	}
+	if n.intc != nil {
+		src.INT = n.intc.Stats
+	}
+	return src
+}
+
+// Close stops the ingress forwarders and releases the cold arena. Safe to
+// call more than once.
+func (n *Node) Close() {
+	if n.Ingress != nil {
+		n.Ingress.Close()
+	}
+	if n.Tiered != nil {
+		n.Tiered.Close()
+	}
+}

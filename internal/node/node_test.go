@@ -1,0 +1,281 @@
+package node
+
+import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"dip/internal/core"
+	"dip/internal/drkey"
+	"dip/internal/extops"
+	"dip/internal/guard"
+	"dip/internal/host"
+	"dip/internal/netsim"
+	"dip/internal/opt"
+	"dip/internal/profiles"
+	"dip/internal/router"
+	"dip/internal/telemetry"
+	"dip/internal/workload"
+)
+
+// outcome is what one packet did to a node: which verdict/drop counters
+// moved and which ports it left on.
+type outcome struct {
+	verdict string
+	egress  string
+}
+
+// probe builds spec under env with four recording ports and returns a
+// function feeding one packet and reporting its outcome. settle drains
+// whatever the environment deferred.
+func probe(t *testing.T, spec Spec, env Env, settle func()) func(pkt []byte, inPort int) outcome {
+	t.Helper()
+	n, err := Build(spec, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	var egress []int
+	for p := 0; p < 4; p++ {
+		p := p
+		n.AttachPort(router.PortFunc(func([]byte) { egress = append(egress, p) }), false)
+	}
+	prev := n.Metrics.Snapshot()
+	return func(pkt []byte, inPort int) outcome {
+		egress = egress[:0]
+		n.Handle(append([]byte(nil), pkt...), inPort)
+		settle()
+		cur := n.Metrics.Snapshot()
+		o := outcome{verdict: verdictDelta(prev, cur)}
+		prev = cur
+		sort.Ints(egress)
+		o.egress = fmt.Sprint(egress)
+		return o
+	}
+}
+
+func verdictDelta(a, b telemetry.Snapshot) string {
+	var parts []string
+	for _, c := range []struct {
+		name string
+		d    int64
+	}{
+		{"forward", b.Forwarded - a.Forwarded}, {"deliver", b.Delivered - a.Delivered},
+		{"absorb", b.Absorbed - a.Absorbed}, {"no-action", b.NoAction - a.NoAction},
+		{"drop", b.Dropped - a.Dropped},
+	} {
+		if c.d != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", c.name, c.d))
+		}
+	}
+	for reason, n := range b.Drops {
+		if d := n - a.Drops[reason]; d != 0 {
+			parts = append(parts, fmt.Sprintf("%v=%d", reason, d))
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// TestOneWayToBuild is the oracle the package exists for: one Spec built
+// under the wall Env and under the netsim Env must treat the five-protocol
+// trace identically, packet for packet. The Spec turns on everything that
+// does not depend on goroutine timing — pump-mode guard, cache, sharded PIT,
+// OPT, trace + journey + INT recorders. (The cold tier is left out: its
+// wall-Env reads complete on reader goroutines, at no fixed point in the
+// packet sequence.)
+func TestOneWayToBuild(t *testing.T) {
+	secret := bytes.Repeat([]byte{0x42}, 16)
+	sv, err := drkey.NewSecretValue("oracle", secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := drkey.NewSecretValue("dst", bytes.Repeat([]byte{0xD0}, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := opt.NewSession(opt.Kind2EM, []opt.HopConfig{{Secret: sv}}, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.Generate(workload.Spec{
+		Weights: map[workload.Protocol]float64{
+			workload.ProtoIPv4: 4, workload.ProtoIPv6: 2, workload.ProtoNDN: 2,
+			workload.ProtoOPT: 1, workload.ProtoNDNOPT: 1,
+		},
+		Names: 256, ZipfS: 1.1, Ports: 4, Session: sess, Seed: 13,
+	}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p6 := make([]byte, 16)
+	p6[0] = workload.Addr6PrefixByte
+	spec := Spec{
+		Name:      "oracle",
+		Secret:    secret,
+		Routes32:  []Route{{Prefix: []byte{workload.AddrPrefixByte, 0, 0, 0}, Len: 8, Port: 1}},
+		Routes128: []Route{{Prefix: p6, Len: 8, Port: 2}},
+		Names:     []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 3}},
+		Cache:     64, PITShards: 4, Batch: 8, Queue: 32,
+		TraceEvery: 4, JourneyEvery: 4, IntEvery: 1,
+	}
+	sim := netsim.New()
+	wall := probe(t, spec, WallEnv(nil), func() {})
+	virt := probe(t, spec, SimEnv(sim), func() { sim.Run() })
+	seen := map[string]int{}
+	for i, p := range tr.Packets {
+		w, v := wall(p.Buf, p.InPort), virt(p.Buf, p.InPort)
+		if w != v {
+			t.Fatalf("packet %d (%v): wall %+v, netsim %+v", i, p.Proto, w, v)
+		}
+		seen[w.verdict]++
+	}
+	// The comparison must not be vacuous: the trace forwards, absorbs
+	// (interests answered from cache), drops (their now-unsolicited data)
+	// and ends the pure-OPT packets with no forwarding action.
+	for _, want := range []string{"forward=1", "absorb=1", "drop=1,pit-miss=1", "no-action=1"} {
+		if seen[want] == 0 {
+			t.Errorf("no packet with verdict %q in %v", want, seen)
+		}
+	}
+}
+
+var familyRE = regexp.MustCompile(`(?m)^dip_[a-zA-Z0-9_]*`)
+
+func families(n *Node) []string {
+	var buf bytes.Buffer
+	n.MetricsSource().WriteMetrics(&buf)
+	set := map[string]bool{}
+	for _, f := range familyRE.FindAllString(buf.String(), -1) {
+		set[f] = true
+	}
+	out := make([]string, 0, len(set))
+	for f := range set {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestMetricsSource scrapes a minimal node (no cache, speaker or INT: the
+// exporter's interface fields must be nil, not typed nils) and a full one,
+// whose series families must be exactly what diprouter exported for the
+// same flags before node.Build existed (an idle scrape of PR 12's binary
+// with -cache -cscold -csshards -pitperport -pitshards -workers -admit-port
+// -speaker -int-every -trace-every -journey-every -secret).
+func TestMetricsSource(t *testing.T) {
+	min, err := Build(Spec{Name: "min"}, WallEnv(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer min.Close()
+	if got := families(min); len(got) == 0 {
+		t.Error("minimal node exported nothing")
+	}
+
+	full, err := Build(Spec{
+		Name:     "full",
+		Secret:   bytes.Repeat([]byte{0x11}, 16),
+		Routes32: []Route{{Prefix: []byte{10, 0, 0, 0}, Len: 8, Port: 0}},
+		Names:    []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}},
+		Cache:    16, CSCold: 32, CSShards: 2, PITPerPort: 64, PITShards: 4,
+		Workers: 2, AdmitPort: guard.Rate{PerSec: 1e5, Burst: 1e3},
+		Speaker: true, SpeakerRefresh: 5 * time.Second,
+		IntEvery: 1, TraceEvery: 1, JourneyEvery: 1,
+	}, WallEnv(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	want := strings.Fields(`
+		dip_cs_admission_filtered_total dip_cs_bytes dip_cs_cold_read_errors_total
+		dip_cs_cold_read_ns_bucket dip_cs_cold_read_ns_count dip_cs_cold_read_ns_sum
+		dip_cs_cold_slots dip_cs_entries dip_cs_pending_cold_reads
+		dip_cs_pending_rejected_total dip_cs_reinjected_total dip_cs_spill_dropped_total
+		dip_cs_spilled_total dip_cs_tier_hits_total dip_cs_tier_misses_total
+		dip_guard_admit_rejected_total dip_guard_processed_total dip_guard_quarantined_total
+		dip_guard_queue_capacity dip_guard_queue_depth dip_guard_shed_total dip_guard_workers
+		dip_guard_workers_stalled dip_int_decode_errors_total dip_int_expected_mismatch_total
+		dip_int_flows dip_int_loops_total dip_int_microbursts_total dip_int_overflows_total
+		dip_int_path_changes_total dip_int_postcards_total dip_journey_spans_dropped_total
+		dip_journey_spans_total dip_packets_received_total dip_packets_total dip_pit_entries
+		dip_pit_expired_total dip_pit_portcap_rejected_total dip_route_changes_total
+		dip_route_commits_total dip_route_local_entries dip_route_malformed_total
+		dip_route_messages_total dip_route_noop_batches_total dip_route_rib_entries
+		dip_route_stale_total dip_trace_overwritten_total dip_trace_ring_records
+		dip_trace_sample_every dip_trace_sampled_total dip_trace_seen_total`)
+	if got := families(full); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("full node families:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestColdReinjectPath drives the cold tier through Build under the netsim
+// Env: a twice-requested object is evicted from the 2-entry hot tier into
+// the arena, a later interest for it parks in the PIT, and the synchronous
+// read's re-inject arrives as its own event — carrying, because IntEvery is
+// on, a fresh F_tel region this hop has stamped — out of the asking port.
+func TestColdReinjectPath(t *testing.T) {
+	sim := netsim.New()
+	env := SimEnv(sim)
+	var logged []string
+	env.Log = func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }
+	n, err := Build(Spec{
+		Name:  "cold",
+		Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}},
+		Cache: 2, CSCold: 8, IntEvery: 1, HopID: 7,
+	}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	var toConsumer [][]byte
+	n.AttachPort(router.PortFunc(func(pkt []byte) { toConsumer = append(toConsumer, append([]byte(nil), pkt...)) }), false)
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	handle := func(h *core.Header, payload string, inPort int) {
+		t.Helper()
+		pkt, err := host.BuildPacket(h, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Handle(pkt, inPort)
+		sim.Run()
+	}
+	fetch := func(name uint32, payload string) {
+		handle(profiles.NDNInterest(name), "", 0)
+		handle(profiles.NDNData(name), payload, 1)
+	}
+	fetch(0xAA000001, "the one")
+	handle(profiles.NDNInterest(0xAA000001), "", 0) // hot hit: marks it admissible
+	fetch(0xAA000002, "the two")
+	fetch(0xAA000003, "the three") // overflows the hot tier; "the one" spills
+	toConsumer = nil
+	handle(profiles.NDNInterest(0xAA000001), "", 0)
+
+	if st := n.Tiered.Stats(); st.ColdHits != 1 || st.Reinjected != 1 {
+		t.Fatalf("tier stats: %+v", st)
+	}
+	if len(toConsumer) != 1 {
+		t.Fatalf("%d packets to the consumer, want the re-injected data", len(toConsumer))
+	}
+	v, err := core.ParseView(toConsumer[0])
+	if err != nil || string(v.Payload()) != "the one" {
+		t.Fatalf("re-injected packet: payload %q err %v", v.Payload(), err)
+	}
+	region, _, ok := profiles.TelemetryRegion(v)
+	if !ok {
+		t.Fatal("re-injected packet carries no F_tel region")
+	}
+	if hops, _, err := extops.DecodeTel(region); err != nil || len(hops) != 1 || hops[0].HopID != 7 {
+		t.Errorf("F_tel region: hops %+v err %v", hops, err)
+	}
+	if got := n.Spec.IntSlots; got != 8 {
+		t.Errorf("IntSlots default = %d, want 8", got)
+	}
+	if len(logged) == 0 || !strings.Contains(logged[len(logged)-1], "cold read 0xaa000001 re-injected") {
+		t.Errorf("log: %q", logged)
+	}
+}

@@ -36,7 +36,7 @@ func TestIngressSubmitCloseRace(t *testing.T) {
 		cfg := baseCfg(t)
 		cfg.FIB32.AddUint32(0, 0, fib.Local)
 		r := New(ops.NewRouterRegistry(cfg), Config{LocalDelivery: func([]byte, int) {}})
-		in := r.Serve(2, 4)
+		in := r.ServeGuarded(ServeConfig{Workers: 2, HighDepth: 4, LowDepth: 4})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for g := 0; g < 4; g++ {

@@ -57,7 +57,7 @@ type Router struct {
 	cfg    Config
 	ports  []Port
 	// ingress is the currently serving guard layer, when any (set by
-	// Serve/ServeGuarded, cleared by Close); Health reads through it.
+	// ServeGuarded, cleared by Close); Health reads through it.
 	ingress atomic.Pointer[Ingress]
 }
 
@@ -92,14 +92,6 @@ func (r *Router) ReplaceRegistry(reg *core.Registry) *core.Registry {
 
 // Name returns the router's diagnostic label.
 func (r *Router) Name() string { return r.cfg.Name }
-
-// SetLocalDelivery installs (or replaces) the local-delivery sink after
-// construction. Call before packets flow: topology wiring installs control
-// stacks (e.g. the route-exchange speaker) between router creation and
-// scenario start.
-func (r *Router) SetLocalDelivery(fn func(pkt []byte, inPort int)) {
-	r.cfg.LocalDelivery = fn
-}
 
 // Health snapshots the serving ingress guard layer. ok is false when the
 // router is not currently serving (no queues to report on).

@@ -193,20 +193,6 @@ func (q *burstQueue) collect(burst []queuedPacket, max int, block bool) []queued
 	return burst
 }
 
-// Serve starts workers goroutines draining queues of depth queueDepth,
-// with no admission control — the permissive legacy configuration. Stop it
-// with Close.
-func (r *Router) Serve(workers, queueDepth int) *Ingress {
-	if workers < 1 {
-		workers = 1
-	}
-	return r.ServeGuarded(ServeConfig{
-		Workers:   workers,
-		HighDepth: queueDepth,
-		LowDepth:  queueDepth,
-	})
-}
-
 // ServeGuarded starts the ingress guard layer: classification, admission
 // control, flow-pinned two-class burst queues, panic quarantine, and
 // worker heartbeats. Stop it with Close.

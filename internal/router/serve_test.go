@@ -17,7 +17,7 @@ func TestIngressProcessesAll(t *testing.T) {
 	var forwarded atomic.Int64
 	r.AttachPort(PortFunc(func([]byte) { forwarded.Add(1) }))
 
-	in := r.Serve(4, 256)
+	in := r.ServeGuarded(ServeConfig{Workers: 4, HighDepth: 256, LowDepth: 256})
 	const total = 2000
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -44,7 +44,7 @@ func TestIngressProcessesAll(t *testing.T) {
 func TestIngressTailDropAndClose(t *testing.T) {
 	cfg := baseCfg(t)
 	r := New(ops.NewRouterRegistry(cfg), Config{})
-	in := r.Serve(1, 1)
+	in := r.ServeGuarded(ServeConfig{Workers: 1, HighDepth: 1, LowDepth: 1})
 	in.Close()
 	if in.Submit([]byte{1}, 0) {
 		t.Error("submit after close accepted")
@@ -58,7 +58,7 @@ func TestIngressTailDropAndClose(t *testing.T) {
 		LocalDelivery: func([]byte, int) { <-block },
 	})
 	cfg2.FIB32.AddUint32(0, 0, fib.Local)
-	in2 := r2.Serve(1, 1)
+	in2 := r2.ServeGuarded(ServeConfig{Workers: 1, HighDepth: 1, LowDepth: 1})
 	defer in2.Close()
 	p := func() []byte {
 		return pkt(t, profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{2, 2, 2, 2}), nil)

@@ -7,12 +7,12 @@
 //	linkdown R1 R2 at 10ms [silent]   # kill the R1–R2 link (both directions)
 //	linkup   R1 R2 at 30ms            # revive it
 //
-// With speakers enabled, each router's statically configured routes become
-// its originated set (OriginateFromFIBs) and everything else is learned in
-// band: advertisements ride DIP packets carrying an F_ctl FN on the
-// control class, delivered through the router's own pipeline to the
-// speaker. Refresh cycles are scheduled from t=0 every refresh= up to
-// horizon= (virtual time), bounding the event queue so Run terminates.
+// With speakers enabled, every router's node.Spec gets Speaker set: its
+// statically configured routes become its originated set and everything
+// else is learned in band, over the router↔router links (node.Build wires
+// the F_ctl control demux and the neighbor send path). Refresh cycles are
+// scheduled from t=0 every refresh= up to horizon= (virtual time), bounding
+// the event queue so Run terminates.
 //
 // linkdown without "silent" models carrier loss: both routers see PortDown
 // and reconverge via triggered withdraws. With "silent" the link just eats
@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"dip/internal/bootstrap"
-	"dip/internal/core"
 	"dip/internal/netsim"
-	"dip/internal/profiles"
 )
 
 // speakOptions is the parsed "speakers" directive.
@@ -134,10 +132,10 @@ func (t *Topology) addLinkEvent(up bool, args []string) error {
 		if t.Log != nil {
 			t.Log("[%v] link %s–%s %s (silent=%v)", t.sim.Now(), l.aName, l.bName, verb, silent)
 		}
-		if silent || t.speakers == nil {
+		if silent || t.speak == nil {
 			return
 		}
-		sa, sb := t.speakers[l.aName], t.speakers[l.bName]
+		sa, sb := t.Speaker(l.aName), t.Speaker(l.bName)
 		if up {
 			sa.PortUp(l.aPort)
 			sb.PortUp(l.bPort)
@@ -149,72 +147,11 @@ func (t *Topology) addLinkEvent(up bool, args []string) error {
 	return nil
 }
 
-// buildSpeakers instantiates one Speaker per router, wires adjacencies
-// over the existing link pipes, seeds each from its static FIBs, and
-// schedules the refresh cycle. Runs once, at scenario start.
-func (t *Topology) buildSpeakers() {
-	if t.speak == nil || t.speakers != nil {
-		return
-	}
-	t.speakers = make(map[string]*bootstrap.Speaker, len(t.routers))
-	for name, rn := range t.routers {
-		sp := bootstrap.NewSpeaker(bootstrap.SpeakerConfig{
-			Name:      name,
-			FIB32:     rn.cfg.FIB32,
-			FIB128:    rn.cfg.FIB128,
-			NameFIB:   rn.cfg.NameFIB,
-			Catalog:   bootstrap.CatalogOf(rn.r.Registry()),
-			Now:       t.sim.Now,
-			HoldFor:   t.speak.hold,
-			MaxMetric: t.speak.maxMetric,
-			Log:       t.Log,
-		})
-		sp.OriginateFromFIBs()
-		t.speakers[name] = sp
-		rn.r.SetLocalDelivery(func(pkt []byte, inPort int) {
-			t.deliverControl(sp, pkt, inPort)
-		})
-	}
-	for _, l := range t.rlinks {
-		l := l
-		t.speakers[l.aName].AddNeighbor(l.aPort, func(msg []byte) { t.sendControl(l.ab, msg) })
-		t.speakers[l.bName].AddNeighbor(l.bPort, func(msg []byte) { t.sendControl(l.ba, msg) })
-	}
-	for at := time.Duration(0); at <= t.speak.horizon; at += t.speak.refresh {
-		t.events = append(t.events, event{at: at, fn: func() {
-			for _, sp := range t.speakers {
-				sp.Refresh()
-			}
-		}})
-	}
-}
-
-// sendControl wraps an encoded route-exchange message in its DIP control
-// packet (F_ctl FN, NHRouteExchange) and puts it on the directed pipe.
-func (t *Topology) sendControl(pipe *netsim.Endpoint, msg []byte) {
-	pkt, err := buildPacket(profiles.RouteExchange(), msg)
-	if err != nil {
-		return
-	}
-	pipe.Send(pkt)
-}
-
-// deliverControl is the router's local-delivery sink with speakers on:
-// route-exchange payloads go to the speaker; anything else a router was
-// asked to deliver locally is absorbed (routers are not hosts).
-func (t *Topology) deliverControl(sp *bootstrap.Speaker, pkt []byte, inPort int) {
-	v, err := core.ParseView(pkt)
-	if err != nil || v.NextHeader() != profiles.NHRouteExchange {
-		return
-	}
-	sp.Handle(v.Payload(), inPort)
-}
-
 // Speaker returns the named router's route-exchange agent (nil without the
 // speakers directive or before the scenario started).
 func (t *Topology) Speaker(router string) *bootstrap.Speaker {
-	if t.speakers == nil {
-		return nil
+	if rn := t.routers[router]; rn != nil && rn.node != nil {
+		return rn.node.Speaker
 	}
-	return t.speakers[router]
+	return nil
 }

@@ -33,21 +33,19 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"dip/internal/bootstrap"
 	"dip/internal/core"
 	"dip/internal/cs"
-	"dip/internal/drkey"
-	"dip/internal/extops"
 	"dip/internal/fib"
+	"dip/internal/host"
 	"dip/internal/inband"
 	"dip/internal/journey"
 	"dip/internal/netsim"
-	"dip/internal/ops"
-	"dip/internal/pit"
+	"dip/internal/node"
 	"dip/internal/profiles"
 	"dip/internal/router"
 	"dip/internal/telemetry"
@@ -71,14 +69,16 @@ type Topology struct {
 	links      []topoLink
 	rlinks     []*routerLink
 	speak      *speakOptions
-	speakers   map[string]*bootstrap.Speaker
 	journeys   *journey.Collector
 	Deliveries []Delivery
+	// journeyEvery is the per-router span sampling period (EnableJourneys).
+	journeyEvery int
+	// built is set once Build has assembled every router's node.
+	built bool
 	// In-band telemetry state (int=/intslots= or EnableINT).
 	intEvery int
 	intSlots int
 	intSeq   int64
-	intBuilt bool
 	intc     *inband.Collector
 	intIDs   map[string]uint32
 	intNames map[uint32]string
@@ -96,38 +96,28 @@ type topoLink struct {
 	pipe  *netsim.Endpoint
 }
 
+// routerNode is one declared router: the node.Spec the DSL filled in, the
+// ports its links occupy, and — from scenario start on — the built node.
 type routerNode struct {
-	name    string
-	cfg     ops.Config
-	r       *router.Router
-	metrics *telemetry.Metrics
-	ports   int
-	// tiered is the two-tier content store when the router was declared
-	// with cscold=N: cold reads run synchronously (Readers 0) under the
-	// virtual clock, and completions re-inject via a Schedule(0) event.
-	tiered *cs.Tiered[uint32]
-	// in is the batched ingress when the router was declared with batch=N:
-	// links Submit into it and schedule a Pump, so queue service runs
-	// burst-shaped but still in deterministic virtual-time order.
-	in *router.Ingress
+	name string
+	spec node.Spec
+	// node is assembled by Topology.Build under the virtual-clock Env: cold
+	// reads run synchronously, re-injects and pump-mode bursts enter as
+	// Schedule(0) events, so runs stay single-goroutine deterministic.
+	node *node.Node
+	// ports are the egress ports by index, with what hangs off each (for
+	// FIB-walk path prediction); a router peer makes the port a
+	// route-exchange adjacency. Unlinked indexes are black holes.
+	ports []portSlot
 	// pipes are the router's outgoing link endpoints; their in-flight sum
 	// is F_tel's queue-depth source on zero-bandwidth links.
 	pipes []*netsim.Endpoint
-	// peers maps each port to what hangs off it, for FIB-walk path
-	// prediction.
-	peers map[int]intPeer
 }
 
-type intPeer struct {
-	name string
+type portSlot struct {
+	port router.Port
+	peer string // "" for a black hole
 	host bool
-}
-
-func (rn *routerNode) notePeer(port int, name string, host bool) {
-	if rn.peers == nil {
-		rn.peers = map[int]intPeer{}
-	}
-	rn.peers[port] = intPeer{name: name, host: host}
 }
 
 type hostNode struct {
@@ -268,181 +258,44 @@ func (t *Topology) addRouter(args []string) error {
 	if _, dup := t.routers[name]; dup {
 		return fmt.Errorf("router %s redefined", name)
 	}
-	cfg := ops.Config{
-		FIB32:   fib.New(),
-		FIB128:  fib.New(),
-		NameFIB: fib.New(),
+	spec := node.Spec{Name: name}
+	counts := map[string]*int{
+		"batch": &spec.Batch, "queue": &spec.Queue, "cache": &spec.Cache, "csshards": &spec.CSShards,
+		"cscold": &spec.CSCold, "csslot": &spec.CSSlot, "pitperport": &spec.PITPerPort, "pitshards": &spec.PITShards,
 	}
-	var cacheCap, csShards, csCold, csSlot, pitPerPort, pitShards, batch, queue int
 	for _, opt := range args[1:] {
 		k, v, _ := strings.Cut(opt, "=")
+		if dst, ok := counts[k]; ok {
+			n, err := strconv.Atoi(v)
+			if err != nil || (n < 1 && k != "cache") {
+				return fmt.Errorf("%s wants a positive count, got %q", k, v)
+			}
+			*dst = n
+			continue
+		}
 		switch k {
-		case "batch":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("batch wants a positive burst size, got %q", v)
-			}
-			batch = n
-		case "queue":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("queue wants a positive depth, got %q", v)
-			}
-			queue = n
-		case "cache":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("cache: %v", err)
-			}
-			cacheCap = n
-		case "csshards":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("csshards wants a positive count, got %q", v)
-			}
-			csShards = n
-		case "cscold":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("cscold wants a positive slot count, got %q", v)
-			}
-			csCold = n
-		case "csslot":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("csslot wants a positive byte size, got %q", v)
-			}
-			csSlot = n
 		case "secret":
 			secret, err := hex.DecodeString(v)
-			if err != nil || len(secret) != 16 {
+			if err != nil {
 				return fmt.Errorf("secret must be 32 hex chars")
 			}
-			sv, err := drkey.NewSecretValue(name, secret)
-			if err != nil {
-				return err
-			}
-			cfg.Secret = sv
+			spec.Secret = secret
 		case "hopindex":
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return fmt.Errorf("hopindex: %v", err)
 			}
-			cfg.HopIndex = uint8(n)
+			spec.HopIndex = uint8(n)
 		case "requirepass":
-			cfg.RequirePass = true
-		case "pitperport":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("pitperport wants a positive count, got %q", v)
-			}
-			pitPerPort = n
-		case "pitshards":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return fmt.Errorf("pitshards wants a positive count, got %q", v)
-			}
-			pitShards = n
+			spec.RequirePass = true
 		default:
 			return fmt.Errorf("unknown router option %q", opt)
 		}
 	}
-	var popts []pit.Option[uint32]
-	if pitPerPort > 0 {
-		popts = append(popts, pit.WithPerPortCap[uint32](pitPerPort))
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	if pitShards > 0 {
-		popts = append(popts, pit.WithShards[uint32](pitShards))
-	}
-	cfg.PIT = pit.New[uint32](popts...)
-	if csCold > 0 && cacheCap <= 0 {
-		return fmt.Errorf("cscold= needs a hot tier; add cache=N")
-	}
-	if csSlot > 0 && csCold == 0 {
-		return fmt.Errorf("csslot= only applies with cscold=N")
-	}
-	if cacheCap > 0 {
-		if csShards > 1 {
-			cfg.ContentStore = cs.NewSharded[uint32](cacheCap, csShards)
-		} else {
-			cfg.ContentStore = cs.New[uint32](cacheCap)
-		}
-	}
-	var tiered *cs.Tiered[uint32]
-	if csCold > 0 {
-		// Readers 0 keeps the cold tier synchronous: the pread happens
-		// inside the interest's own sim event and the completion re-injects
-		// via Schedule(0), so runs stay single-goroutine deterministic.
-		var err error
-		tiered, err = cs.NewTiered(cfg.ContentStore, cs.ColdConfig{
-			Slots:    csCold,
-			SlotSize: csSlot,
-			Now:      func() int64 { return int64(t.sim.Now()) },
-		})
-		if err != nil {
-			return fmt.Errorf("cscold: %v", err)
-		}
-		cfg.TieredStore = tiered
-	}
-	if queue > 0 && batch == 0 {
-		return fmt.Errorf("queue= only applies to batched routers; add batch=N")
-	}
-	rn := &routerNode{name: name, cfg: cfg, metrics: &telemetry.Metrics{}, tiered: tiered}
-	rn.r = router.New(ops.NewRouterRegistry(cfg), router.Config{
-		Name:    name,
-		Metrics: rn.metrics,
-	})
-	if batch > 0 {
-		if queue == 0 {
-			queue = 256
-		}
-		// Pump mode keeps the simulation single-goroutine and deterministic;
-		// the burst discipline (collect up to batch, run to completion) is
-		// exactly what the worker forwarders execute.
-		rn.in = rn.r.ServeGuarded(router.ServeConfig{
-			Workers:   0,
-			Batch:     batch,
-			HighDepth: queue,
-			LowDepth:  queue,
-			Clock:     t.sim.Now,
-		})
-	}
-	if tiered != nil {
-		tiered.SetReinject(func(cname uint32, data []byte, start, end int64) {
-			reply, err := buildPacket(profiles.NDNData(cname), data)
-			if err != nil {
-				return
-			}
-			// Schedule(0) breaks re-entrancy: the synchronous read completes
-			// inside the interest's HandlePacket, so the data packet must
-			// enter the router as its own event, after the interest absorbs.
-			t.sim.Schedule(0, func() {
-				if t.journeys != nil {
-					t.journeys.AddSpan(journey.Span{
-						Trace:   journey.TraceOf(reply),
-						Kind:    journey.SpanCSCold,
-						Node:    name,
-						Start:   start,
-						End:     end,
-						Name:    cname,
-						HasName: true,
-						Proto:   "ndn-data",
-					})
-				}
-				if t.Log != nil {
-					t.Log("[%v] %s cold read %#08x re-injected", t.sim.Now(), name, cname)
-				}
-				if rn.in != nil {
-					if rn.in.Submit(reply, 0) {
-						t.sim.Schedule(0, func() { rn.in.Pump() })
-					}
-					return
-				}
-				rn.r.HandlePacket(reply, 0)
-			})
-		})
-	}
-	t.routers[name] = rn
+	t.routers[name] = &routerNode{name: name, spec: spec}
 	return nil
 }
 
@@ -588,16 +441,7 @@ func (t *Topology) addLink(args []string) error {
 			return netsim.ReceiverFunc(func(pkt []byte, _ int) { h.receive(pkt) })
 		}
 		rn := t.routers[name]
-		if rn.in != nil {
-			in, sim := rn.in, t.sim
-			return netsim.ReceiverFunc(func(pkt []byte, p int) {
-				if in.Submit(pkt, p) {
-					sim.Schedule(0, func() { in.Pump() })
-				}
-			})
-		}
-		r := rn.r
-		return netsim.ReceiverFunc(func(pkt []byte, p int) { r.HandlePacket(pkt, p) })
+		return netsim.ReceiverFunc(func(pkt []byte, p int) { rn.node.Handle(pkt, p) })
 	}
 	// a → b direction.
 	var abOpts, baOpts []netsim.LinkOption
@@ -621,36 +465,24 @@ func (t *Topology) addLink(args []string) error {
 			ab: abPipe, ba: baPipe,
 		})
 	}
-	attach := func(name string, isHost bool, port int, pipe *netsim.Endpoint) error {
+	attach := func(name string, isHost bool, port int, pipe *netsim.Endpoint, peer string, peerHost bool) {
 		if isHost {
 			t.hosts[name].port = pipe
-			return nil
+			return
 		}
 		rn := t.routers[name]
 		rn.pipes = append(rn.pipes, pipe)
-		for rn.ports <= port {
+		for len(rn.ports) <= port {
 			// Pad unassigned ports with black holes so indices line up.
-			if rn.ports == port {
-				rn.r.AttachPort(pipe)
-			} else {
-				rn.r.AttachPort(router.PortFunc(func([]byte) {}))
+			slot := portSlot{port: router.PortFunc(func([]byte) {})}
+			if len(rn.ports) == port {
+				slot = portSlot{port: pipe, peer: peer, host: peerHost}
 			}
-			rn.ports++
+			rn.ports = append(rn.ports, slot)
 		}
-		return nil
 	}
-	if err := attach(aName, aHost, aPort, abPipe); err != nil {
-		return err
-	}
-	if err := attach(bName, bHost, bPort, baPipe); err != nil {
-		return err
-	}
-	if !aHost {
-		t.routers[aName].notePeer(aPort, bName, bHost)
-	}
-	if !bHost {
-		t.routers[bName].notePeer(bPort, aName, aHost)
-	}
+	attach(aName, aHost, aPort, abPipe, bName, bHost)
+	attach(bName, bHost, bPort, baPipe, aName, aHost)
 	return nil
 }
 
@@ -662,48 +494,19 @@ func (t *Topology) addRoute(kind string, args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown router %q", args[0])
 	}
-	prefixStr, lenStr, ok := strings.Cut(args[1], "/")
-	if !ok {
-		return fmt.Errorf("prefix needs /len")
+	bits, into := 32, &rn.spec.Routes32
+	switch kind {
+	case "name":
+		into = &rn.spec.Names
+	case "route128":
+		bits, into = 128, &rn.spec.Routes128
 	}
-	plen, err := strconv.Atoi(lenStr)
+	r, err := node.ParseRoute(bits, args[1], args[2])
 	if err != nil {
 		return err
 	}
-	nh := fib.Local
-	if args[2] != "local" {
-		port, err := strconv.Atoi(args[2])
-		if err != nil {
-			return fmt.Errorf("port: %v", err)
-		}
-		nh = fib.NextHop{Port: port}
-	}
-	switch kind {
-	case "route32":
-		key, err := parse32(prefixStr)
-		if err != nil {
-			return err
-		}
-		return rn.cfg.FIB32.AddUint32(key, plen, nh)
-	case "name":
-		key, err := parseHex32(prefixStr)
-		if err != nil {
-			return err
-		}
-		return rn.cfg.NameFIB.AddUint32(key, plen, nh)
-	default: // route128
-		key, err := hex.DecodeString(prefixStr)
-		if err != nil {
-			return err
-		}
-		if len(key) > 16 {
-			// Input-reachable: padding with 16-len(key) would panic on a
-			// long prefix (fuzz-found class of bug).
-			return fmt.Errorf("route128 prefix %d bytes, max 16", len(key))
-		}
-		key = append(key, make([]byte, 16-len(key))...)
-		return rn.cfg.FIB128.Add(key, plen, nh)
-	}
+	*into = append(*into, r)
+	return nil
 }
 
 func (t *Topology) addProducer(args []string) error {
@@ -714,7 +517,7 @@ func (t *Topology) addProducer(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown host %q", args[0])
 	}
-	name, err := parseHex32(args[1])
+	name, err := node.Parse32(args[1])
 	if err != nil {
 		return err
 	}
@@ -747,12 +550,12 @@ func (t *Topology) addInterest(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown host %q", args[0])
 	}
-	name, err := parseHex32(args[1])
+	name, err := node.Parse32(args[1])
 	if err != nil {
 		return err
 	}
 	t.events = append(t.events, event{at: at, fn: func() {
-		b, err := buildPacket(t.intWrap(profiles.NDNInterest(name)), nil)
+		b, err := host.BuildPacket(t.intWrap(profiles.NDNInterest(name)), nil)
 		if err != nil {
 			return
 		}
@@ -773,17 +576,17 @@ func (t *Topology) addSend(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown host %q", args[0])
 	}
-	src, err := parseDotted(args[2])
+	src, err := parseAddr(args[2])
 	if err != nil {
 		return err
 	}
-	dst, err := parseDotted(args[3])
+	dst, err := parseAddr(args[3])
 	if err != nil {
 		return err
 	}
 	payload := args[4]
 	t.events = append(t.events, event{at: at, fn: func() {
-		b, err := buildPacket(t.intWrap(profiles.IPv4(src, dst)), []byte(payload))
+		b, err := host.BuildPacket(t.intWrap(profiles.IPv4(src, dst)), []byte(payload))
 		if err != nil {
 			return
 		}
@@ -803,34 +606,34 @@ func (t *Topology) EnableJourneys(every int) *journey.Collector {
 	if t.journeys != nil {
 		return t.journeys
 	}
-	c := journey.NewCollector(journey.Config{})
-	now := func() int64 { return int64(t.sim.Now()) }
-	for _, rn := range t.routers {
-		rn.r.SetRecorder(journey.NewRouterTap(rn.name, c, rn.metrics, every, now))
+	if every < 1 {
+		every = 1
 	}
+	t.journeyEvery = every
+	t.journeys = journey.NewCollector(journey.Config{})
 	for _, l := range t.links {
-		l.pipe.SetObserver(journey.NewLinkTap(l.label, c))
+		l.pipe.SetObserver(journey.NewLinkTap(l.label, t.journeys))
 	}
-	t.journeys = c
-	return c
+	return t.journeys
 }
 
 // TierStats returns the named router's two-tier content-store snapshot,
-// or ok=false when it has no cold tier (no cscold= option).
+// or ok=false when it has no cold tier (no cscold= option) or the scenario
+// has not started.
 func (t *Topology) TierStats(router string) (cs.TierStats, bool) {
 	rn, ok := t.routers[router]
-	if !ok || rn.tiered == nil {
+	if !ok || rn.node == nil || rn.node.Tiered == nil {
 		return cs.TierStats{}, false
 	}
-	return rn.tiered.Stats(), true
+	return rn.node.Tiered.Stats(), true
 }
 
 // Close releases per-router resources (cold-tier arena files). Safe to
 // call multiple times; runs must be finished first.
 func (t *Topology) Close() {
 	for _, rn := range t.routers {
-		if rn.tiered != nil {
-			rn.tiered.Close()
+		if rn.node != nil {
+			rn.node.Close()
 		}
 	}
 }
@@ -854,30 +657,22 @@ func (t *Topology) EnableINT(every, slots int) *inband.Collector {
 	} else if t.intSlots == 0 {
 		t.intSlots = 8
 	}
-	t.buildINT()
-	return t.intc
+	return t.collectINT()
 }
 
 // INT returns the in-band telemetry collector, or nil when telemetry is off.
 func (t *Topology) INT() *inband.Collector { return t.intc }
 
-// buildINT registers a rich F_tel operation on every router and creates the
-// postcard collector. Hop IDs are 1-based positions in sorted router-name
-// order, so a given topology always numbers hops the same way. Idempotent;
-// no-op while telemetry is off.
-func (t *Topology) buildINT() {
-	if t.intBuilt || t.intEvery <= 0 {
-		return
+// collectINT creates the host-edge postcard collector and numbers the hops:
+// IDs are 1-based positions in sorted router-name order, so a given
+// topology always numbers hops the same way. Idempotent.
+func (t *Topology) collectINT() *inband.Collector {
+	if t.intc != nil {
+		return t.intc
 	}
-	t.intBuilt = true
-	names := make([]string, 0, len(t.routers))
-	for n := range t.routers {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	t.intIDs = make(map[string]uint32, len(names))
-	t.intNames = make(map[uint32]string, len(names))
-	for i, n := range names {
+	t.intIDs = make(map[string]uint32, len(t.routers))
+	t.intNames = make(map[uint32]string, len(t.routers))
+	for i, n := range t.routerNames() {
 		t.intIDs[n] = uint32(i + 1)
 		t.intNames[uint32(i+1)] = n
 	}
@@ -885,31 +680,79 @@ func (t *Topology) buildINT() {
 		Expected: t.expectedPath,
 		HopName:  func(id uint32) string { return t.intNames[id] },
 	})
-	for _, n := range names {
-		rn := t.routers[n]
-		pipes := rn.pipes
-		cfg := rn.cfg
-		rn.r.Registry().MustRegister(extops.NewTelWith(extops.TelConfig{
-			HopID: t.intIDs[n],
-			Now:   func() time.Time { return time.Unix(0, int64(t.sim.Now())) },
-			// Same clock the batched serve layer stamps AdmittedAt with, so
-			// per-hop latency is admission→F_tel in virtual nanoseconds.
-			ClockNs: func() int64 { return int64(t.sim.Now()) },
-			// Topo links are zero-bandwidth, so serialization queues never
-			// form; in-flight copies on the router's egress pipes are the
-			// depth proxy (max'd with the serve layer's burst depth).
-			QueueDepth: func() int {
-				d := 0
-				for _, p := range pipes {
-					d += p.InFlight()
-				}
-				return d
-			},
-			Epoch: func() uint32 {
-				return cfg.FIB32.Epoch() + cfg.FIB128.Epoch() + cfg.NameFIB.Epoch()
-			},
-		}))
+	return t.intc
+}
+
+func (t *Topology) routerNames() []string {
+	names := make([]string, 0, len(t.routers))
+	for n := range t.routers {
+		names = append(names, n)
 	}
+	sort.Strings(names)
+	return names
+}
+
+// Build assembles every router's node from its Spec under the simulator's
+// Env and attaches the link ports — the scenario start, once EnableJourneys,
+// EnableINT, the speakers directive and Log have all had their say. Run
+// calls it implicitly (and panics if it fails, which only a cold-arena I/O
+// error can cause); call it first to handle that error. Idempotent.
+func (t *Topology) Build() error {
+	if t.built {
+		return nil
+	}
+	if t.intEvery > 0 {
+		t.collectINT()
+	}
+	names := t.routerNames()
+	for _, name := range names {
+		rn := t.routers[name]
+		spec := rn.spec
+		spec.JourneyEvery = t.journeyEvery
+		if t.intEvery > 0 {
+			spec.IntEvery, spec.IntSlots, spec.HopID = t.intEvery, t.intSlots, t.intIDs[name]
+		}
+		if t.speak != nil {
+			spec.Speaker, spec.SpeakerRefresh = true, t.speak.refresh
+			spec.SpeakerHold, spec.SpeakerMaxMetric = t.speak.hold, t.speak.maxMetric
+		}
+		env := node.SimEnv(t.sim)
+		env.Log = t.Log
+		// Topo links are zero-bandwidth, so serialization queues never form;
+		// in-flight copies on the router's egress pipes are the depth proxy
+		// (max'd with the serve layer's burst depth).
+		env.QueueDepth = func() int {
+			d := 0
+			for _, p := range rn.pipes {
+				d += p.InFlight()
+			}
+			return d
+		}
+		if t.journeys != nil {
+			env.Journeys = t.journeys
+		}
+		n, err := node.Build(spec, env)
+		if err != nil {
+			return fmt.Errorf("router %s: %w", name, err)
+		}
+		for _, slot := range rn.ports {
+			n.AttachPort(slot.port, slot.peer != "" && !slot.host)
+		}
+		rn.node = n
+	}
+	if t.speak != nil {
+		// Refresh cycles run from t=0 every refresh= up to horizon=,
+		// bounding the event queue so Run terminates.
+		for at := time.Duration(0); at <= t.speak.horizon; at += t.speak.refresh {
+			t.events = append(t.events, event{at: at, fn: func() {
+				for _, name := range names {
+					t.routers[name].node.Speaker.Refresh()
+				}
+			}})
+		}
+	}
+	t.built = true
+	return nil
 }
 
 // intWrap appends an F_tel region to every int-th injected packet. Routers
@@ -951,9 +794,9 @@ func (t *Topology) expectedPath(pc *inband.Postcard) ([]uint32, bool) {
 		path = append(path, t.intIDs[cur])
 		var nh fib.NextHop
 		if pc.Proto == "interest" {
-			nh, ok = rn.cfg.NameFIB.LookupUint32(pc.Dst)
+			nh, ok = rn.node.State.NameFIB.LookupUint32(pc.Dst)
 		} else {
-			nh, ok = rn.cfg.FIB32.LookupUint32(pc.Dst)
+			nh, ok = rn.node.State.FIB32.LookupUint32(pc.Dst)
 		}
 		if !ok {
 			return nil, false
@@ -961,30 +804,24 @@ func (t *Topology) expectedPath(pc *inband.Postcard) ([]uint32, bool) {
 		if nh.Port == fib.PortLocal {
 			return path, true
 		}
-		peer, ok := rn.peers[nh.Port]
-		if !ok {
+		if nh.Port < 0 || nh.Port >= len(rn.ports) || rn.ports[nh.Port].peer == "" {
 			return nil, false
 		}
-		if peer.host {
+		if rn.ports[nh.Port].host {
 			return path, true
 		}
-		cur = peer.name
+		cur = rn.ports[nh.Port].peer
 	}
 	return nil, false
 }
 
-// stripINT is the delivering-edge termination: decode the packet's F_tel
-// region into a postcard, hand it to the collector, and zero the region so
-// consumers of the delivered packet never see fabric telemetry.
+// stripINT is the delivering-edge termination: the packet's F_tel region
+// becomes a postcard in the collector and is zeroed, so consumers of the
+// delivered packet never see fabric telemetry.
 func (h *hostNode) stripINT(pkt []byte, v core.View, profile string) {
 	t := h.topo
 	region, off, ok := profiles.TelemetryRegion(v)
 	if !ok {
-		return
-	}
-	hops, overflow, err := extops.DecodeTel(region)
-	if err != nil {
-		t.intc.CountDecodeError()
 		return
 	}
 	if profile == "other" && v.FNNum() > 0 {
@@ -995,23 +832,9 @@ func (h *hostNode) stripINT(pkt []byte, v core.View, profile string) {
 			profile = "ipv6"
 		}
 	}
-	// Fold the leading FN key into the flow identity: an interest and its
-	// data reply carry the same name bytes but traverse opposite paths, and
-	// must not look like one rerouted flow.
-	flow := inband.FlowOf(v.Locations(), off) ^ (uint64(v.FN(0).Key)+1)*0x9E3779B97F4A7C15
-	t.intc.Add(inband.Postcard{
-		Flow:     flow,
-		Trace:    uint64(journey.TraceOf(pkt)),
-		Node:     h.name,
-		At:       int64(t.sim.Now()),
-		Dst:      dstOf(v),
-		Proto:    profile,
-		Hops:     hops,
-		Overflow: overflow,
+	node.AddPostcard(t.intc, v, pkt, region, off, inband.Postcard{
+		Node: h.name, At: int64(t.sim.Now()), Dst: dstOf(v), Proto: profile,
 	})
-	for i := range region {
-		region[i] = 0
-	}
 }
 
 // dstOf reads the 4-byte operand the packet's first FN matches on — the
@@ -1084,7 +907,7 @@ func (h *hostNode) receive(pkt []byte) {
 			if t.Log != nil {
 				t.Log("[%v] %s serves %#08x", t.sim.Now(), h.name, name)
 			}
-			reply, err := buildPacket(t.intWrap(profiles.NDNData(name)), []byte(payload))
+			reply, err := host.BuildPacket(t.intWrap(profiles.NDNData(name)), []byte(payload))
 			if err == nil {
 				t.sim.Schedule(0, func() { h.send(reply) })
 			}
@@ -1105,15 +928,20 @@ func (h *hostNode) receive(pkt []byte) {
 // Run schedules the scenario and drains the simulator, returning the
 // deliveries observed.
 func (t *Topology) Run() []Delivery {
-	t.buildSpeakers()
-	t.buildINT()
+	t.start()
+	t.sim.Run()
+	return t.Deliveries
+}
+
+// start builds the nodes and hands the scenario's events to the simulator.
+func (t *Topology) start() {
+	if err := t.Build(); err != nil {
+		panic(fmt.Sprintf("topo: %v (call Build to handle this)", err))
+	}
 	for _, e := range t.events {
-		e := e
 		t.sim.Schedule(e.at, e.fn)
 	}
 	t.events = nil
-	t.sim.Run()
-	return t.Deliveries
 }
 
 // Sample is one periodic observation of every router's counters during a
@@ -1135,16 +963,11 @@ func (t *Topology) RunSampled(interval time.Duration) ([]Delivery, []Sample) {
 	if interval <= 0 {
 		return t.Run(), nil
 	}
-	t.buildSpeakers()
-	t.buildINT()
-	for _, e := range t.events {
-		t.sim.Schedule(e.at, e.fn)
-	}
-	t.events = nil
+	t.start()
 	snap := func(at time.Duration) Sample {
 		s := Sample{At: at, Routers: make(map[string]telemetry.Snapshot, len(t.routers))}
 		for n, rn := range t.routers {
-			s.Routers[n] = rn.metrics.Snapshot()
+			s.Routers[n] = rn.node.Metrics.Snapshot()
 		}
 		return s
 	}
@@ -1158,13 +981,10 @@ func (t *Topology) RunSampled(interval time.Duration) ([]Delivery, []Sample) {
 
 // Report summarizes router telemetry and link fault counters after a run.
 func (t *Topology) Report(w io.Writer) {
-	names := make([]string, 0, len(t.routers))
-	for n := range t.routers {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "router %s:\n%s", n, indent(t.routers[n].metrics.Snapshot().String()))
+	for _, n := range t.routerNames() {
+		if rn := t.routers[n]; rn.node != nil {
+			fmt.Fprintf(w, "router %s:\n%s", n, indent(rn.node.Metrics.Snapshot().String()))
+		}
 	}
 	for _, fl := range t.faulty {
 		if fl.im.Faults() == 0 {
@@ -1183,44 +1003,10 @@ func nameOf(v core.View) uint32 {
 	return uint32(locs[0])<<24 | uint32(locs[1])<<16 | uint32(locs[2])<<8 | uint32(locs[3])
 }
 
-func parse32(s string) (uint32, error) {
-	if strings.Contains(s, ".") {
-		b, err := parseDotted(s)
-		if err != nil {
-			return 0, err
-		}
-		return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), nil
-	}
-	return parseHex32(s)
-}
-
-func parseHex32(s string) (uint32, error) {
-	v, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 32)
-	return uint32(v), err
-}
-
-func parseDotted(s string) ([4]byte, error) {
-	var out [4]byte
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return out, fmt.Errorf("want a.b.c.d, got %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
-			return out, fmt.Errorf("bad octet %q", p)
-		}
-		out[i] = byte(v)
-	}
-	return out, nil
-}
-
-func buildPacket(h *core.Header, payload []byte) ([]byte, error) {
-	buf, err := h.AppendTo(make([]byte, 0, h.WireSize()+len(payload)))
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, payload...), nil
+// parseAddr reads an IPv4-style address (dotted quad or hex).
+func parseAddr(s string) ([4]byte, error) {
+	v, err := node.Parse32(s)
+	return [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}, err
 }
 
 func indent(s string) string {
@@ -1229,12 +1015,4 @@ func indent(s string) string {
 		lines[i] = "  " + lines[i]
 	}
 	return strings.Join(lines, "\n") + "\n"
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dip/internal/journey"
+	"dip/internal/node"
 )
 
 const demoTopo = `
@@ -114,6 +115,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// The DSL adds no checks of its own to a router's options: a misapplied key
+// fails with exactly the error node.Spec.Validate gives the equivalent
+// diprouter flags.
+func TestRouterOptionErrorsAreSpecValidate(t *testing.T) {
+	for src, spec := range map[string]node.Spec{
+		"router R cache=4 csslot=128": {Cache: 4, CSSlot: 128},
+		"router R cscold=8":           {CSCold: 8},
+		"router R queue=64":           {Queue: 64},
+		"router R csshards=2":         {CSShards: 2},
+	} {
+		want := spec.Validate()
+		if _, err := Parse(strings.NewReader(src)); want == nil || err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+			t.Errorf("%q: Parse error %v, Validate error %v", src, err, want)
+		}
+	}
+}
+
 func TestRouterOptions(t *testing.T) {
 	src := `
 router R cache=4 secret=00112233445566778899aabbccddeeff hopindex=2 requirepass
@@ -122,10 +140,13 @@ router R cache=4 secret=00112233445566778899aabbccddeeff hopindex=2 requirepass
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := tp.routers["R"]
-	if rn.cfg.ContentStore == nil || rn.cfg.Secret == nil ||
-		rn.cfg.HopIndex != 2 || !rn.cfg.RequirePass {
-		t.Errorf("options lost: %+v", rn.cfg)
+	if err := tp.Build(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tp.routers["R"].node.State.OpsConfig()
+	if cfg.ContentStore == nil || cfg.Secret == nil ||
+		cfg.HopIndex != 2 || !cfg.RequirePass {
+		t.Errorf("options lost: %+v", cfg)
 	}
 }
 
@@ -140,10 +161,10 @@ func TestBatchedRouterScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.routers["R1"].in == nil || tp.routers["R2"].in == nil {
+	deliveries := tp.Run()
+	if tp.routers["R1"].node.Ingress == nil || tp.routers["R2"].node.Ingress == nil {
 		t.Fatal("batch= did not install an ingress")
 	}
-	deliveries := tp.Run()
 	var dataToC []Delivery
 	for _, d := range deliveries {
 		if d.Host == "C" && d.Profile == "data" {

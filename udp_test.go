@@ -21,154 +21,158 @@ func udpConn(t *testing.T) *net.UDPConn {
 	return conn
 }
 
-func TestUDPOverlayNDNExchange(t *testing.T) {
-	routerConn := udpConn(t)
-	consumerConn := udpConn(t)
-	producerConn := udpConn(t)
-
-	// Router: port 0 → consumer, port 1 → producer, content under
-	// 0xAA/8 routed to the producer.
-	state := NewNodeState()
-	state.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
-	r := NewRouter(state.OpsConfig(), RouterOptions{Name: "udp-router"})
-	sendTo := func(addr net.Addr) Port {
-		return PortFunc(func(pkt []byte) {
-			routerConn.WriteTo(pkt, addr)
-		})
+// serveUDP builds the node spec describes and runs diprouter's own socket
+// loop (Node.ServeUDP) on conn with one port per peer, until the test ends.
+func serveUDP(t *testing.T, spec NodeSpec, conn *net.UDPConn, peers ...*net.UDPConn) {
+	t.Helper()
+	n, err := BuildNode(spec, WallEnv(nil))
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.AttachPort(sendTo(consumerConn.LocalAddr()))
-	r.AttachPort(sendTo(producerConn.LocalAddr()))
+	addrs := make([]*net.UDPAddr, len(peers))
+	for i, p := range peers {
+		addrs[i] = p.LocalAddr().(*net.UDPAddr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- n.ServeUDP(conn, addrs) }()
+	t.Cleanup(func() {
+		conn.Close()
+		if err := <-done; err != nil {
+			t.Errorf("ServeUDP: %v", err)
+		}
+		n.Close()
+	})
+}
 
-	// Router loop: attribute ingress port by source address.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 65535)
-		for {
-			routerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			n, raddr, err := routerConn.ReadFromUDP(buf)
+// udpModes runs a test against both shapes of the loop: packets handled
+// inline on the reader, and copied into a guarded forwarder.
+func udpModes(t *testing.T, run func(t *testing.T, workers int)) {
+	for _, m := range []struct {
+		name    string
+		workers int
+	}{{"inline", 0}, {"workers1", 1}} {
+		t.Run(m.name, func(t *testing.T) { run(t, m.workers) })
+	}
+}
+
+func TestUDPOverlayNDNExchange(t *testing.T) {
+	udpModes(t, func(t *testing.T, workers int) {
+		routerConn := udpConn(t)
+		consumerConn := udpConn(t)
+		producerConn := udpConn(t)
+
+		// Router: port 0 → consumer, port 1 → producer, content under
+		// 0xAA/8 routed to the producer.
+		serveUDP(t, NodeSpec{
+			Name:    "udp-router",
+			Workers: workers,
+			Names:   []NodeRoute{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}},
+		}, routerConn, consumerConn, producerConn)
+
+		// Producer loop: answer any interest with data.
+		go func() {
+			buf := make([]byte, 65535)
+			producerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, _, err := producerConn.ReadFromUDP(buf)
 			if err != nil {
 				return
 			}
-			inPort := 0
-			if raddr.String() == producerConn.LocalAddr().String() {
-				inPort = 1
+			v, err := ParsePacket(buf[:n])
+			if err != nil || v.FNNum() == 0 || v.FN(0).Key != KeyFIB {
+				t.Errorf("producer got unexpected packet: %v", err)
+				return
 			}
-			r.HandlePacket(buf[:n], inPort)
-		}
-	}()
+			reply, err := BuildPacket(NDNDataProfile(0xAA000042), []byte("udp bits"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			producerConn.WriteTo(reply, routerConn.LocalAddr())
+		}()
 
-	// Producer loop: answer any interest with data.
-	go func() {
+		// The interest comes from a socket the router has no peer for, so it
+		// is attributed to port 0 — and the data, following the PIT back out
+		// of port 0, must reach the consumer.
+		interest, err := BuildPacket(NDNInterestProfile(0xAA000042), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := udpConn(t).WriteTo(interest, routerConn.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
 		buf := make([]byte, 65535)
-		producerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, _, err := producerConn.ReadFromUDP(buf)
+		consumerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, _, err := consumerConn.ReadFromUDP(buf)
 		if err != nil {
-			return
+			t.Fatalf("consumer receive: %v", err)
 		}
-		v, err := ParsePacket(buf[:n])
-		if err != nil || v.FNNum() == 0 || v.FN(0).Key != KeyFIB {
-			t.Errorf("producer got unexpected packet: %v", err)
-			return
+		stack := NewHost()
+		rx := stack.HandlePacket(buf[:n])
+		if rx.Kind.String() != "delivered" || !bytes.Equal(rx.Payload, []byte("udp bits")) {
+			t.Fatalf("rx %v payload %q", rx.Kind, rx.Payload)
 		}
-		reply, err := BuildPacket(NDNDataProfile(0xAA000042), []byte("udp bits"))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		producerConn.WriteTo(reply, routerConn.LocalAddr())
-	}()
-
-	// Consumer: send the interest, await the data.
-	interest, err := BuildPacket(NDNInterestProfile(0xAA000042), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := consumerConn.WriteTo(interest, routerConn.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 65535)
-	consumerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err := consumerConn.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatalf("consumer receive: %v", err)
-	}
-	stack := NewHost()
-	rx := stack.HandlePacket(buf[:n])
-	if rx.Kind.String() != "delivered" || !bytes.Equal(rx.Payload, []byte("udp bits")) {
-		t.Fatalf("rx %v payload %q", rx.Kind, rx.Payload)
-	}
-
-	routerConn.Close()
-	<-done
+	})
 }
 
 func TestUDPOverlayOPTVerification(t *testing.T) {
-	routerConn := udpConn(t)
-	consumerConn := udpConn(t)
+	udpModes(t, func(t *testing.T, workers int) {
+		routerConn := udpConn(t)
+		consumerConn := udpConn(t)
 
-	sv, err := NewSecret("udp-r", bytes.Repeat([]byte{0x66}, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, _ := NewSecret("udp-c", bytes.Repeat([]byte{0x77}, 16))
-	sess, err := NewSession(MAC2EM, []HopConfig{{Secret: sv}}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A router whose only job is the OPT authentication chain, forwarding
-	// everything to the consumer via a default DIP-32 route.
-	state := NewNodeState()
-	state.EnableOPT(sv, MAC2EM, [16]byte{}, 0)
-	state.FIB32.AddUint32(0, 0, NextHop{Port: 0})
-	r := NewRouter(state.OpsConfig(), RouterOptions{})
-	r.AttachPort(PortFunc(func(pkt []byte) {
-		routerConn.WriteTo(pkt, consumerConn.LocalAddr())
-	}))
-	go func() {
-		buf := make([]byte, 65535)
-		routerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, _, err := routerConn.ReadFromUDP(buf)
+		secret := bytes.Repeat([]byte{0x66}, 16)
+		sv, err := NewSecret("udp-r", secret)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		r.HandlePacket(buf[:n], 0)
-	}()
+		dst, _ := NewSecret("udp-c", bytes.Repeat([]byte{0x77}, 16))
+		sess, err := NewSession(MAC2EM, []HopConfig{{Secret: sv}}, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Source: OPT profile composed with DIP-32 forwarding in one header —
-	// protocol composition over real sockets.
-	payload := []byte("socket-verified")
-	h, err := OPTProfile(sess, payload, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prepend forwarding: destination+source addresses after the OPT region.
-	off := uint16(len(h.Locations) * 8)
-	h.Locations = append(h.Locations, 10, 0, 0, 2, 10, 0, 0, 1)
-	h.FNs = append([]FN{
-		{Loc: off, Len: 32, Key: KeyMatch32},
-		{Loc: off + 32, Len: 32, Key: KeySource},
-	}, h.FNs...)
-	pkt, err := BuildPacket(h, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := udpConn(t)
-	if _, err := sender.WriteTo(pkt, routerConn.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
+		// A router whose only job is the OPT authentication chain, forwarding
+		// everything to the consumer via a default DIP-32 route.
+		serveUDP(t, NodeSpec{
+			Name:     "udp-r",
+			Workers:  workers,
+			Secret:   secret,
+			Routes32: []NodeRoute{{Prefix: []byte{0, 0, 0, 0}, Len: 0, Port: 0}},
+		}, routerConn, consumerConn)
 
-	buf := make([]byte, 65535)
-	consumerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	n, _, err := consumerConn.ReadFromUDP(buf)
-	if err != nil {
-		t.Fatalf("consumer receive: %v", err)
-	}
-	stack := NewHost()
-	stack.Sessions.Add(sess)
-	rx := stack.HandlePacket(buf[:n])
-	if rx.Kind.String() != "delivered" {
-		t.Fatalf("verification over UDP failed: %v/%v", rx.Kind, rx.Reason)
-	}
+		// Source: OPT profile composed with DIP-32 forwarding in one header —
+		// protocol composition over real sockets.
+		payload := []byte("socket-verified")
+		h, err := OPTProfile(sess, payload, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Prepend forwarding: destination+source addresses after the OPT region.
+		off := uint16(len(h.Locations) * 8)
+		h.Locations = append(h.Locations, 10, 0, 0, 2, 10, 0, 0, 1)
+		h.FNs = append([]FN{
+			{Loc: off, Len: 32, Key: KeyMatch32},
+			{Loc: off + 32, Len: 32, Key: KeySource},
+		}, h.FNs...)
+		pkt, err := BuildPacket(h, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sender := udpConn(t)
+		if _, err := sender.WriteTo(pkt, routerConn.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+
+		buf := make([]byte, 65535)
+		consumerConn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, _, err := consumerConn.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("consumer receive: %v", err)
+		}
+		stack := NewHost()
+		stack.Sessions.Add(sess)
+		rx := stack.HandlePacket(buf[:n])
+		if rx.Kind.String() != "delivered" {
+			t.Fatalf("verification over UDP failed: %v/%v", rx.Kind, rx.Reason)
+		}
+	})
 }
