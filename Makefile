@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test benchmodule check race vet fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
+.PHONY: build test benchmodule check seamcheck race vet fuzz soak bench benchrace metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke benchguard clean
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,14 @@ benchmodule:
 vet:
 	$(GO) vet ./...
 
+# core has one observer interface (Recorder) and one per-packet record
+# (ExecContext.Obs); the five-interface seam it replaced must not grow back
+# beside it.
+seamcheck:
+	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
+		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
+	fi
+
 race:
 	$(GO) test -race ./...
 
@@ -29,7 +37,7 @@ race:
 # E20 catalog sweep, a scaled-down E21 churn run with its built-in oracle,
 # and the in-band telemetry smoke (diptopo digest summary + live dip_int_*
 # scrape).
-check: vet race benchmodule benchrace fuzz metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke
+check: vet seamcheck race benchmodule benchrace fuzz metricssmoke journeysmoke burstsmoke ccsmoke cssmoke churnsmoke intsmoke
 
 # Short benchstat-friendly run of the forwarding hot-path benchmarks
 # (compare runs with: make bench > old.txt; ...; make bench > new.txt;

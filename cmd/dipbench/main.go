@@ -658,7 +658,7 @@ func (t *rwmuFIB) lookup(key uint32) {
 // path: the same DIP-32 forwarding loop with journeys off (the plain
 // telemetry recorder every router runs), sampled 1-in-1024 (the production
 // setting), and always-on (every packet spanned). The off/sampled gap is
-// the per-packet tax of the tap's stripe counter; off must stay 0 allocs/op
+// the per-packet tax of the tap's sampling decision; off must stay 0 allocs/op
 // (pinned by TestZeroAllocJourneyTapUnsampled).
 func journeyOverhead() {
 	fmt.Println("== E17: journey tracing overhead on the forwarding path ==")
@@ -873,7 +873,7 @@ func ablationFIBLookup() {
 // to one forwarding goroutine, and forwarders run bursts to completion. The
 // grid is GOMAXPROCS x batch {1, 64}; the claim pinned by benchguard is
 // that batching amortizes the per-packet costs (queue lock + futex wake per
-// Submit, one pooled context and one sampling-counter update per packet)
+// Submit, one pooled context and one seen-counter update per packet)
 // into per-burst costs, so batch=64 sustains >=1.5x the packet rate of
 // batch=1 on the same producer and forwarder count.
 func burstScaling() {

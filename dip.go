@@ -160,8 +160,11 @@ type (
 	Metrics = telemetry.Metrics
 	// MetricsSnapshot is a point-in-time copy of a node's counters.
 	MetricsSnapshot = telemetry.Snapshot
-	// Recorder is the engine telemetry sink interface (Metrics and
-	// TraceRecorder both satisfy it; journey taps wrap one).
+	// Recorder is the engine's one observer interface: a BeginPacket/
+	// EndPacket bracket around each packet, whose executed FNs the engine
+	// has written into the context's observation record by EndPacket.
+	// Metrics, TraceRecorder and journey taps all satisfy it; the latter
+	// two wrap an inner Recorder.
 	Recorder = core.Recorder
 	// TraceRecorder samples per-packet FN journeys into a lock-free ring.
 	TraceRecorder = trace.Recorder
@@ -384,8 +387,8 @@ const (
 func NewHost() *Host { return host.NewStack() }
 
 // NewTraceRecorder builds a 1-in-every packet trace sampler over a ring of
-// the given record capacity, forwarding aggregate telemetry to inner
-// (typically the node's *Metrics). Install it via RouterOptions.Trace.
+// the given record capacity. inner (typically the node's *Metrics) keeps
+// observing every packet underneath. Install it via RouterOptions.Trace.
 func NewTraceRecorder(inner *Metrics, every, ring int) *TraceRecorder {
 	if inner == nil {
 		return trace.NewRecorder(nil, every, ring)
@@ -404,9 +407,9 @@ func NewJourneyCollector() *JourneyCollector {
 func NewJourneyEmitter(size int) *JourneyEmitter { return journey.NewEmitter(size) }
 
 // NewRouterJourneyTap wraps a router's recorder so every every-th packet
-// emits a journey span to sink; install via Router.SetRecorder. inner
-// keeps receiving all telemetry (pass the node's *Metrics or a
-// *TraceRecorder); now is the span clock (nil = wall time).
+// emits a journey span to sink; install via Router.SetRecorder before
+// ServeGuarded. inner keeps observing every packet (pass the node's
+// *Metrics or a *TraceRecorder); now is the span clock (nil = wall time).
 func NewRouterJourneyTap(node string, sink journey.SpanSink, inner core.Recorder, every int, now func() int64) *journey.RouterTap {
 	return journey.NewRouterTap(node, sink, inner, every, now)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Verdict is the fate an operation (or the engine) assigns a packet.
 type Verdict uint8
@@ -88,20 +91,67 @@ type CryptoState struct {
 	HopIndex uint8    // this router's position in the validation chain
 }
 
-// SampleHint is a pre-made per-packet tracing decision carried on the
-// ExecContext. Batched dataplanes take the 1-in-N sampling decision once
-// per burst (see BurstSampler) and stamp the outcome here, so the
-// PacketRecorder's BeginPacket skips its striped-counter arithmetic for
-// every packet of the burst.
-type SampleHint int8
+// Step is one executed FN in a packet's observation record: the operation's
+// key and how long its Execute took.
+type Step struct {
+	Key Key
+	Ns  int64
+}
 
-// Sampling hints. The zero value means "no pre-made decision": the
-// recorder samples per packet as it always has.
-const (
-	SampleAuto  SampleHint = 0  // recorder decides (packet-at-a-time path)
-	SampleForce SampleHint = 1  // burst plan chose this packet; trace it
-	SampleSkip  SampleHint = -1 // burst plan passed over this packet
-)
+// maxClaims bounds how many observers can hold a per-packet claim at once
+// (the deepest stack anything builds is journey tap over trace recorder).
+const maxClaims = 4
+
+// claim is one observer's note to itself from BeginPacket to EndPacket: two
+// words of its choosing (a ring sequence number; a trace ID and a start
+// stamp).
+type claim struct {
+	by   Recorder
+	a, b uint64
+}
+
+// Observation is the one per-packet record the engine fills when a Recorder
+// is installed; every observer (counters, trace ring, journey spans) reads
+// it in EndPacket. Steps[:N] are the executed FNs in execution order — wave
+// order inside a parallel stage — and can never truncate: the array holds
+// the wire maximum. Without a recorder the engine never touches it.
+type Observation struct {
+	// Begin is the engine's monotonic reading (relative to MonoBase) as
+	// BeginPacket returns: the start of every observer's begin→end bracket
+	// around Algorithm 1. Only observers holding a claim read it, so the
+	// engine stamps it only on packets that left BeginPacket claimed.
+	Begin time.Duration
+	N     int
+
+	nclaims int
+	claims  [maxClaims]claim
+
+	// Steps sits last: Reset and the unsampled path stay on the record's
+	// first cache lines.
+	Steps [MaxFNs]Step
+}
+
+// Claim lets observer by, whose SampleEvery just said yes to this packet in
+// BeginPacket, remember what it captured before any FN ran until its
+// EndPacket collects it with Release. SampleEvery has checked there is room.
+func (o *Observation) Claim(by Recorder, a, b uint64) {
+	o.claims[o.nclaims] = claim{by, a, b}
+	o.nclaims++
+}
+
+// Release returns and forgets what by claimed on this packet; ok is false
+// when it claimed nothing (the packet was not sampled by it) — one integer
+// compare on the unsampled path.
+func (o *Observation) Release(by Recorder) (a, b uint64, ok bool) {
+	for i := 0; i < o.nclaims; i++ {
+		if c := o.claims[i]; c.by == by {
+			o.nclaims--
+			o.claims[i] = o.claims[o.nclaims]
+			return c.a, c.b, true
+		}
+	}
+	return 0, 0, false
+}
 
 // ExecContext carries one packet through the engine. Contexts are owned by
 // the caller and reused across packets via Reset, keeping the forwarding
@@ -146,28 +196,26 @@ type ExecContext struct {
 	// deadline (security limit, paper §2.4).
 	Deadline time.Time
 
-	// Trace, when non-nil, receives this packet's per-FN execution events:
-	// the packet was selected by a sampling PacketRecorder's BeginPacket.
-	// Nil (the overwhelmingly common case) costs the engine one pointer
-	// check per executed FN and nothing else.
-	Trace TraceSink
-
-	// Sample is the burst dataplane's pre-made tracing decision for this
-	// packet (see SampleHint). Reset restores SampleAuto; burst callers
-	// stamp their hint after Reset, before Process.
-	Sample SampleHint
-
 	// AdmittedAt and QueueDepth are the serving layer's admission snapshot
 	// for in-band telemetry: the dataplane clock reading (ns) when this
 	// packet's burst was picked up, and how many packets were queued behind
 	// it at that moment. F_tel folds them into the hop record (per-hop
 	// latency, queue depth at admission). They are burst-scoped — stamped
-	// once per burst on the pooled context — so Reset deliberately leaves
-	// them alone; single-packet entry points zero them instead. Zero means
-	// "unknown": F_tel then records no latency and falls back to its own
-	// depth provider.
+	// once per burst by BeginBurst on a context its forwarder owns for life
+	// — so Reset deliberately leaves them alone. Zero means "unknown": F_tel
+	// then records no latency and falls back to its own depth provider.
 	AdmittedAt int64
 	QueueDepth int32
+
+	// Ordinal counts the packets this context has carried into a recording
+	// engine, the current one included. It is private to the context's
+	// owner, so 1-in-N sampling on it (SampleEvery) is exact per forwarder and
+	// costs no shared state. burstFirst and burstLen are the burst stamp:
+	// the ordinal the burst's first observed packet carries and the burst's
+	// length, so that packet alone charges observers' shared seen-counters.
+	Ordinal    uint64
+	burstFirst uint64
+	burstLen   uint64
 
 	// MonoNow is the engine's monotonic reading (relative to MonoBase)
 	// taken just before dispatching the current operation — the same read
@@ -177,6 +225,38 @@ type ExecContext struct {
 	MonoNow time.Duration
 
 	stateBudget int // remaining per-packet state bytes; <0 means unlimited
+
+	// Obs is the packet's observation record. It sits last so the step
+	// array stays out of the cache lines the recorder-less path touches.
+	Obs Observation
+}
+
+// BeginBurst stamps the serving layer's per-burst state on a context its
+// forwarder owns: the admission snapshot F_tel reads (the dataplane clock at
+// pick-up and the n packets queued at that moment) and the burst stamp
+// SampleEvery charges seen-counters from.
+func (c *ExecContext) BeginBurst(n int, admittedAt int64) {
+	c.AdmittedAt = admittedAt
+	c.QueueDepth = int32(n)
+	c.burstFirst = c.Ordinal + 1
+	c.burstLen = uint64(n)
+}
+
+// SampleEvery is every observer's 1-in-every decision for the packet in flight,
+// taken in BeginPacket: true on the every-th, 2·every-th, … packet this
+// context carries (unless maxClaims observers already claimed it: a yes
+// promises room for one Claim). It also keeps seen — the observer's count
+// of packets that passed the decision — current: one add per packet
+// outside a burst, one add of the whole burst's length on the burst's
+// first observed packet.
+func (c *ExecContext) SampleEvery(every uint64, seen *atomic.Uint64) bool {
+	switch {
+	case c.burstLen == 0:
+		seen.Add(1)
+	case c.Ordinal == c.burstFirst:
+		seen.Add(c.burstLen)
+	}
+	return c.Ordinal%every == 0 && c.Obs.nclaims < maxClaims
 }
 
 // Reset prepares the context for a new packet. The view must already be
@@ -194,10 +274,9 @@ func (c *ExecContext) Reset(v View, inPort int) {
 	c.SignalUnsupported = false
 	c.UnsupportedKey = 0
 	c.Deadline = time.Time{}
-	c.Trace = nil
-	c.Sample = SampleAuto
 	c.MonoNow = 0
 	c.stateBudget = -1
+	c.Obs.N, c.Obs.nclaims = 0, 0
 }
 
 // AddEgress records an output port. Duplicate ports collapse; overflow

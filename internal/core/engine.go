@@ -30,63 +30,22 @@ var monoBase = time.Now()
 // instant's offset from it (see extops.Tel).
 func MonoBase() time.Time { return monoBase }
 
-// Recorder receives execution telemetry. Implementations must be safe for
-// concurrent use. A nil Recorder disables recording with no timing overhead.
+// Recorder is the engine's one observation seam: a per-packet bracket
+// around Algorithm 1. With a recorder installed the engine calls
+// BeginPacket once before any FN of a packet executes, appends every
+// executed FN to ctx.Obs inline — no call per op — and calls EndPacket
+// exactly once after the verdict is final, when ctx.Obs, ctx.Verdict,
+// ctx.Reason and the egress set describe the whole packet. Counters fold
+// the record in EndPacket; samplers decide (ctx.SampleEvery) and capture what
+// only the unmutated packet can tell in BeginPacket, Claim it, and Release
+// it in EndPacket beside the steps. Recorders compose by wrapping: an outer
+// recorder forwards both calls to its inner one. Both hooks must be safe
+// for concurrent use and must not allocate — the observed path is held to
+// the zero-alloc forwarding baseline. A nil Recorder disables recording
+// with no timing overhead.
 type Recorder interface {
-	RecordOp(k Key, d time.Duration)
-	RecordDrop(r DropReason)
-}
-
-// PacketRecorder is an optional extension of Recorder with per-packet
-// bracket hooks. When the recorder installed via SetRecorder implements it,
-// the engine calls BeginPacket once before any FN of a packet executes and
-// EndPacket exactly once after the verdict is final — the seam a sampled
-// per-packet tracer hangs off (internal/trace). BeginPacket decides whether
-// this packet is traced; if so it attaches a TraceSink to the context, and
-// the engine reports each executed FN to that sink. Both hooks must be safe
-// for concurrent use and must not allocate on the unsampled path, which is
-// held to the zero-alloc forwarding baseline.
-type PacketRecorder interface {
-	Recorder
 	BeginPacket(ctx *ExecContext)
 	EndPacket(ctx *ExecContext)
-}
-
-// BurstSampler is an optional extension of PacketRecorder for batched
-// run-to-completion dataplanes. Instead of paying a striped atomic
-// counter update in BeginPacket for every packet, a forwarder goroutine
-// asks the recorder for a private BurstPlan once and then consults it
-// with plain local arithmetic, charging the shared counters once per
-// burst. Only the outermost recorder installed on an engine may be
-// consulted for burst plans: a wrapping recorder (journey taps) that
-// forwards BeginPacket to an inner recorder must NOT implement
-// BurstSampler, or the hints it honours would silently distort the inner
-// recorder's sampling rate.
-type BurstSampler interface {
-	PacketRecorder
-	// NewBurstPlan returns a plan private to one forwarding goroutine.
-	// Plans are not safe for concurrent use.
-	NewBurstPlan() BurstPlan
-}
-
-// BurstPlan is one forwarder's amortized sampling state. The forwarder
-// brackets each burst with BeginBurst(n) and then calls Hint once per
-// packet, stamping the result on the ExecContext before Process.
-type BurstPlan interface {
-	// BeginBurst accounts a burst of n packets against the recorder's
-	// shared observation counters in one step.
-	BeginBurst(n int)
-	// Hint returns the pre-made decision for the next packet of the
-	// burst: SampleForce selects it for tracing, SampleSkip passes it by.
-	Hint() SampleHint
-}
-
-// TraceSink receives the per-FN execution events of one sampled packet. It
-// is attached to an ExecContext by a PacketRecorder's BeginPacket and
-// cleared by Reset. Step may be called concurrently for FNs inside one
-// parallel wave, so implementations claim slots atomically.
-type TraceSink interface {
-	Step(k Key, d time.Duration)
 }
 
 // Engine executes Algorithm 1 of the paper: iterate the packet's FNs,
@@ -97,11 +56,7 @@ type Engine struct {
 	reg    atomic.Pointer[Registry]
 	limits Limits
 	rec    Recorder
-	// prec is rec when it also implements the per-packet hooks, asserted
-	// once at SetRecorder so the hot path pays a nil check, not a type
-	// assertion, per packet.
-	prec PacketRecorder
-	host bool
+	host   bool
 }
 
 // NewEngine builds a router-side engine over reg with the given limits: it
@@ -124,18 +79,8 @@ func NewHostEngine(reg *Registry, limits Limits) *Engine {
 	return e
 }
 
-// SetRecorder installs a telemetry sink. Must be called before packets
-// flow. A recorder that also implements PacketRecorder additionally gets
-// the per-packet begin/end bracket (sampled tracing).
-func (e *Engine) SetRecorder(r Recorder) {
-	e.rec = r
-	e.prec, _ = r.(PacketRecorder)
-}
-
-// Recorder returns the telemetry sink installed via SetRecorder (nil when
-// none). Batched ingress paths use it to discover whether the recorder
-// supports amortized burst sampling (BurstSampler).
-func (e *Engine) Recorder() Recorder { return e.rec }
+// SetRecorder installs the observer. Must be called before packets flow.
+func (e *Engine) SetRecorder(r Recorder) { e.rec = r }
 
 // Registry returns the engine's current dispatch table.
 func (e *Engine) Registry() *Registry { return e.reg.Load() }
@@ -160,8 +105,12 @@ func (e *Engine) Process(ctx *ExecContext) {
 	if e.limits.Deadline > 0 {
 		ctx.Deadline = time.Now().Add(e.limits.Deadline)
 	}
-	if e.prec != nil {
-		e.prec.BeginPacket(ctx)
+	if e.rec != nil {
+		ctx.Ordinal++
+		e.rec.BeginPacket(ctx)
+		if ctx.Obs.nclaims > 0 {
+			ctx.Obs.Begin = time.Since(monoBase)
+		}
 	}
 	n := ctx.View.FNNum()
 	if e.routerFNCount(ctx.View) > e.limits.MaxFNs {
@@ -210,11 +159,9 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 		start := time.Since(monoBase)
 		ctx.MonoNow = start
 		err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len))
-		d := time.Since(monoBase) - start
-		e.rec.RecordOp(fn.Key, d)
-		if ctx.Trace != nil {
-			ctx.Trace.Step(fn.Key, d)
-		}
+		o := &ctx.Obs
+		o.Steps[o.N] = Step{fn.Key, int64(time.Since(monoBase) - start)}
+		o.N++
 		if err != nil {
 			ctx.Drop(DropOpError)
 		}
@@ -295,8 +242,9 @@ type waveCtxs struct {
 var wavePool = sync.Pool{New: func() any { return &waveCtxs{} }}
 
 // runWave executes the wave's FNs concurrently on context copies, then
-// merges verdicts (by precedence), egress sets, crypto state and state-
-// budget consumption back into ctx.
+// merges verdicts (by precedence), egress sets, crypto state, state-budget
+// consumption and — in wave order, so the record is deterministic — each
+// copy's observed steps back into ctx.
 func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	wc := wavePool.Get().(*waveCtxs)
 	if cap(wc.copies) < len(wave) {
@@ -307,6 +255,7 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	wg.Add(len(wave))
 	for i := range wave {
 		copies[i] = *ctx
+		copies[i].Obs.N = 0
 		// Pass the copy pointer and FN by value so the goroutine closure
 		// does not capture wave, whose backing array is the caller's stack.
 		go func(c *ExecContext, fn FN) {
@@ -348,6 +297,7 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 		if ctx.stateBudget >= 0 {
 			consumed += ctx.stateBudget - c.stateBudget
 		}
+		ctx.Obs.N += copy(ctx.Obs.Steps[ctx.Obs.N:], c.Obs.Steps[:c.Obs.N])
 	}
 	if ctx.stateBudget >= 0 {
 		ctx.stateBudget -= consumed
@@ -356,7 +306,8 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 		}
 	}
 	for i := range copies {
-		copies[i] = ExecContext{} // drop packet references before pooling
+		// Drop packet references before pooling.
+		copies[i].View, copies[i].Cached = View{}, nil
 	}
 	wavePool.Put(wc)
 }
@@ -371,14 +322,10 @@ func (e *Engine) routerFNCount(v View) int {
 	return n
 }
 
-// finish records the packet's terminal telemetry: the drop reason when it
-// dropped, and the per-packet end bracket when a PacketRecorder is
-// installed. Called exactly once per Process invocation.
+// finish closes the packet's observation bracket. Called exactly once per
+// Process invocation.
 func (e *Engine) finish(ctx *ExecContext) {
-	if e.rec != nil && ctx.Verdict == VerdictDrop {
-		e.rec.RecordDrop(ctx.Reason)
-	}
-	if e.prec != nil {
-		e.prec.EndPacket(ctx)
+	if e.rec != nil {
+		e.rec.EndPacket(ctx)
 	}
 }

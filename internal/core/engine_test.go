@@ -391,15 +391,16 @@ type countingRecorder struct {
 	drops map[DropReason]int
 }
 
-func (r *countingRecorder) RecordOp(k Key, _ time.Duration) {
+func (r *countingRecorder) BeginPacket(*ExecContext) {}
+func (r *countingRecorder) EndPacket(ctx *ExecContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ops[k]++
-}
-func (r *countingRecorder) RecordDrop(d DropReason) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.drops[d]++
+	for _, s := range ctx.Obs.Steps[:ctx.Obs.N] {
+		r.ops[s.Key]++
+	}
+	if ctx.Verdict == VerdictDrop {
+		r.drops[ctx.Reason]++
+	}
 }
 
 func TestEngineRecorder(t *testing.T) {

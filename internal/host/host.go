@@ -111,14 +111,22 @@ func (s *Stack) HandlePacket(pkt []byte) Rx {
 	if key, ok := profiles.ParseFNUnsupported(v); ok {
 		return Rx{Kind: RxFNUnsupported, Key: key, View: v}
 	}
-	var ctx core.ExecContext
+	ctx := ctxPool.Get().(*core.ExecContext)
 	ctx.Reset(v, 0)
-	s.engine.Process(&ctx)
-	if ctx.Verdict == core.VerdictDrop {
-		return Rx{Kind: RxRejected, Reason: ctx.Reason, View: v}
+	s.engine.Process(ctx)
+	verdict, reason := ctx.Verdict, ctx.Reason
+	ctx.View = core.View{} // drop the packet buffer reference
+	ctxPool.Put(ctx)
+	if verdict == core.VerdictDrop {
+		return Rx{Kind: RxRejected, Reason: reason, View: v}
 	}
 	return Rx{Kind: RxDelivered, Payload: v.Payload(), View: v}
 }
+
+// ctxPool recycles execution contexts: they carry the engine's observation
+// record, too large to allocate per packet, and their packet ordinal, which
+// a sampling recorder's 1-in-N decision counts on.
+var ctxPool = sync.Pool{New: func() any { return new(core.ExecContext) }}
 
 // BuildPacket serializes a profile header plus payload into a wire packet.
 func BuildPacket(h *core.Header, payload []byte) ([]byte, error) {

@@ -178,10 +178,7 @@ func nameOfView(v core.View) (uint32, bool) {
 const MaxSteps = 32
 
 // Step is one executed FN inside a router span.
-type Step struct {
-	Key core.Key
-	Ns  int64
-}
+type Step = core.Step
 
 // SpanKind says which element type emitted a span.
 type SpanKind uint8

@@ -1,10 +1,8 @@
 package journey
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"dip/internal/core"
 	"dip/internal/host"
@@ -12,61 +10,24 @@ import (
 	"dip/internal/tunnel"
 )
 
-// stripes is the sampling-counter stripe count, mirroring internal/trace:
-// pooled contexts hash stably onto stripes by address, so concurrent
-// workers do not contend on one atomic.
-const stripes = 16
-
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
 // RouterTap wraps a router's installed recorder (metrics or trace recorder)
 // and additionally emits one SpanRouter per sampled packet, bracketing
-// Algorithm 1 from ingress to verdict. It implements core.PacketRecorder;
-// install with Router.SetRecorder. The unsampled path is one striped
-// counter increment plus the wrapped recorder's own cost — zero
-// allocations (pinned by zeroalloc_test.go).
+// Algorithm 1 from ingress to verdict. It implements core.Recorder; install
+// with Router.SetRecorder. The unsampled path is the sampling decision plus
+// the wrapped recorder's own cost — zero allocations (pinned by
+// zeroalloc_test.go).
 type RouterTap struct {
 	node  string
 	sink  SpanSink
 	inner core.Recorder
-	// iprec is inner when it also implements the per-packet hooks (a
-	// trace.Recorder), asserted once at construction like the engine does.
-	iprec   core.PacketRecorder
-	every   uint64
-	now     func() int64
-	counter [stripes]paddedCounter
-	pool    sync.Pool
-}
-
-// tapSlot is the per-sampled-packet state: the span under construction and
-// the TraceSink the packet had before the tap interposed (a trace.Recorder
-// ring slot when the packet is also trace-sampled).
-type tapSlot struct {
-	tap       *RouterTap
-	inner     core.TraceSink
-	wallStart int64
-	span      Span
-	steps     atomic.Int32
-}
-
-// Step implements core.TraceSink: forward to the displaced sink and record
-// the FN into the span's own step list.
-func (s *tapSlot) Step(k core.Key, d time.Duration) {
-	if s.inner != nil {
-		s.inner.Step(k, d)
-	}
-	i := s.steps.Add(1) - 1
-	if int(i) < MaxSteps {
-		s.span.Steps[i] = Step{Key: k, Ns: d.Nanoseconds()}
-	}
+	every uint64
+	now   func() int64
+	seen  atomic.Uint64
 }
 
 // NewRouterTap builds a span-emitting recorder for the named router. Every
-// every-th packet gets a span (1 = all); inner (may be nil) receives all
-// recorder callbacks unchanged; now is the journey clock (nil = wall time).
+// every-th packet gets a span (1 = all); inner (may be nil) observes every
+// packet unchanged; now is the journey clock (nil = wall time).
 func NewRouterTap(node string, sink SpanSink, inner core.Recorder, every int, now func() int64) *RouterTap {
 	if every < 1 {
 		every = 1
@@ -74,102 +35,52 @@ func NewRouterTap(node string, sink SpanSink, inner core.Recorder, every int, no
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
 	}
-	t := &RouterTap{node: node, sink: sink, inner: inner, every: uint64(every), now: now}
-	t.iprec, _ = inner.(core.PacketRecorder)
-	t.pool.New = func() any { return new(tapSlot) }
-	return t
+	return &RouterTap{node: node, sink: sink, inner: inner, every: uint64(every), now: now}
 }
 
-// RecordOp implements core.Recorder by forwarding.
-func (t *RouterTap) RecordOp(k core.Key, d time.Duration) {
-	if t.inner != nil {
-		t.inner.RecordOp(k, d)
-	}
-}
-
-// RecordDrop implements core.Recorder by forwarding.
-func (t *RouterTap) RecordDrop(r core.DropReason) {
-	if t.inner != nil {
-		t.inner.RecordDrop(r)
-	}
-}
-
-// BeginPacket implements core.PacketRecorder: forward the bracket to the
-// wrapped recorder first (so a trace.Recorder can claim its ring slot),
-// then decide sampling and, on a hit, interpose a tapSlot as the context's
-// TraceSink, chaining to whatever sink the wrapped recorder attached.
+// BeginPacket implements core.Recorder: forward the bracket, then decide
+// sampling and, on a hit, claim the two things only this moment can tell —
+// the trace ID while the packet is still as it arrived (the fingerprint
+// must match what the upstream link saw) and the journey-clock start.
 func (t *RouterTap) BeginPacket(ctx *core.ExecContext) {
-	if t.iprec != nil {
-		t.iprec.BeginPacket(ctx)
+	if t.inner != nil {
+		t.inner.BeginPacket(ctx)
 	}
-	s := uintptr(unsafe.Pointer(ctx)) >> 4 & (stripes - 1)
-	if t.counter[s].n.Add(1)%t.every != 0 {
-		return
+	if ctx.SampleEvery(t.every, &t.seen) {
+		ctx.Obs.Claim(t, uint64(TraceOfView(ctx.View)), uint64(t.now()))
 	}
-	sl := t.pool.Get().(*tapSlot)
-	sl.tap = t
-	sl.inner = ctx.Trace
-	sl.steps.Store(0)
-	sl.wallStart = time.Now().UnixNano()
-	v := ctx.View
-	sl.span = Span{
-		Trace: TraceOfView(v),
-		Kind:  SpanRouter,
-		Node:  t.node,
-		Start: t.now(),
-		Proto: ProtoOf(v),
-	}
-	if name, ok := nameOfView(v); ok {
-		sl.span.Name, sl.span.HasName = name, true
-	}
-	ctx.Trace = sl
 }
 
-// EndPacket implements core.PacketRecorder: restore the displaced
-// TraceSink (a trace.Recorder asserts its own slot type out of ctx.Trace,
-// so the restore must happen before the forward), forward the bracket,
-// then seal and emit the span.
+// EndPacket implements core.Recorder: build the sampled packet's span from
+// its claim and observation record and emit it, then forward the bracket.
 func (t *RouterTap) EndPacket(ctx *core.ExecContext) {
-	sl, ok := ctx.Trace.(*tapSlot)
-	if !ok || sl == nil || sl.tap != t {
-		if t.iprec != nil {
-			t.iprec.EndPacket(ctx)
+	if id, start, ok := ctx.Obs.Release(t); ok {
+		o, v := &ctx.Obs, ctx.View
+		sp := Span{
+			Trace:   TraceID(id),
+			Kind:    SpanRouter,
+			Node:    t.node,
+			Start:   int64(start),
+			End:     max(t.now(), int64(start)),
+			CPUNs:   int64(time.Since(core.MonoBase()) - o.Begin),
+			Proto:   ProtoOf(v),
+			Verdict: ctx.Verdict,
+			Reason:  ctx.Reason,
+			Dropped: ctx.Verdict == core.VerdictDrop,
 		}
-		return
+		sp.Name, sp.HasName = nameOfView(v)
+		sp.NSteps = uint8(copy(sp.Steps[:], o.Steps[:o.N]))
+		if t.sink != nil {
+			t.sink.AddSpan(sp)
+		}
 	}
-	ctx.Trace = sl.inner
-	if t.iprec != nil {
-		t.iprec.EndPacket(ctx)
+	if t.inner != nil {
+		t.inner.EndPacket(ctx)
 	}
-	sp := &sl.span
-	sp.End = t.now()
-	if sp.End < sp.Start {
-		sp.End = sp.Start
-	}
-	sp.CPUNs = time.Now().UnixNano() - sl.wallStart
-	steps := sl.steps.Load()
-	if steps > MaxSteps {
-		steps = MaxSteps
-	}
-	sp.NSteps = uint8(steps)
-	sp.Verdict = ctx.Verdict
-	sp.Reason = ctx.Reason
-	sp.Dropped = ctx.Verdict == core.VerdictDrop
-	if t.sink != nil {
-		t.sink.AddSpan(*sp)
-	}
-	sl.inner = nil
-	t.pool.Put(sl)
 }
 
 // Seen returns how many packets passed the tap's sampling decision.
-func (t *RouterTap) Seen() uint64 {
-	var n uint64
-	for i := range t.counter {
-		n += t.counter[i].n.Load()
-	}
-	return n
-}
+func (t *RouterTap) Seen() uint64 { return t.seen.Load() }
 
 // NewLinkTap adapts a SpanSink into a netsim.TransitObserver for the link
 // labeled node ("R1->R2"): every observed transit becomes one SpanLink with

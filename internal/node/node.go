@@ -231,7 +231,7 @@ func Build(s Spec, env Env) (*Node, error) {
 
 	// With the guard layer on, classification, admission control, priority
 	// queues and the panic quarantine sit between Handle and the pipeline.
-	// It starts last: the burst sampler binds to the recorder installed above.
+	// It starts last: forwarders must find the recorder installed above.
 	if s.guarded() {
 		var admission *guard.Admission
 		if (s.AdmitPort != guard.Rate{} || s.AdmitBulk != guard.Rate{}) {

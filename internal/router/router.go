@@ -38,8 +38,8 @@ type Config struct {
 	Metrics *telemetry.Metrics
 	// Trace, when set, is installed as the engine's recorder instead of
 	// Metrics directly: it samples per-packet FN journeys into its ring and
-	// forwards aggregate telemetry to its inner recorder. Construct it with
-	// trace.NewRecorder(cfg.Metrics, every, ring) so the counters keep
+	// forwards the per-packet bracket to its inner recorder. Construct it
+	// with trace.NewRecorder(cfg.Metrics, every, ring) so the counters keep
 	// flowing; Metrics stays the verdict-counting sink either way.
 	Trace *trace.Recorder
 	// LocalDelivery receives packets whose verdict is Deliver (this node
@@ -72,8 +72,8 @@ func New(reg *core.Registry, cfg Config) *Router {
 	return &Router{engine: e, cfg: cfg}
 }
 
-// SetRecorder replaces the engine's telemetry recorder. Call before
-// packets flow — it is how journey taps wrap the recorder Config
+// SetRecorder replaces the engine's recorder. Call before packets flow (and
+// before ServeGuarded) — it is how journey taps wrap the recorder Config
 // installed (the tap forwards to the wrapped recorder, so metrics and
 // traces keep working underneath).
 func (r *Router) SetRecorder(rec core.Recorder) { r.engine.SetRecorder(rec) }
@@ -118,19 +118,15 @@ func (r *Router) NumPorts() int { return len(r.ports) }
 func (r *Router) HandlePacket(pkt []byte, inPort int) {
 	ctx := ctxPool.Get().(*core.ExecContext)
 	defer releaseCtx(ctx)
-	// Burst-scoped admission fields survive Reset by design; a pooled
-	// context may carry another burst's stamp, so the packet-at-a-time
-	// entry point clears them to "unknown".
-	ctx.AdmittedAt, ctx.QueueDepth = 0, 0
-	r.handlePacket(ctx, pkt, inPort, core.SampleAuto)
+	r.handlePacket(ctx, pkt, inPort)
 }
 
-// handlePacket is the context-reusing core of HandlePacket. Burst
-// dataplanes (Ingress.runBurst) call it once per packet with a context
-// they hold for the whole burst — amortizing the pool round-trip — and
-// with the burst plan's pre-made sampling hint; everyone else goes
-// through HandlePacket and pays one pool Get/Put per packet.
-func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int, hint core.SampleHint) {
+// handlePacket is the context-reusing core of HandlePacket. Forwarders
+// (Ingress.runBurst) call it once per packet with the context they own for
+// life and have burst-stamped; everyone else goes through HandlePacket and
+// pays one pool Get/Put per packet on a context that never carries a burst
+// stamp.
+func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
 	v, err := core.ParseView(pkt)
 	if err != nil {
 		r.countDrop(core.DropMalformed)
@@ -141,7 +137,6 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int, hin
 		return
 	}
 	ctx.Reset(v, inPort)
-	ctx.Sample = hint
 	r.engine.Process(ctx)
 	if r.cfg.Metrics != nil {
 		r.cfg.Metrics.CountVerdict(ctx.Verdict)
@@ -171,10 +166,14 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int, hin
 var ctxPool = sync.Pool{New: func() any { return new(core.ExecContext) }}
 
 func releaseCtx(ctx *core.ExecContext) {
-	ctx.Cached = nil       // drop the content-store reference
-	ctx.View = core.View{} // drop the packet buffer reference
-	ctx.Trace = nil        // drop any trace-ring slot reference
+	scrub(ctx)
 	ctxPool.Put(ctx)
+}
+
+// scrub drops the references an idle context would otherwise pin.
+func scrub(ctx *core.ExecContext) {
+	ctx.Cached = nil       // the content-store entry
+	ctx.View = core.View{} // the packet buffer
 }
 
 func (r *Router) sendOn(port int, pkt []byte) {

@@ -46,9 +46,9 @@ type ServeConfig struct {
 	// Batch bounds the run-to-completion burst: a forwarder (or Pump)
 	// takes up to Batch packets from its queue in one lock round and runs
 	// them all through the pipeline before touching the queue again,
-	// amortizing queue operations, engine context setup, heartbeats, and
-	// trace-sampling decisions. 0 selects DefaultBatch; 1 degenerates to
-	// the packet-at-a-time pipeline.
+	// amortizing queue operations, heartbeats, and observers' shared-counter
+	// charges. 0 selects DefaultBatch; 1 degenerates to the packet-at-a-time
+	// pipeline.
 	Batch int
 	// DispatchShards sizes the flow-dispatch table (rounded to a power of
 	// two, default 256). Flows hash — NDT-style, over the FN locations
@@ -86,8 +86,8 @@ type ServeConfig struct {
 // the panic quarantine. Because a queue has exactly one consumer and
 // dispatch is deterministic, per-flow FIFO order is a structural property
 // of the design, not a locking discipline — and the burst loop pays its
-// queue lock, context-pool round-trip, heartbeat stamp, and sampling
-// arithmetic once per burst instead of once per packet.
+// queue lock, heartbeat stamp, and observers' shared-counter charge once
+// per burst instead of once per packet.
 type Ingress struct {
 	r   *Router
 	cfg ServeConfig
@@ -116,9 +116,10 @@ type Ingress struct {
 
 	workers []workerState
 
-	// pumpPlan and pumpBurst are the workerless drain loop's burst state.
-	// Pump must not run concurrently with itself, so plain fields suffice.
-	pumpPlan  core.BurstPlan
+	// pumpCtx and pumpBurst are the workerless drain loop's forwarder
+	// state. Pump must not run concurrently with itself, so plain fields
+	// suffice.
+	pumpCtx   core.ExecContext
 	pumpBurst []queuedPacket
 }
 
@@ -250,22 +251,11 @@ func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
 	}
 	in.shardMask = uint64(shards - 1)
 	in.workers = make([]workerState, cfg.Workers)
-	// Only the engine's outermost recorder may plan burst sampling (a
-	// wrapping recorder would mis-account an inner one's rate); recorders
-	// that cannot fall back to per-packet decisions in BeginPacket.
-	sampler, _ := r.engine.Recorder().(core.BurstSampler)
 	in.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		var plan core.BurstPlan
-		if sampler != nil {
-			plan = sampler.NewBurstPlan()
-		}
-		go in.forwarder(in.queues[i], &in.workers[i], plan)
+		go in.forwarder(in.queues[i], &in.workers[i])
 	}
 	if cfg.Workers == 0 {
-		if sampler != nil {
-			in.pumpPlan = sampler.NewBurstPlan()
-		}
 		in.pumpBurst = make([]queuedPacket, 0, cfg.Batch)
 	}
 	r.ingress.Store(in)
@@ -296,49 +286,42 @@ func (in *Ingress) forwarderOf(pkt []byte) int {
 }
 
 // forwarder is one pinned forwarding goroutine: it owns exactly one queue
-// and runs each collected burst to completion before touching the queue
-// again. It exits when the queue is closed and drained.
-func (in *Ingress) forwarder(q *burstQueue, w *workerState, plan core.BurstPlan) {
+// and one execution context for life — the context's packet ordinal is the
+// forwarder's exact 1-in-N sampling countdown, which a pooled context
+// could not keep — and runs each collected burst to completion before
+// touching the queue again. It exits when the queue is closed and drained.
+func (in *Ingress) forwarder(q *burstQueue, w *workerState) {
 	defer in.wg.Done()
+	ctx := new(core.ExecContext)
 	burst := make([]queuedPacket, 0, in.cfg.Batch)
 	for {
 		burst = q.collect(burst[:0], in.cfg.Batch, true)
 		if len(burst) == 0 {
 			return
 		}
-		in.runBurst(burst, w, plan)
+		in.runBurst(ctx, burst, w)
 	}
 }
 
-// runBurst processes one burst run-to-completion: a single heartbeat
-// stamp, one pooled execution context, and one amortized sampling plan
-// cover the whole burst. Each packet still executes behind the panic
-// quarantine, so a poison packet costs exactly itself — the rest of its
-// burst completes.
-func (in *Ingress) runBurst(burst []queuedPacket, w *workerState, plan core.BurstPlan) {
+// runBurst processes one burst run-to-completion on its forwarder's
+// context: a single heartbeat stamp and one burst stamp cover the whole
+// burst. Each packet still executes behind the panic quarantine, so a
+// poison packet costs exactly itself — the rest of its burst completes.
+func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *workerState) {
 	at := int64(in.cfg.Clock())
 	if w != nil {
 		w.beat.Store(at)
 		w.busy.Store(true)
 	}
-	if plan != nil {
-		plan.BeginBurst(len(burst))
-	}
-	ctx := ctxPool.Get().(*core.ExecContext)
-	// Admission snapshot for in-band telemetry: one clock read and one
-	// depth reading amortized over the burst. F_tel (when the packet
-	// carries it) turns these into per-hop latency and queue depth.
-	ctx.AdmittedAt = at
-	ctx.QueueDepth = int32(len(burst))
+	// One clock read and one depth reading amortized over the burst: F_tel
+	// (when a packet carries it) turns them into per-hop latency and queue
+	// depth, and observers charge their seen-counters once from the stamp.
+	ctx.BeginBurst(len(burst), at)
 	for i := range burst {
-		hint := core.SampleAuto
-		if plan != nil {
-			hint = plan.Hint()
-		}
-		in.safeHandle(ctx, burst[i], hint)
+		in.safeHandle(ctx, burst[i])
 		burst[i] = queuedPacket{} // drop the buffer reference promptly
 	}
-	releaseCtx(ctx)
+	scrub(ctx)
 	if w != nil {
 		w.busy.Store(false)
 	}
@@ -349,7 +332,7 @@ func (in *Ingress) runBurst(burst []queuedPacket, w *workerState, plan core.Burs
 // pipeline costs exactly that packet. The offending bytes, ingress port,
 // panic value, and stack are captured into the quarantine ring for offline
 // dissection (guard.Capture renders dipdump-ready dumps).
-func (in *Ingress) safeHandle(ctx *core.ExecContext, q queuedPacket, hint core.SampleHint) {
+func (in *Ingress) safeHandle(ctx *core.ExecContext, q queuedPacket) {
 	defer func() {
 		if p := recover(); p != nil {
 			in.panics.Add(1)
@@ -367,7 +350,7 @@ func (in *Ingress) safeHandle(ctx *core.ExecContext, q queuedPacket, hint core.S
 			}
 		}
 	}()
-	in.r.handlePacket(ctx, q.pkt, q.inPort, hint)
+	in.r.handlePacket(ctx, q.pkt, q.inPort)
 }
 
 func (in *Ingress) event(e telemetry.Event) {
@@ -535,7 +518,7 @@ func (in *Ingress) Pump() int {
 		if len(in.pumpBurst) == 0 {
 			return n
 		}
-		in.runBurst(in.pumpBurst, nil, in.pumpPlan)
+		in.runBurst(&in.pumpCtx, in.pumpBurst, nil)
 		n += len(in.pumpBurst)
 	}
 }

@@ -117,8 +117,9 @@ func (e Event) String() string {
 	return "event(?)"
 }
 
-// Metrics implements core.Recorder and adds router-level verdict counters.
-// The zero value is ready to use.
+// Metrics implements core.Recorder — it folds each packet's observation
+// record into per-op counters and histograms at EndPacket — and adds
+// router-level verdict counters. The zero value is ready to use.
 type Metrics struct {
 	ops       [core.MaxKey + 1]opStat
 	drops     [core.NumDropReasons]atomic.Int64
@@ -146,7 +147,23 @@ func (m *Metrics) Event(e Event) int64 {
 	return m.events[e].Load()
 }
 
-// RecordOp implements core.Recorder.
+// BeginPacket implements core.Recorder; counters need nothing before the
+// verdict.
+func (m *Metrics) BeginPacket(*core.ExecContext) {}
+
+// EndPacket implements core.Recorder: every executed FN of the packet is
+// counted and timed, and a dropped packet's reason is tallied.
+func (m *Metrics) EndPacket(ctx *core.ExecContext) {
+	o := &ctx.Obs
+	for _, s := range o.Steps[:o.N] {
+		m.RecordOp(s.Key, time.Duration(s.Ns))
+	}
+	if ctx.Verdict == core.VerdictDrop {
+		m.RecordDrop(ctx.Reason)
+	}
+}
+
+// RecordOp tallies one execution of operation k that took d.
 func (m *Metrics) RecordOp(k core.Key, d time.Duration) {
 	if k > core.MaxKey {
 		return
@@ -158,7 +175,8 @@ func (m *Metrics) RecordOp(k core.Key, d time.Duration) {
 	s.hist[bucketOf(ns)].Add(1)
 }
 
-// RecordDrop implements core.Recorder.
+// RecordDrop tallies one dropped packet by reason (EndPacket for packets
+// the engine dropped; routers call it for packets dropped before the engine).
 func (m *Metrics) RecordDrop(r core.DropReason) {
 	if int(r) < core.NumDropReasons {
 		m.drops[r].Add(1)
@@ -166,9 +184,8 @@ func (m *Metrics) RecordDrop(r core.DropReason) {
 }
 
 // CountVerdict tallies a packet's final fate. Dropped packets land in the
-// dropped total here (the per-reason breakdown comes from RecordDrop, wired
-// through the engine), so received always reconciles against the sum of the
-// verdict buckets.
+// dropped total here (the per-reason breakdown comes from RecordDrop), so
+// received always reconciles against the sum of the verdict buckets.
 func (m *Metrics) CountVerdict(v core.Verdict) {
 	m.received.Add(1)
 	switch v {

@@ -11,10 +11,10 @@
 // The design constraint is the PR-3 zero-alloc forwarding baseline: tracing
 // must ride the hot path without serializing or allocating on it.
 //
-//   - Sampling is 1-in-N on striped, cache-line-padded counters (selected by
-//     the execution context's address, a stable per-worker value for pooled
-//     contexts), so concurrent forwarding goroutines do not contend on one
-//     atomic. The unsampled path is one counter increment and a comparison.
+//   - Sampling is 1-in-N on the execution context's private packet ordinal
+//     (core.ExecContext.SampleEvery), so the decision touches no shared state;
+//     the shared seen-counter is charged once per burst by the burst's first
+//     packet. The unsampled path is that decision and nothing else.
 //   - Sampled packets write in place into a fixed-size ring of preallocated
 //     records guarded by per-slot sequence locks: a writer bumps the slot's
 //     version to odd, fills it, and bumps it to even; readers copy and
@@ -34,7 +34,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"dip/internal/core"
 )
@@ -57,10 +56,7 @@ const DefaultRing = 1024
 const DefaultEvery = 1024
 
 // Step is one executed FN inside a sampled packet's journey.
-type Step struct {
-	Key core.Key
-	Ns  int64
-}
+type Step = core.Step
 
 // Record is one sampled packet's journey. Egress mirrors the context's
 // replication bound (maxEgress = 8).
@@ -80,8 +76,8 @@ type Record struct {
 	// Verdict and Reason are the packet's final fate.
 	Verdict core.Verdict
 	Reason  core.DropReason
-	// Steps[:NSteps] are the FNs executed, in order for sequential
-	// processing; parallel-wave steps appear in completion order.
+	// Steps[:NSteps] are the FNs executed, in execution order (wave order
+	// inside a parallel stage).
 	Steps  [MaxSteps]Step
 	NSteps uint8
 	// Truncated counts steps beyond MaxSteps that were executed but not
@@ -99,45 +95,23 @@ type Record struct {
 	PktTotal uint16
 }
 
-// slot is one ring entry: a record plus its sequence lock and the atomic
-// step cursor writers claim slots in (parallel waves execute FNs of one
-// packet concurrently).
+// slot is one ring entry: a record plus its sequence lock.
 type slot struct {
-	ver   atomic.Uint64 // odd = being written
-	steps atomic.Int32  // claimed step count (may exceed MaxSteps)
-	start int64         // begin bracket, ns since an arbitrary epoch
-	rec   Record
-}
-
-// Step implements core.TraceSink.
-func (s *slot) Step(k core.Key, d time.Duration) {
-	i := s.steps.Add(1) - 1
-	if int(i) < MaxSteps {
-		s.rec.Steps[i] = Step{Key: k, Ns: d.Nanoseconds()}
-	}
-}
-
-// stripes is the sampling-counter stripe count (power of two). Contexts
-// hash onto stripes by address; pooled contexts keep their address for
-// their lifetime, so a steady worker set spreads stably.
-const stripes = 16
-
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [56]byte // pad to a cache line so stripes do not false-share
+	ver atomic.Uint64 // odd = being written
+	rec Record
 }
 
 // Recorder samples 1-in-every packets into a lock-free ring and forwards
-// all aggregate telemetry to the wrapped inner recorder (typically a
-// *telemetry.Metrics). It implements core.PacketRecorder; install it with
+// the per-packet bracket to the wrapped inner recorder (typically a
+// *telemetry.Metrics). It implements core.Recorder; install it with
 // Engine.SetRecorder (or router.Config.Trace).
 type Recorder struct {
-	inner   core.Recorder
-	every   uint64
-	mask    uint64
-	slots   []slot
-	seq     atomic.Uint64 // next sample sequence number
-	counter [stripes]paddedCounter
+	inner core.Recorder
+	every uint64
+	mask  uint64
+	slots []slot
+	seq   atomic.Uint64 // next sample sequence number
+	seen  atomic.Uint64 // packets that passed the sampling decision
 	// clock stamps Record.At; nil means wall time. Set before traffic flows
 	// (SetClock), so the hot path reads it without synchronization.
 	clock func() int64
@@ -145,8 +119,8 @@ type Recorder struct {
 
 // NewRecorder builds a sampling trace recorder: every-th packet is traced
 // (1 traces everything), ring is the record capacity (rounded up to a power
-// of two; < 1 uses DefaultRing). inner, when non-nil, receives every
-// RecordOp/RecordDrop exactly as if it were installed directly.
+// of two; < 1 uses DefaultRing). inner, when non-nil, observes every packet
+// exactly as if it were installed directly.
 func NewRecorder(inner core.Recorder, every int, ring int) *Recorder {
 	if every < 1 {
 		every = DefaultEvery
@@ -180,134 +154,56 @@ func (r *Recorder) nowStamp() int64 {
 	return time.Now().UnixNano()
 }
 
-// RecordOp implements core.Recorder by forwarding to the inner recorder.
-func (r *Recorder) RecordOp(k core.Key, d time.Duration) {
-	if r.inner != nil {
-		r.inner.RecordOp(k, d)
-	}
-}
-
-// RecordDrop implements core.Recorder by forwarding to the inner recorder.
-func (r *Recorder) RecordDrop(reason core.DropReason) {
-	if r.inner != nil {
-		r.inner.RecordDrop(reason)
-	}
-}
-
-// BeginPacket implements core.PacketRecorder: it decides whether this
-// packet is sampled and, if so, claims a ring slot and attaches it to the
-// context. Allocation-free on both paths. A burst dataplane that already
-// took the decision (core.BurstPlan) stamps it on ctx.Sample: Skip returns
-// immediately and Force claims a slot without touching the counters — the
-// plan accounted the whole burst in BeginBurst.
+// BeginPacket implements core.Recorder: it decides whether this packet is
+// sampled and, if so, claims a ring slot and captures the packet prefix
+// before any FN mutates it. Allocation-free on both paths.
 func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
-	switch ctx.Sample {
-	case core.SampleSkip:
+	if r.inner != nil {
+		r.inner.BeginPacket(ctx)
+	}
+	if !ctx.SampleEvery(r.every, &r.seen) {
 		return
-	case core.SampleForce:
-		// decision and counter accounting already done by the burst plan
-	default:
-		// Stripe by context address: pooled contexts are worker-stable, so
-		// this approximates a per-CPU counter without runtime hooks. The
-		// conversion is used purely as an integer hash; the pointer is never
-		// reconstructed.
-		s := uintptr(unsafe.Pointer(ctx)) >> 4 & (stripes - 1)
-		if r.counter[s].n.Add(1)%r.every != 0 {
-			return
-		}
 	}
 	seq := r.seq.Add(1) - 1
+	ctx.Obs.Claim(r, seq, 0)
 	sl := &r.slots[seq&r.mask]
 	sl.ver.Add(1) // odd: under construction
-	sl.steps.Store(0)
-	sl.start = time.Now().UnixNano()
 	sl.rec = Record{Seq: seq, At: r.nowStamp(), InPort: int32(ctx.InPort)}
 	pkt := ctx.View.Packet()
 	sl.rec.PktTotal = uint16(min(len(pkt), 1<<16-1))
-	n := copy(sl.rec.Pkt[:], pkt)
-	sl.rec.PktLen = uint8(n)
-	ctx.Trace = sl
+	sl.rec.PktLen = uint8(copy(sl.rec.Pkt[:], pkt))
 }
 
-// EndPacket implements core.PacketRecorder: it seals the sampled record (a
-// no-op for unsampled packets).
+// EndPacket implements core.Recorder: it seals the sampled record from the
+// packet's observation record (a no-op for unsampled packets).
 func (r *Recorder) EndPacket(ctx *core.ExecContext) {
-	sl, ok := ctx.Trace.(*slot)
-	if !ok || sl == nil {
-		return
+	if seq, _, ok := ctx.Obs.Release(r); ok {
+		o, sl := &ctx.Obs, &r.slots[seq&r.mask]
+		sl.rec.TotalNs = int64(time.Since(core.MonoBase()) - o.Begin)
+		n := copy(sl.rec.Steps[:], o.Steps[:o.N])
+		sl.rec.NSteps = uint8(n)
+		sl.rec.Truncated = uint8(o.N - n)
+		sl.rec.Verdict = ctx.Verdict
+		sl.rec.Reason = ctx.Reason
+		ports := ctx.EgressPorts()
+		sl.rec.NEgr = uint8(len(ports))
+		for i, p := range ports {
+			sl.rec.Egress[i] = int32(p)
+		}
+		sl.ver.Add(1) // even: stable
 	}
-	ctx.Trace = nil
-	sl.rec.TotalNs = time.Now().UnixNano() - sl.start
-	steps := sl.steps.Load()
-	if steps > MaxSteps {
-		sl.rec.NSteps = MaxSteps
-		sl.rec.Truncated = uint8(min(int(steps)-MaxSteps, 255))
-	} else {
-		sl.rec.NSteps = uint8(steps)
+	if r.inner != nil {
+		r.inner.EndPacket(ctx)
 	}
-	sl.rec.Verdict = ctx.Verdict
-	sl.rec.Reason = ctx.Reason
-	ports := ctx.EgressPorts()
-	sl.rec.NEgr = uint8(len(ports))
-	for i, p := range ports {
-		sl.rec.Egress[i] = int32(p)
-	}
-	sl.ver.Add(1) // even: stable
-}
-
-// NewBurstPlan implements core.BurstSampler: the returned plan lets one
-// forwarding goroutine take the 1-in-every decision with plain local
-// arithmetic, charging the shared stripe counters once per burst instead
-// of once per packet. The plan preserves the exact sampling rate — every
-// forwarder traces precisely its every-th packet — it only amortizes the
-// accounting.
-func (r *Recorder) NewBurstPlan() core.BurstPlan {
-	return &burstPlan{r: r, countdown: r.every}
-}
-
-// burstPlan is one forwarder's private sampling state. Not safe for
-// concurrent use (by contract each forwarder owns its plan).
-type burstPlan struct {
-	r         *Recorder
-	countdown uint64
-}
-
-// BeginBurst accounts n observed packets against one stripe in a single
-// atomic add, keeping Seen() monotone and rate-accurate. The stripe is
-// chosen by the plan's address — stable for the plan's lifetime, so each
-// forwarder keeps hitting its own cache line.
-func (p *burstPlan) BeginBurst(n int) {
-	if n <= 0 {
-		return
-	}
-	s := uintptr(unsafe.Pointer(p)) >> 4 & (stripes - 1)
-	p.r.counter[s].n.Add(uint64(n))
-}
-
-// Hint returns the pre-made decision for the next packet: SampleForce on
-// every every-th packet this forwarder processes, SampleSkip otherwise.
-func (p *burstPlan) Hint() core.SampleHint {
-	p.countdown--
-	if p.countdown == 0 {
-		p.countdown = p.r.every
-		return core.SampleForce
-	}
-	return core.SampleSkip
 }
 
 // Sampled returns how many packets have been traced so far.
 func (r *Recorder) Sampled() uint64 { return r.seq.Load() }
 
 // Seen returns how many packets passed the sampling decision (traced or
-// not). It sums the stripe counters, so concurrent readings are
-// approximate but monotone.
-func (r *Recorder) Seen() uint64 {
-	var n uint64
-	for i := range r.counter {
-		n += r.counter[i].n.Load()
-	}
-	return n
-}
+// not). A burst is charged whole when its first packet arrives, so a
+// concurrent reading may run up to one burst per forwarder ahead.
+func (r *Recorder) Seen() uint64 { return r.seen.Load() }
 
 // Overwritten returns how many sampled records have been lost to ring
 // wrap-around.

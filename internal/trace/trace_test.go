@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dip/internal/core"
 	"dip/internal/fib"
@@ -93,9 +95,9 @@ func TestSamplingDivisor(t *testing.T) {
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	const n = 200
-	// One reused context, as in the pooled dataplane: stripes select by
-	// context address, so a stable address means one stripe and an exact
-	// 1-in-10 count (fresh contexts per packet would scatter the counters).
+	// One reused context, as a forwarder owns one: the sampling decision
+	// counts the packets a context has carried, so the count is an exact
+	// 1-in-10 (a fresh context per packet would never reach its 10th).
 	var ctx core.ExecContext
 	for i := 0; i < n; i++ {
 		pkt[3] = 64
@@ -200,8 +202,7 @@ func TestConcurrentSampling(t *testing.T) {
 	if seen := r.Seen(); seen != workers*per {
 		t.Fatalf("seen %d, want %d", seen, workers*per)
 	}
-	// Striped counters sample per stripe, so the global rate is approximate;
-	// with a worker count far below the per-stripe period it stays near 1/2.
+	// Each worker samples 1-in-2 of what its own context carries.
 	sampled := r.Sampled()
 	if sampled < workers*per/4 || sampled > workers*per {
 		t.Fatalf("sampled %d of %d at 1-in-2: striping broke the rate", sampled, workers*per)
@@ -299,5 +300,117 @@ func TestCaptureStampOrdering(t *testing.T) {
 	}
 	if !strings.Contains(recs[0].String(), " at=") {
 		t.Fatalf("Record.String missing the at= stamp: %s", recs[0].String())
+	}
+}
+
+// stagedOp is a no-op operation with a declared parallel stage; a positive
+// delay makes it finish after its wave-mates that have none.
+type stagedOp struct {
+	key   core.Key
+	stage int
+	delay time.Duration
+}
+
+func (o stagedOp) Key() core.Key { return o.key }
+func (o stagedOp) Name() string  { return o.key.String() }
+func (o stagedOp) Stage() int    { return o.stage }
+func (o stagedOp) Execute(*core.ExecContext, uint, uint) error {
+	time.Sleep(o.delay)
+	return nil
+}
+
+func recordKeys(rec Record) []core.Key {
+	keys := make([]core.Key, rec.NSteps)
+	for i := range keys {
+		keys[i] = rec.Steps[i].Key
+	}
+	return keys
+}
+
+// TestParallelWaveStepOrder pins the record of a parallel-flag packet: every
+// wave step appears exactly once, stages in order and FN-list order inside a
+// wave — not completion order, which the delays below would scramble.
+func TestParallelWaveStepOrder(t *testing.T) {
+	reg := core.NewRegistry()
+	reg.MustRegister(
+		stagedOp{key: core.KeyParm, stage: 0},
+		stagedOp{key: core.KeyMAC, stage: 1, delay: 3 * time.Millisecond}, // first in its wave, last to finish
+		stagedOp{key: core.KeyMark, stage: 1, delay: time.Millisecond},
+		stagedOp{key: core.KeyFIB, stage: 1},
+		stagedOp{key: core.KeyPIT, stage: 2},
+	)
+	m := &telemetry.Metrics{}
+	r := NewRecorder(m, 1, 8)
+	e := core.NewEngine(reg, core.Limits{})
+	e.SetRecorder(r)
+	h := &core.Header{
+		Parallel: true,
+		FNs: []core.FN{
+			core.RouterFN(0, 8, core.KeyMAC),
+			core.RouterFN(0, 8, core.KeyPIT),
+			core.RouterFN(0, 8, core.KeyMark),
+			core.RouterFN(0, 8, core.KeyParm),
+			core.RouterFN(0, 8, core.KeyFIB),
+		},
+		Locations: make([]byte, 1),
+	}
+	pkt, err := h.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.Key{core.KeyParm, core.KeyMAC, core.KeyMark, core.KeyFIB, core.KeyPIT}
+	for i := 0; i < 3; i++ {
+		process(t, e, pkt)
+	}
+	for _, rec := range r.Snapshot() {
+		if got := recordKeys(rec); !slices.Equal(got, want) {
+			t.Fatalf("record %d steps %v, want wave order %v", rec.Seq, got, want)
+		}
+	}
+	for _, op := range m.Snapshot().Ops {
+		if op.Count != 3 {
+			t.Errorf("%v counted %d times over 3 packets", op.Key, op.Count)
+		}
+	}
+}
+
+// TestStepTruncation pins the record's bound: a packet executing more than
+// MaxSteps FNs keeps the first MaxSteps and counts the rest in Truncated,
+// while the metrics underneath still count every one of them.
+func TestStepTruncation(t *testing.T) {
+	const extra = 8
+	reg := core.NewRegistry()
+	reg.MustRegister(stagedOp{key: core.KeyFIB}, stagedOp{key: core.KeyPIT})
+	m := &telemetry.Metrics{}
+	r := NewRecorder(m, 1, 8)
+	e := core.NewEngine(reg, core.Limits{})
+	e.SetRecorder(r)
+	h := &core.Header{Locations: make([]byte, 1)}
+	for i := 0; i < MaxSteps; i++ {
+		h.FNs = append(h.FNs, core.RouterFN(0, 8, core.KeyFIB))
+	}
+	for i := 0; i < extra; i++ {
+		h.FNs = append(h.FNs, core.RouterFN(0, 8, core.KeyPIT))
+	}
+	pkt, err := h.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	process(t, e, pkt)
+	rec := r.Snapshot()[0]
+	if rec.NSteps != MaxSteps || rec.Truncated != extra {
+		t.Fatalf("record keeps %d steps, truncated %d; want %d and %d", rec.NSteps, rec.Truncated, MaxSteps, extra)
+	}
+	for _, k := range recordKeys(rec) {
+		if k != core.KeyFIB {
+			t.Fatalf("retained step %v is not among the first %d", k, MaxSteps)
+		}
+	}
+	counts := map[core.Key]int64{}
+	for _, op := range m.Snapshot().Ops {
+		counts[op.Key] = op.Count
+	}
+	if counts[core.KeyFIB] != MaxSteps || counts[core.KeyPIT] != extra {
+		t.Fatalf("metrics counted %v, want all %d+%d executed FNs", counts, MaxSteps, extra)
 	}
 }

@@ -6,7 +6,8 @@
 # any hot-path row slows down by more than the tolerance. Additionally
 # gates the multicore burst experiment within the new file: the batched
 # dataplane must sustain at least MINSPEED x the batch=1 packet rate at
-# the highest GOMAXPROCS measured.
+# the highest GOMAXPROCS measured. Every gate runs and prints its verdict
+# even after an earlier one failed; the exit status is nonzero if any did.
 #
 # Usage: scripts/benchguard.sh [new.json] [old.json] [tolerance-%] [min-speedup] [max-churn-jitter]
 set -eu
@@ -33,6 +34,7 @@ for r in json.load(open(sys.argv[1])):
 flatten "$NEW" | sort > /tmp/benchguard.new.$$
 flatten "$OLD" | sort > /tmp/benchguard.old.$$
 trap 'rm -f /tmp/benchguard.new.$$ /tmp/benchguard.old.$$' EXIT
+fail=0
 
 # Guard the forwarding hot path (Engine.Process under fig2/) and the FIB
 # lookup ablation. The fig2 IPv4/IPv6 -baseline rows are raw ip.Forwarder
@@ -52,7 +54,7 @@ END {
 	if (n == 0) { print "benchguard: no overlapping hot-path records"; exit 1 }
 	if (bad != "") { print bad; exit 1 }
 	printf "benchguard: %d hot-path rows within %s%%\n", n, tol
-}'
+}' || fail=1
 
 # Gate the batched dataplane's amortization claim (E18): at the highest
 # GOMAXPROCS in the burst/ records, batch=64 must be at least MINSPEED
@@ -73,7 +75,7 @@ speed = b1 / b64
 print("benchguard: burst gmp%d  batch1 %.0fns / batch64 %.0fns = %.2fx (need >= %.2fx)"
       % (top, b1, b64, speed, minspeed))
 sys.exit(0 if speed >= minspeed else 1)
-' "$NEW" "$MINSPEED"
+' "$NEW" "$MINSPEED" || fail=1
 
 # Gate the tiered content store's never-block claim (E20): the hot-tier hit
 # latency must stay flat as the catalog sweeps past RAM capacity. The
@@ -103,7 +105,7 @@ limit = max(base * tol / 100.0, 15.0)
 print("benchguard: cstier hot hit  cat%d %.0fns -> cat%d %.0fns  %+.1f%% (slack %.0fns)"
       % (small, base, big, top, delta, limit))
 sys.exit(0 if top - base <= limit else 1)
-' "$NEW" "$TOL"
+' "$NEW" "$TOL" || fail=1
 
 # Gate the control plane's churn claim (E21): lookups must not degrade
 # while the FIB churns. The within-file ratio of storm p99 to quiescent
@@ -128,7 +130,7 @@ ratio = s / q if q > 0 else 0.0
 print("benchguard: churn lookup p99  quiesce %.0fns / storm %.0fns = %.2fx (cap %.0fx)"
       % (q, s, ratio, maxjitter))
 sys.exit(0 if ratio <= maxjitter else 1)
-' "$NEW" "$MAXJITTER"
+' "$NEW" "$MAXJITTER" || fail=1
 
 # Gate the in-band telemetry stamping claim (E22): an 8-slot F_tel stamp may
 # cost at most TOL percent over the unstamped forwarding loop. The int/ rows
@@ -148,4 +150,6 @@ overhead = (stamped - plain) * 100.0 / plain if plain > 0 else 0.0
 print("benchguard: F_tel stamp  unstamped %.0fns / stamped8 %.0fns  %+.1f%% (tolerance %.0f%%)"
       % (plain, stamped, overhead, tol))
 sys.exit(0 if overhead <= tol else 1)
-' "$NEW" "$TOL"
+' "$NEW" "$TOL" || fail=1
+
+exit $fail

@@ -67,8 +67,8 @@ func TestZeroAllocTracedEngineProcess(t *testing.T) {
 
 // TestZeroAllocJourneyTapUnsampled pins the journeys-off cost of a
 // journey.RouterTap on the forwarding path: with a sampling rate so sparse
-// no packet in the run is spanned, the tap must add only its stripe-counter
-// bump — no heap traffic.
+// no packet in the run is spanned, the tap must add only its sampling
+// decision — no heap traffic.
 func TestZeroAllocJourneyTapUnsampled(t *testing.T) {
 	state := NewNodeState()
 	state.FIB32.AddUint32(0x0A000000, 8, NextHop{Port: 1})
@@ -100,7 +100,7 @@ func TestZeroAllocJourneyTapUnsampled(t *testing.T) {
 
 // TestZeroAllocBurstPath pins the steady-state burst dataplane: burst
 // submission (classification, flow-dispatch hashing, ring enqueue) plus
-// a full Pump (burst collection, one pooled context per burst, engine
+// a full Pump (burst collection, the pump's own context, engine
 // processing per packet) must stay at 0 allocs/packet. Pump mode keeps
 // the measurement on one goroutine, which is exactly the code path the
 // forwarder goroutines run.
@@ -133,16 +133,16 @@ func TestZeroAllocBurstPath(t *testing.T) {
 			t.Fatalf("pumped %d/64", n)
 		}
 	}
-	run() // warm the context pool and lazy state before counting
+	run() // warm lazy state before counting
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("burst path allocates %.1f/burst, want 0", n)
 	}
 }
 
 // TestZeroAllocTracedBurstPath repeats the burst contract with a sampling
-// trace recorder installed: the amortized burst sampling plan (one striped
-// counter update per burst, local countdown per packet) and the sampled
-// ring writes must both stay off the heap.
+// trace recorder installed: the amortized burst sampling (one seen-counter
+// charge per burst, the context's private ordinal per packet) and the
+// sampled ring writes must both stay off the heap.
 func TestZeroAllocTracedBurstPath(t *testing.T) {
 	state := NewNodeState()
 	state.FIB32.AddUint32(0, 0, Local)
