@@ -25,6 +25,9 @@ seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
 	fi
+	@if grep -rnE 'Ordinal *%' --include=*.go internal/core | grep -v _test.go; then \
+		echo "seamcheck: the sampling decision divides again (use core.Every, DESIGN.md §9)"; exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...
@@ -46,7 +49,7 @@ BENCHTIME ?= 100ms
 bench:
 	$(GO) test -run '^$$' -bench 'FIBLookup|FIBTxnCommit|ShardedPIT|PITSequential' \
 		-benchtime $(BENCHTIME) -count 5 ./internal/fib/ ./internal/pit/
-	$(GO) test -run '^$$' -bench 'Fig2|Ablation_FIBScale|ZeroAlloc' \
+	$(GO) test -run '^$$' -bench 'Fig2|Ablation_FIBScale|ZeroAlloc|Observed' \
 		-benchtime $(BENCHTIME) -count 5 .
 
 # Race-mode smoke of the concurrent benchmarks: a handful of iterations is

@@ -436,6 +436,53 @@ func BenchmarkMixedTraffic(b *testing.B) {
 	}
 }
 
+// What observation costs, as a within-run ratio: the five-protocol mix
+// through Router.HandlePacket with no recorder (off), with the Metrics every
+// diprouter installs (metrics), and with trace recorder and journey tap over
+// it at 1-in-1024 as -trace-every/-journey-every build them (full). Counts
+// are exact and latencies sampled (DESIGN.md §9), so what metrics/off and
+// full/off show is the bracket calls and the shared counters; this
+// packet-at-a-time path also charges each sampler's seen-counter per packet,
+// which a ServeGuarded burst pays once.
+func BenchmarkObserved(b *testing.B) {
+	secret := benchSecret(b)
+	tr, err := workload.Generate(workload.Spec{
+		Weights: map[workload.Protocol]float64{
+			workload.ProtoIPv4: 4, workload.ProtoIPv6: 2, workload.ProtoNDN: 2,
+			workload.ProtoOPT: 1, workload.ProtoNDNOPT: 1,
+		},
+		Names: 4096, ZipfS: 1.2, Ports: 1, Session: benchSession(b, secret, MAC2EM), Seed: 1,
+	}, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, level := range []string{"off", "metrics", "full"} {
+		b.Run(level, func(b *testing.B) {
+			opts := RouterOptions{}
+			if level != "off" {
+				opts.Metrics = &Metrics{}
+			}
+			if level == "full" {
+				opts.Trace = NewTraceRecorder(opts.Metrics, 1024, 0)
+			}
+			r := NewRouter(mixState(secret, 512).OpsConfig(), opts)
+			if level == "full" {
+				r.SetRecorder(NewRouterJourneyTap("bench", NewJourneyEmitter(0), opts.Trace, 1024, nil))
+			}
+			for p := 0; p < 4; p++ {
+				r.AttachPort(PortFunc(func([]byte) {}))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := &tr.Packets[i%len(tr.Packets)]
+				p.Rearm()
+				r.HandlePacket(p.Buf, p.InPort)
+			}
+		})
+	}
+}
+
 // E9: OPT path-length scaling. Per-hop router work should be ~constant
 // (the MAC input region is fixed; only the OPV slot index moves), while
 // host verification grows linearly in the number of hops it replays.

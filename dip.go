@@ -156,7 +156,9 @@ type (
 	Rx = host.Rx
 	// RxKind classifies a host receive outcome.
 	RxKind = host.RxKind
-	// Metrics collects forwarding telemetry.
+	// Metrics collects forwarding telemetry: exact verdict and per-FN counts,
+	// and per-FN latency histograms over the packets the engine timed (1 in
+	// 64, plus every packet a trace or journey sampler took).
 	Metrics = telemetry.Metrics
 	// MetricsSnapshot is a point-in-time copy of a node's counters.
 	MetricsSnapshot = telemetry.Snapshot

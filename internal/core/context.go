@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -92,7 +93,7 @@ type CryptoState struct {
 }
 
 // Step is one executed FN in a packet's observation record: the operation's
-// key and how long its Execute took.
+// key and, on a timed packet (Observation.Timed), how long its Execute took.
 type Step struct {
 	Key Key
 	Ns  int64
@@ -118,10 +119,15 @@ type claim struct {
 type Observation struct {
 	// Begin is the engine's monotonic reading (relative to MonoBase) as
 	// BeginPacket returns: the start of every observer's begin→end bracket
-	// around Algorithm 1. Only observers holding a claim read it, so the
-	// engine stamps it only on packets that left BeginPacket claimed.
+	// around Algorithm 1. Stamped on timed packets only.
 	Begin time.Duration
 	N     int
+	// Timed says an observer asked for this packet's latencies in BeginPacket
+	// (Claim sets it; one with nothing to remember sets it itself), so the
+	// engine took a clock pair around every FN: Begin and each Step.Ns are
+	// readings. An untimed packet's steps carry keys only — counts are exact,
+	// latencies sampled — and its ExecContext.MonoNow stays zero.
+	Timed bool
 
 	nclaims int
 	claims  [maxClaims]claim
@@ -133,10 +139,12 @@ type Observation struct {
 
 // Claim lets observer by, whose SampleEvery just said yes to this packet in
 // BeginPacket, remember what it captured before any FN ran until its
-// EndPacket collects it with Release. SampleEvery has checked there is room.
+// EndPacket collects it with Release, and marks the packet timed.
+// SampleEvery has checked there is room.
 func (o *Observation) Claim(by Recorder, a, b uint64) {
 	o.claims[o.nclaims] = claim{by, a, b}
 	o.nclaims++
+	o.Timed = true
 }
 
 // Release returns and forgets what by claimed on this packet; ok is false
@@ -221,7 +229,7 @@ type ExecContext struct {
 	// taken just before dispatching the current operation — the same read
 	// that starts the op-latency measurement. Operations needing "now" at
 	// coarse granularity (F_tel's wall-µs stamp) reuse it instead of
-	// paying their own clock read. Zero when the engine isn't recording.
+	// paying their own clock read. Zero when the packet is not timed.
 	MonoNow time.Duration
 
 	stateBudget int // remaining per-packet state bytes; <0 means unlimited
@@ -242,6 +250,38 @@ func (c *ExecContext) BeginBurst(n int, admittedAt int64) {
 	c.burstLen = uint64(n)
 }
 
+// Every is a 1-in-N sampling divisor an observer prepares once (NewEvery),
+// so the per-packet decision is a multiply, a rotate and a compare instead
+// of a 64-bit division. The zero value samples every packet, like N = 1.
+type Every struct {
+	n     uint64
+	inv   uint64 // inverse of N's odd part modulo 2^64
+	shift int    // N's trailing zero bits
+	max   uint64 // ⌊(2^64−1)/N⌋, the largest quotient a multiple of N has
+}
+
+// NewEvery prepares the divisor n (0 is taken as 1).
+func NewEvery(n uint64) Every {
+	n = max(n, 1)
+	shift := bits.TrailingZeros64(n)
+	odd := n >> shift
+	inv := odd // correct to 3 bits; each Newton step doubles that
+	for i := 0; i < 5; i++ {
+		inv *= 2 - odd*inv
+	}
+	return Every{n: n, inv: inv, shift: shift, max: ^uint64(0) / n}
+}
+
+// N returns the divisor.
+func (e Every) N() uint64 { return max(e.n, 1) }
+
+// Divides reports x%N == 0, exactly, for every 64-bit x: the odd part's
+// inverse maps its multiples, and nothing else, onto their quotients, and
+// the rotate lifts any set trailing-zero bit past max.
+func (e Every) Divides(x uint64) bool {
+	return bits.RotateLeft64(x*e.inv, -e.shift) <= e.max
+}
+
 // SampleEvery is every observer's 1-in-every decision for the packet in flight,
 // taken in BeginPacket: true on the every-th, 2·every-th, … packet this
 // context carries (unless maxClaims observers already claimed it: a yes
@@ -249,14 +289,14 @@ func (c *ExecContext) BeginBurst(n int, admittedAt int64) {
 // of packets that passed the decision — current: one add per packet
 // outside a burst, one add of the whole burst's length on the burst's
 // first observed packet.
-func (c *ExecContext) SampleEvery(every uint64, seen *atomic.Uint64) bool {
+func (c *ExecContext) SampleEvery(every Every, seen *atomic.Uint64) bool {
 	switch {
 	case c.burstLen == 0:
 		seen.Add(1)
 	case c.Ordinal == c.burstFirst:
 		seen.Add(c.burstLen)
 	}
-	return c.Ordinal%every == 0 && c.Obs.nclaims < maxClaims
+	return every.Divides(c.Ordinal) && c.Obs.nclaims < maxClaims
 }
 
 // Reset prepares the context for a new packet. The view must already be
@@ -276,7 +316,7 @@ func (c *ExecContext) Reset(v View, inPort int) {
 	c.Deadline = time.Time{}
 	c.MonoNow = 0
 	c.stateBudget = -1
-	c.Obs.N, c.Obs.nclaims = 0, 0
+	c.Obs.N, c.Obs.Timed, c.Obs.nclaims = 0, false, 0
 }
 
 // AddEgress records an output port. Duplicate ports collapse; overflow

@@ -38,11 +38,12 @@ func MonoBase() time.Time { return monoBase }
 // ctx.Reason and the egress set describe the whole packet. Counters fold
 // the record in EndPacket; samplers decide (ctx.SampleEvery) and capture what
 // only the unmutated packet can tell in BeginPacket, Claim it, and Release
-// it in EndPacket beside the steps. Recorders compose by wrapping: an outer
-// recorder forwards both calls to its inner one. Both hooks must be safe
-// for concurrent use and must not allocate — the observed path is held to
-// the zero-alloc forwarding baseline. A nil Recorder disables recording
-// with no timing overhead.
+// it in EndPacket beside the steps. A packet that leaves BeginPacket claimed
+// or marked Observation.Timed is timed: only its FNs pay the clock pair.
+// Recorders compose by wrapping: an outer recorder forwards both calls to
+// its inner one. Both hooks must be safe for concurrent use and must not
+// allocate — the observed path is held to the zero-alloc forwarding
+// baseline. A nil Recorder disables recording with no timing overhead.
 type Recorder interface {
 	BeginPacket(ctx *ExecContext)
 	EndPacket(ctx *ExecContext)
@@ -108,12 +109,13 @@ func (e *Engine) Process(ctx *ExecContext) {
 	if e.rec != nil {
 		ctx.Ordinal++
 		e.rec.BeginPacket(ctx)
-		if ctx.Obs.nclaims > 0 {
+		if ctx.Obs.Timed {
 			ctx.Obs.Begin = time.Since(monoBase)
 		}
 	}
 	n := ctx.View.FNNum()
-	if e.routerFNCount(ctx.View) > e.limits.MaxFNs {
+	// FN_Num is one byte: only a limit below the wire maximum needs a count.
+	if e.limits.MaxFNs < MaxFNs && e.routerFNCount(ctx.View) > e.limits.MaxFNs {
 		ctx.Drop(DropOpBudget)
 		e.finish(ctx)
 		return
@@ -152,20 +154,22 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 		}
 		return true // PolicyIgnore, §2.4: "the router can simply ignore this FN"
 	}
+	// time.Since against a fixed base reads only the monotonic clock, but a
+	// pair per op is still most of what observing costs: timed packets only.
+	o := &ctx.Obs
+	timed := e.rec != nil && o.Timed
+	if timed {
+		ctx.MonoNow = time.Since(monoBase)
+	}
+	err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len))
 	if e.rec != nil {
-		// time.Since against a fixed base reads only the monotonic clock
-		// (~half the cost of time.Now's wall+mono read) — this runs twice
-		// per op on the hot path.
-		start := time.Since(monoBase)
-		ctx.MonoNow = start
-		err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len))
-		o := &ctx.Obs
-		o.Steps[o.N] = Step{fn.Key, int64(time.Since(monoBase) - start)}
-		o.N++
-		if err != nil {
-			ctx.Drop(DropOpError)
+		o.Steps[o.N] = Step{Key: fn.Key}
+		if timed {
+			o.Steps[o.N].Ns = int64(time.Since(monoBase) - ctx.MonoNow)
 		}
-	} else if err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len)); err != nil {
+		o.N++
+	}
+	if err != nil {
 		ctx.Drop(DropOpError)
 	}
 	return ctx.Verdict != VerdictDrop

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,32 +181,44 @@ func TestEngineOpBudget(t *testing.T) {
 	reg := NewRegistry()
 	op := &testOp{key: KeyFIB}
 	reg.MustRegister(op)
-	e := NewEngine(reg, Limits{MaxFNs: 2})
-	v := buildPacket(t, &Header{
-		FNs: []FN{
-			RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB),
-			HostFN(0, 8, KeyVer), // host FNs do not count against the budget
-		},
-		Locations: make([]byte, 1),
-	})
+	// packet has n router FNs after host host FNs, which do not count
+	// against the budget.
+	packet := func(host, n int) View {
+		fns := make([]FN, host, host+n)
+		for i := range fns {
+			fns[i] = HostFN(0, 8, KeyVer)
+		}
+		for i := 0; i < n; i++ {
+			fns = append(fns, RouterFN(0, 8, KeyFIB))
+		}
+		return buildPacket(t, &Header{FNs: fns, Locations: make([]byte, 1)})
+	}
 	var ctx ExecContext
-	ctx.Reset(v, 0)
-	e.Process(&ctx)
-	if ctx.Verdict != VerdictDrop || ctx.Reason != DropOpBudget {
-		t.Errorf("verdict %v/%v", ctx.Verdict, ctx.Reason)
+	for _, limit := range []int{2, 3} {
+		e := NewEngine(reg, Limits{MaxFNs: limit})
+		op.calls.Store(0)
+		ctx.Reset(packet(1, limit+1), 0)
+		e.Process(&ctx)
+		if ctx.Verdict != VerdictDrop || ctx.Reason != DropOpBudget {
+			t.Errorf("limit %d, %d FNs: verdict %v/%v", limit, limit+1, ctx.Verdict, ctx.Reason)
+		}
+		if op.calls.Load() != 0 {
+			t.Errorf("limit %d: ops executed despite budget violation", limit)
+		}
+		// Exactly at the limit passes.
+		ctx.Reset(packet(1, limit), 0)
+		e.Process(&ctx)
+		if ctx.Verdict != VerdictContinue || op.calls.Load() != int64(limit) {
+			t.Errorf("limit %d at-limit: verdict %v/%v after %d ops", limit, ctx.Verdict, ctx.Reason, op.calls.Load())
+		}
 	}
-	if op.calls.Load() != 0 {
-		t.Error("ops executed despite budget violation")
-	}
-	// Exactly at the limit passes.
-	v2 := buildPacket(t, &Header{
-		FNs:       []FN{RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB), HostFN(0, 8, KeyVer)},
-		Locations: make([]byte, 1),
-	})
-	ctx.Reset(v2, 0)
-	e.Process(&ctx)
-	if ctx.Verdict != VerdictContinue {
-		t.Errorf("at-limit verdict %v/%v", ctx.Verdict, ctx.Reason)
+	// The default limit is the wire maximum, which FN_Num cannot exceed: the
+	// fullest packet the wire can carry runs every FN.
+	op.calls.Store(0)
+	ctx.Reset(packet(0, MaxFNs), 0)
+	NewEngine(reg, Limits{}).Process(&ctx)
+	if ctx.Verdict != VerdictContinue || op.calls.Load() != MaxFNs {
+		t.Errorf("default limit, %d FNs: verdict %v/%v after %d ops", MaxFNs, ctx.Verdict, ctx.Reason, op.calls.Load())
 	}
 }
 
@@ -427,6 +440,98 @@ func TestEngineRecorder(t *testing.T) {
 	}
 	if rec.drops[DropVerifyFailed] != 1 {
 		t.Errorf("drop counts %v", rec.drops)
+	}
+}
+
+// claimingRecorder claims the packets whose ordinal its rate divides and
+// keeps each packet's record as EndPacket saw it.
+type claimingRecorder struct {
+	every Every
+	seen  atomic.Uint64
+	ends  []Observation
+}
+
+func (r *claimingRecorder) BeginPacket(ctx *ExecContext) {
+	if ctx.SampleEvery(r.every, &r.seen) {
+		ctx.Obs.Claim(r, 0, 0)
+	}
+}
+func (r *claimingRecorder) EndPacket(ctx *ExecContext) { r.ends = append(r.ends, ctx.Obs) }
+
+// TestEngineTimesClaimedPacketsOnly pins the record's contract: every packet
+// lists its executed FNs, but only a packet an observer claimed is Timed —
+// its steps carry latencies and ops see MonoNow — while an unclaimed one
+// takes no clock reading at all.
+func TestEngineTimesClaimedPacketsOnly(t *testing.T) {
+	reg := NewRegistry()
+	var sawNow []time.Duration
+	reg.MustRegister(&testOp{key: KeyFIB, fn: func(ctx *ExecContext, _, _ uint) error {
+		sawNow = append(sawNow, ctx.MonoNow)
+		time.Sleep(time.Microsecond)
+		return nil
+	}})
+	e := NewEngine(reg, Limits{})
+	rec := &claimingRecorder{every: NewEvery(3)}
+	e.SetRecorder(rec)
+	v := buildPacket(t, &Header{FNs: []FN{RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB)}, Locations: make([]byte, 1)})
+	var ctx ExecContext
+	for ord := 1; ord <= 9; ord++ {
+		ctx.Reset(v, 0)
+		e.Process(&ctx)
+		o := rec.ends[ord-1]
+		if o.N != 2 || o.Steps[0].Key != KeyFIB || o.Steps[1].Key != KeyFIB {
+			t.Fatalf("packet %d: steps %v", ord, o.Steps[:o.N])
+		}
+		if want := ord%3 == 0; o.Timed != want {
+			t.Fatalf("packet %d: Timed = %v, want %v", ord, o.Timed, want)
+		}
+		for i, s := range o.Steps[:o.N] {
+			if now := sawNow[2*(ord-1)+i]; o.Timed != (s.Ns > 0) || o.Timed != (now > 0) {
+				t.Errorf("packet %d (timed %v) step %d: Ns=%d MonoNow=%v", ord, o.Timed, i, s.Ns, now)
+			}
+		}
+	}
+	if rec.seen.Load() != 9 {
+		t.Errorf("seen %d of 9", rec.seen.Load())
+	}
+}
+
+// TestEveryDividesMatchesModulo checks the division-free sampling decision
+// against the % oracle: random rates up to 2^20 and every small one, powers
+// of two or not, on ordinals that are small, near multiples of the rate,
+// and near 2^64.
+func TestEveryDividesMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	check := func(n, x uint64) {
+		if got, want := NewEvery(n).Divides(x), x%n == 0; got != want {
+			t.Fatalf("NewEvery(%d).Divides(%d) = %v, %% says %v", n, x, got, want)
+		}
+	}
+	rates := []uint64{1 << 20, 1<<20 - 1, 1000, 1024}
+	for n := uint64(1); n <= 130; n++ {
+		rates = append(rates, n)
+	}
+	for i := 0; i < 2000; i++ {
+		rates = append(rates, 1+uint64(rng.Intn(1<<20)))
+	}
+	for _, n := range rates {
+		top := ^uint64(0) / n * n // the largest multiple of n
+		for d := uint64(0); d < 3; d++ {
+			for _, x := range []uint64{d, n - d, n + d, top - d, top + d, ^uint64(0) - d} {
+				check(n, x)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			check(n, rng.Uint64())
+			check(n, rng.Uint64()/n*n)
+			check(n, uint64(rng.Intn(1<<24)))
+		}
+	}
+	if e := (Every{}); !e.Divides(0) || !e.Divides(7) {
+		t.Error("the zero Every should sample every packet")
+	}
+	if NewEvery(0).N() != 1 || (Every{}).N() != 1 {
+		t.Error("NewEvery(0) should be 1-in-1")
 	}
 }
 

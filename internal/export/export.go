@@ -116,15 +116,15 @@ func (s Source) WriteMetrics(w io.Writer) {
 			writeSample(w, "dip_events_total", join(label, `event=`+quote(e.String())), float64(snap.Events[e]))
 		}
 		if len(snap.Ops) > 0 {
-			writeHeader(w, "dip_op_executions_total", "counter", "FN operation executions.")
+			writeHeader(w, "dip_op_executions_total", "counter", "FN operation executions (exact).")
 			for _, op := range snap.Ops {
 				writeSample(w, "dip_op_executions_total", join(label, `op=`+quote(op.Key.String())), float64(op.Count))
 			}
-			writeHeader(w, "dip_op_latency_ns_total", "counter", "Cumulative FN execution time in nanoseconds.")
+			writeHeader(w, "dip_op_latency_ns_total", "counter", "Cumulative FN execution time of the timed executions, in nanoseconds.")
 			for _, op := range snap.Ops {
 				writeSample(w, "dip_op_latency_ns_total", join(label, `op=`+quote(op.Key.String())), float64(op.TotalNs))
 			}
-			writeHeader(w, "dip_op_latency_ns", "histogram", "FN execution latency histogram (log2 buckets, nanoseconds).")
+			writeHeader(w, "dip_op_latency_ns", "histogram", "FN execution latency histogram over the sampled, timed executions (log2 buckets, nanoseconds).")
 			for _, op := range snap.Ops {
 				opLabel := join(label, `op=`+quote(op.Key.String()))
 				var cum int64
@@ -136,9 +136,9 @@ func (s Source) WriteMetrics(w io.Writer) {
 					le := fmt.Sprintf("%d", int64(telemetry.BucketUpper(b)))
 					writeSample(w, "dip_op_latency_ns_bucket", join(opLabel, `le=`+quote(le)), float64(cum))
 				}
-				writeSample(w, "dip_op_latency_ns_bucket", join(opLabel, `le="+Inf"`), float64(op.Count))
+				writeSample(w, "dip_op_latency_ns_bucket", join(opLabel, `le="+Inf"`), float64(op.Timed))
 				writeSample(w, "dip_op_latency_ns_sum", opLabel, float64(op.TotalNs))
-				writeSample(w, "dip_op_latency_ns_count", opLabel, float64(op.Count))
+				writeSample(w, "dip_op_latency_ns_count", opLabel, float64(op.Timed))
 			}
 		}
 	}

@@ -29,6 +29,11 @@ func scrapeSource(t *testing.T) (Source, *telemetry.Metrics, *trace.Recorder) {
 	m.RecordOp(core.KeyFIB, 300*time.Nanosecond)
 	m.RecordOp(core.KeyFIB, 5*time.Microsecond)
 	m.RecordOp(core.KeyPIT, time.Microsecond)
+	// An untimed packet's two F_PIT executions: counted, not in the histogram.
+	var untimed core.ExecContext
+	untimed.Obs.N = 2
+	untimed.Obs.Steps[0].Key, untimed.Obs.Steps[1].Key = core.KeyPIT, core.KeyPIT
+	m.EndPacket(&untimed)
 	m.RecordDrop(core.DropNoRoute)
 	m.RecordEvent(telemetry.EventRetransmit)
 	m.CountVerdict(core.VerdictForward)
@@ -91,6 +96,11 @@ func TestWriteMetricsRendersAllFamilies(t *testing.T) {
 		`dip_op_executions_total{node="r1",op="F_FIB"}`:            2,
 		`dip_op_latency_ns_count{node="r1",op="F_FIB"}`:            2,
 		`dip_op_latency_ns_bucket{node="r1",op="F_FIB",le="+Inf"}`: 2,
+		// The histogram is over timed executions; the counter is exact.
+		`dip_op_executions_total{node="r1",op="F_PIT"}`:            3,
+		`dip_op_latency_ns_count{node="r1",op="F_PIT"}`:            1,
+		`dip_op_latency_ns_bucket{node="r1",op="F_PIT",le="+Inf"}`: 1,
+		`dip_op_latency_ns_sum{node="r1",op="F_PIT"}`:              1000,
 		`dip_trace_sample_every{node="r1"}`:                        1,
 		`dip_trace_ring_records{node="r1"}`:                        8,
 	} {

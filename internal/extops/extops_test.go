@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dip/internal/core"
+	"dip/internal/telemetry"
 )
 
 // ccPacket builds a DIP packet carrying an F_cc FN over a fresh tag.
@@ -281,6 +282,51 @@ func TestTelZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("F_tel allocates %.1f", allocs)
+	}
+}
+
+// TestTelDefaultClockTimedAndUntimed pins the default timestamp source under
+// the observation diprouter always installs: Metrics times one packet in 64,
+// where F_tel reuses the engine's reading (ctx.MonoNow), and on the other 63
+// MonoNow is zero and F_tel reads the clock itself — both stamp wall µs.
+func TestTelDefaultClockTimedAndUntimed(t *testing.T) {
+	reg := core.NewRegistry()
+	reg.MustRegister(NewTel(7, nil))
+	e := core.NewEngine(reg, core.Limits{})
+	m := &telemetry.Metrics{}
+	e.SetRecorder(m)
+	pkt := telPacket(t, 1)
+	var ctx core.ExecContext
+	const slack = 5 // µs: truncation in the wall↔monotonic conversions
+	timed := 0
+	for i := 0; i < 128; i++ {
+		pkt[core.BasicHeaderSize+core.FNSize] = 0 // reset the slot counter byte
+		v, _ := core.ParseView(pkt)
+		ctx.Reset(v, 0)
+		before := time.Now().UnixMicro()
+		e.Process(&ctx)
+		after := time.Now().UnixMicro()
+		if ctx.Obs.Timed != (ctx.MonoNow != 0) {
+			t.Fatalf("packet %d: Timed=%v but MonoNow=%v", i+1, ctx.Obs.Timed, ctx.MonoNow)
+		}
+		if ctx.Obs.Timed {
+			timed++
+		}
+		records, _, err := DecodeTel(v.Locations())
+		if err != nil || len(records) != 1 {
+			t.Fatalf("packet %d: records %v, %v", i+1, records, err)
+		}
+		// The slot keeps the low 32 bits; compare modulo 2^32.
+		ts := records[0].TimestampUs
+		if ts-uint32(before-slack) > uint32(after-before+2*slack) {
+			t.Errorf("packet %d (timed %v): stamp %d outside wall µs [%d, %d]", i+1, ctx.Obs.Timed, ts, uint32(before), uint32(after))
+		}
+	}
+	if timed != 2 {
+		t.Errorf("%d of 128 packets timed, want 2", timed)
+	}
+	if s := m.Snapshot(); len(s.Ops) != 1 || s.Ops[0].Count != 128 || s.Ops[0].Timed != 2 {
+		t.Errorf("F_tel stats: %+v", s.Ops)
 	}
 }
 

@@ -20,7 +20,7 @@ type RouterTap struct {
 	node  string
 	sink  SpanSink
 	inner core.Recorder
-	every uint64
+	every core.Every
 	now   func() int64
 	seen  atomic.Uint64
 }
@@ -35,7 +35,7 @@ func NewRouterTap(node string, sink SpanSink, inner core.Recorder, every int, no
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
 	}
-	return &RouterTap{node: node, sink: sink, inner: inner, every: uint64(every), now: now}
+	return &RouterTap{node: node, sink: sink, inner: inner, every: core.NewEvery(uint64(every)), now: now}
 }
 
 // BeginPacket implements core.Recorder: forward the bracket, then decide

@@ -37,11 +37,26 @@ func BucketUpper(b int) time.Duration {
 	return time.Duration(int64(1)<<uint(b+1) - 1)
 }
 
+// opStat counts every execution exactly; totalNs and hist hold only the
+// executions on timed packets.
 type opStat struct {
 	count   atomic.Int64
 	totalNs atomic.Int64
 	hist    [histBuckets]atomic.Int64
 }
+
+// timed loads the latency histogram and its sum, the timed executions.
+func (s *opStat) timed() (hist [histBuckets]int64, n int64) {
+	for b := range hist {
+		hist[b] = s.hist[b].Load()
+		n += hist[b]
+	}
+	return hist, n
+}
+
+// timeEvery is the share of packets Metrics has timed whoever else samples:
+// one per default burst — well under 1 % cost, histograms fill in seconds.
+var timeEvery = core.NewEvery(64)
 
 // Event is a recovery or degradation occurrence counted alongside the
 // per-packet verdicts: link-level faults (reported by impaired simulator
@@ -118,8 +133,8 @@ func (e Event) String() string {
 }
 
 // Metrics implements core.Recorder — it folds each packet's observation
-// record into per-op counters and histograms at EndPacket — and adds
-// router-level verdict counters. The zero value is ready to use.
+// record into per-op counters and (timed packets) histograms at EndPacket —
+// and adds router-level verdict counters. The zero value is ready to use.
 type Metrics struct {
 	ops       [core.MaxKey + 1]opStat
 	drops     [core.NumDropReasons]atomic.Int64
@@ -129,7 +144,6 @@ type Metrics struct {
 	absorbed  atomic.Int64
 	noAction  atomic.Int64
 	dropped   atomic.Int64
-	received  atomic.Int64
 }
 
 // RecordEvent tallies a recovery/degradation event.
@@ -147,23 +161,32 @@ func (m *Metrics) Event(e Event) int64 {
 	return m.events[e].Load()
 }
 
-// BeginPacket implements core.Recorder; counters need nothing before the
-// verdict.
-func (m *Metrics) BeginPacket(*core.ExecContext) {}
+// BeginPacket implements core.Recorder: counters need nothing before the
+// verdict, but latencies need the engine to time the packet, so Metrics asks
+// for 1 in timeEvery (what a trace or journey sampler claims is timed too).
+func (m *Metrics) BeginPacket(ctx *core.ExecContext) {
+	if timeEvery.Divides(ctx.Ordinal) {
+		ctx.Obs.Timed = true
+	}
+}
 
 // EndPacket implements core.Recorder: every executed FN of the packet is
-// counted and timed, and a dropped packet's reason is tallied.
+// counted, on a timed packet timed, and a dropped packet's reason is tallied.
 func (m *Metrics) EndPacket(ctx *core.ExecContext) {
 	o := &ctx.Obs
 	for _, s := range o.Steps[:o.N] {
-		m.RecordOp(s.Key, time.Duration(s.Ns))
+		if o.Timed {
+			m.RecordOp(s.Key, time.Duration(s.Ns))
+		} else if s.Key <= core.MaxKey {
+			m.ops[s.Key].count.Add(1)
+		}
 	}
 	if ctx.Verdict == core.VerdictDrop {
 		m.RecordDrop(ctx.Reason)
 	}
 }
 
-// RecordOp tallies one execution of operation k that took d.
+// RecordOp tallies one timed execution of operation k that took d.
 func (m *Metrics) RecordOp(k core.Key, d time.Duration) {
 	if k > core.MaxKey {
 		return
@@ -184,10 +207,10 @@ func (m *Metrics) RecordDrop(r core.DropReason) {
 }
 
 // CountVerdict tallies a packet's final fate. Dropped packets land in the
-// dropped total here (the per-reason breakdown comes from RecordDrop), so
-// received always reconciles against the sum of the verdict buckets.
+// dropped total here (the per-reason breakdown comes from RecordDrop);
+// received is the sum of the verdict buckets, so the two cannot disagree
+// even in a snapshot taken mid-traffic.
 func (m *Metrics) CountVerdict(v core.Verdict) {
-	m.received.Add(1)
 	switch v {
 	case core.VerdictForward:
 		m.forwarded.Add(1)
@@ -200,7 +223,7 @@ func (m *Metrics) CountVerdict(v core.Verdict) {
 	case core.VerdictContinue:
 		// Every FN ran but none chose an egress: the packet completes with
 		// no action (e.g. a pure authentication composition with no match
-		// FN). Counted so received always reconciles.
+		// FN). Counted so received covers every packet.
 		m.noAction.Add(1)
 	}
 }
@@ -214,21 +237,23 @@ func bucketOf(ns int64) int {
 	return b
 }
 
-// OpSnapshot is one operation's aggregate statistics. Hist is the log2
-// latency histogram (see BucketUpper for bucket edges).
+// OpSnapshot is one operation's aggregate statistics. Count is every
+// execution; Timed of them ran on timed packets and make up TotalNs and
+// Hist, the log2 latency histogram (see BucketUpper for bucket edges).
 type OpSnapshot struct {
 	Key     core.Key
 	Count   int64
+	Timed   int64
 	TotalNs int64
 	Hist    [HistBuckets]int64
 }
 
-// Mean returns the mean execution time.
+// Mean returns the mean execution time over the timed executions.
 func (s OpSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
+	if s.Timed == 0 {
 		return 0
 	}
-	return time.Duration(s.TotalNs / s.Count)
+	return time.Duration(s.TotalNs / s.Timed)
 }
 
 // Snapshot summarizes everything recorded so far.
@@ -248,13 +273,17 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{Drops: map[core.DropReason]int64{}, Events: map[Event]int64{}}
 	for k := core.Key(1); k <= core.MaxKey; k++ {
-		if c := m.ops[k].count.Load(); c > 0 {
-			op := OpSnapshot{Key: k, Count: c, TotalNs: m.ops[k].totalNs.Load()}
-			for b := 0; b < histBuckets; b++ {
-				op.Hist[b] = m.ops[k].hist[b].Load()
-			}
-			s.Ops = append(s.Ops, op)
+		st := &m.ops[k]
+		if st.count.Load() == 0 {
+			continue
 		}
+		// Read in the reverse of RecordOp's write order, so a snapshot taken
+		// mid-traffic never shows more timed executions than executions.
+		op := OpSnapshot{Key: k}
+		op.Hist, op.Timed = st.timed()
+		op.TotalNs = st.totalNs.Load()
+		op.Count = st.count.Load()
+		s.Ops = append(s.Ops, op)
 	}
 	for r := 0; r < core.NumDropReasons; r++ {
 		if c := m.drops[r].Load(); c > 0 {
@@ -266,12 +295,12 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Events[Event(e)] = c
 		}
 	}
-	s.Received = m.received.Load()
 	s.Forwarded = m.forwarded.Load()
 	s.Delivered = m.delivered.Load()
 	s.Absorbed = m.absorbed.Load()
 	s.NoAction = m.noAction.Load()
 	s.Dropped = m.dropped.Load()
+	s.Received = s.Forwarded + s.Delivered + s.Absorbed + s.NoAction + s.Dropped
 	return s
 }
 
@@ -298,7 +327,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	}
 	for _, op := range s.Ops {
 		p := prevOps[op.Key]
-		dd := OpSnapshot{Key: op.Key, Count: op.Count - p.Count, TotalNs: op.TotalNs - p.TotalNs}
+		dd := OpSnapshot{Key: op.Key, Count: op.Count - p.Count, Timed: op.Timed - p.Timed, TotalNs: op.TotalNs - p.TotalNs}
 		for b := range op.Hist {
 			dd.Hist[b] = op.Hist[b] - p.Hist[b]
 		}
@@ -325,7 +354,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 // [2,3]), never the lower edge 2ns, so the estimate bounds the true
 // quantile from above instead of undershooting it by up to 2×. The
 // contract for p: NaN or p ≤ 0 returns 0, p > 1 clamps to 1 (the maximum
-// recorded bucket's upper bound). Zero when the operation never ran.
+// recorded bucket's upper bound). The quantile is over the operation's
+// timed executions; zero when there are none.
 func (m *Metrics) Percentile(k core.Key, p float64) time.Duration {
 	if k > core.MaxKey {
 		return 0
@@ -336,8 +366,7 @@ func (m *Metrics) Percentile(k core.Key, p float64) time.Duration {
 	if p > 1 {
 		p = 1
 	}
-	s := &m.ops[k]
-	total := s.count.Load()
+	hist, total := m.ops[k].timed()
 	if total == 0 {
 		return 0
 	}
@@ -350,7 +379,7 @@ func (m *Metrics) Percentile(k core.Key, p float64) time.Duration {
 	}
 	var cum int64
 	for b := 0; b < histBuckets; b++ {
-		cum += s.hist[b].Load()
+		cum += hist[b]
 		if cum >= target {
 			return BucketUpper(b)
 		}
@@ -364,7 +393,11 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "packets: received=%d forwarded=%d delivered=%d absorbed=%d no-action=%d dropped=%d\n",
 		s.Received, s.Forwarded, s.Delivered, s.Absorbed, s.NoAction, s.Dropped)
 	for _, op := range s.Ops {
-		fmt.Fprintf(&b, "  %-12s count=%-8d mean=%v\n", op.Key, op.Count, op.Mean())
+		mean := "-"
+		if op.Timed > 0 {
+			mean = op.Mean().String()
+		}
+		fmt.Fprintf(&b, "  %-12s count=%-8d timed=%-6d mean=%s\n", op.Key, op.Count, op.Timed, mean)
 	}
 	if len(s.Drops) > 0 {
 		reasons := make([]core.DropReason, 0, len(s.Drops))

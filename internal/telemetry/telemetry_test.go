@@ -42,6 +42,46 @@ func TestRecordAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestEndPacketCountsExactTimesSampled folds an untimed and a timed packet's
+// record: both count every step, only the timed one reaches the latency
+// side (Timed, TotalNs, Hist, Mean, Percentile), and the report says so.
+func TestEndPacketCountsExactTimesSampled(t *testing.T) {
+	m := &Metrics{}
+	var ctx core.ExecContext
+	ctx.Obs.N = 2
+	ctx.Obs.Steps[0] = core.Step{Key: core.KeyFIB}
+	ctx.Obs.Steps[1] = core.Step{Key: core.KeyMAC}
+	m.EndPacket(&ctx)
+	s := m.Snapshot()
+	if len(s.Ops) != 2 || s.Ops[0].Count != 1 || s.Ops[0].Timed != 0 || s.Ops[0].TotalNs != 0 || s.Ops[0].Mean() != 0 {
+		t.Fatalf("untimed packet: %+v", s.Ops)
+	}
+	if m.Percentile(core.KeyFIB, 0.5) != 0 {
+		t.Errorf("percentile with nothing timed = %v", m.Percentile(core.KeyFIB, 0.5))
+	}
+	if out := s.String(); !strings.Contains(out, "timed=0") || !strings.Contains(out, "mean=-") {
+		t.Errorf("report of untimed ops:\n%s", out)
+	}
+
+	ctx.Obs.Timed = true
+	ctx.Obs.Steps[0].Ns, ctx.Obs.Steps[1].Ns = 300, 1000
+	m.EndPacket(&ctx)
+	m.EndPacket(&ctx)
+	ctx.Obs.Timed = false
+	m.EndPacket(&ctx)
+	s = m.Snapshot()
+	fib := s.Ops[0]
+	if fib.Count != 4 || fib.Timed != 2 || fib.TotalNs != 600 || fib.Mean() != 300 || fib.Hist[bucketOf(300)] != 2 {
+		t.Errorf("FIB after 2 timed of 4: %+v", fib)
+	}
+	if got := m.Percentile(core.KeyFIB, 1); got != BucketUpper(bucketOf(300)) {
+		t.Errorf("p100 over the timed executions = %v", got)
+	}
+	if out := s.String(); !strings.Contains(out, "timed=2") || !strings.Contains(out, "mean=300ns") {
+		t.Errorf("report:\n%s", out)
+	}
+}
+
 func TestMeanOfZero(t *testing.T) {
 	var s OpSnapshot
 	if s.Mean() != 0 {
@@ -208,7 +248,7 @@ func TestSnapshotDelta(t *testing.T) {
 	for _, op := range d.Ops {
 		switch op.Key {
 		case core.KeyFIB:
-			if op.Count != 1 || op.TotalNs != 300 {
+			if op.Count != 1 || op.Timed != 1 || op.TotalNs != 300 {
 				t.Errorf("FIB delta: %+v", op)
 			}
 		case core.KeyMAC:
@@ -268,8 +308,10 @@ func TestConcurrentRecording(t *testing.T) {
 
 // TestConcurrentSnapshotDeltaStress drives every recording entry point from
 // GOMAXPROCS goroutines while Snapshot and Delta run concurrently, asserting
-// the counters only ever move forward (run under -race to catch unsynchronized
-// access; the atomics make torn or regressing reads a real bug, not noise).
+// the counters only ever move forward and every snapshot taken mid-traffic is
+// self-consistent — received is the verdict buckets' sum, an op's timed
+// count its histogram's (run under -race to catch unsynchronized access; the
+// atomics make torn or regressing reads a real bug, not noise).
 func TestConcurrentSnapshotDeltaStress(t *testing.T) {
 	m := &Metrics{}
 	workers := runtime.GOMAXPROCS(0)
@@ -304,9 +346,23 @@ func TestConcurrentSnapshotDeltaStress(t *testing.T) {
 				t.Errorf("counters regressed between snapshots: %+v", d)
 				return
 			}
+			if sum := s.Forwarded + s.Delivered + s.Absorbed + s.NoAction + s.Dropped; s.Received != sum {
+				t.Errorf("mid-traffic snapshot: received=%d, verdict buckets sum to %d", s.Received, sum)
+				return
+			}
 			for _, op := range d.Ops {
-				if op.Count < 0 || op.TotalNs < 0 {
+				if op.Count < 0 || op.Timed < 0 || op.TotalNs < 0 {
 					t.Errorf("op counters regressed: %+v", op)
+					return
+				}
+			}
+			for _, op := range s.Ops {
+				var hist int64
+				for _, c := range op.Hist {
+					hist += c
+				}
+				if hist != op.Timed || op.Timed > op.Count {
+					t.Errorf("mid-traffic snapshot: %v count=%d timed=%d, Σhist=%d", op.Key, op.Count, op.Timed, hist)
 					return
 				}
 			}

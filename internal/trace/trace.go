@@ -107,7 +107,7 @@ type slot struct {
 // Engine.SetRecorder (or router.Config.Trace).
 type Recorder struct {
 	inner core.Recorder
-	every uint64
+	every core.Every
 	mask  uint64
 	slots []slot
 	seq   atomic.Uint64 // next sample sequence number
@@ -134,7 +134,7 @@ func NewRecorder(inner core.Recorder, every int, ring int) *Recorder {
 	}
 	return &Recorder{
 		inner: inner,
-		every: uint64(every),
+		every: core.NewEvery(uint64(every)),
 		mask:  uint64(size - 1),
 		slots: make([]slot, size),
 	}
@@ -218,7 +218,7 @@ func (r *Recorder) Overwritten() uint64 {
 func (r *Recorder) RingSize() int { return len(r.slots) }
 
 // SampleEvery returns the sampling divisor N (1-in-N).
-func (r *Recorder) SampleEvery() int { return int(r.every) }
+func (r *Recorder) SampleEvery() int { return int(r.every.N()) }
 
 // Snapshot copies out the stable records currently in the ring, oldest
 // first. Records being written concurrently are skipped (they will be

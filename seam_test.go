@@ -66,30 +66,45 @@ func seamTrace(t *testing.T) (pkts [][]byte, secret *SecretValue) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Early in the trace, so the ring and span checks at sampling 1 see them.
+	// Early in the trace, so the record and span checks at sampling 1 see them.
 	pkts = append([][]byte{noRoute, malformed}, pkts...)
 	return pkts, secret
 }
 
-// TestObserverStackTransparent pins that wrapping changes nothing an inner
-// observer sees: Metrics alone, under a trace recorder, and under a journey
-// tap over that count the same ops and drops — each equal to an independent
-// count of dispatched FNs — at sampling 1 and 1024; and at sampling 1 every
-// trace record and span lists exactly the FNs its packet executed.
+// mixState is a node's tables for the workload generator's five-protocol
+// mix: a content store of the given size, OPT enabled, and one route per
+// address family, each to its own port (1, 2, 3).
+func mixState(secret *SecretValue, cache int) *NodeState {
+	st := NewNodeState()
+	st.EnableCache(cache)
+	st.EnableOPT(secret, MAC2EM, [16]byte{}, 0)
+	st.FIB32.AddUint32(uint32(workload.AddrPrefixByte)<<24, 8, NextHop{Port: 1})
+	p6 := make([]byte, 16)
+	p6[0] = workload.Addr6PrefixByte
+	st.FIB128.Add(p6, 8, NextHop{Port: 2})
+	st.NameFIB.AddUint32(workload.NamePrefix, 8, NextHop{Port: 3})
+	return st
+}
+
+// metricsEvery is telemetry.Metrics' own timing rate, restated here so the
+// oracle below stays independent of the code it checks.
+const metricsEvery = 64
+
+// TestObserverStackTransparent pins "counts exact, latency sampled" and that
+// wrapping changes nothing an inner observer sees: Metrics alone, under a
+// trace recorder, and under a journey tap over that count the same ops and
+// drops — each equal to an independent count of dispatched FNs — at
+// sampling 1 and 1024; per op, Σhist == Timed == the ops dispatched on the
+// packets whose ordinal some installed observer's rate divides (all of them
+// at sampling 1); and every trace record and span lists exactly the FNs its
+// packet executed, each with a non-zero latency.
 func TestObserverStackTransparent(t *testing.T) {
 	pkts, secret := seamTrace(t)
 	stacks := []string{"metrics", "trace>metrics", "tap>trace>metrics"}
 	for _, every := range []int{1, 1024} {
 		var first string
 		for depth, name := range stacks {
-			st := NewNodeState()
-			st.EnableCache(64)
-			st.EnableOPT(secret, MAC2EM, [16]byte{}, 0)
-			st.FIB32.AddUint32(uint32(workload.AddrPrefixByte)<<24, 8, NextHop{Port: 1})
-			p6 := make([]byte, 16)
-			p6[0] = workload.Addr6PrefixByte
-			st.FIB128.Add(p6, 8, NextHop{Port: 2})
-			st.NameFIB.AddUint32(workload.NamePrefix, 8, NextHop{Port: 3})
+			st := mixState(secret, 64)
 			var log []core.Key
 			reg := core.NewRegistry()
 			real := NewRouterRegistry(st.OpsConfig())
@@ -110,7 +125,7 @@ func TestObserverStackTransparent(t *testing.T) {
 			e := core.NewEngine(reg, Limits{})
 			e.SetRecorder(rec)
 
-			wantOps := map[Key]int64{}
+			wantOps, wantTimed := map[Key]int64{}, map[Key]int64{}
 			wantDrops := map[DropReason]int64{}
 			executed := make([][]core.Key, len(pkts))
 			var ctx ExecContext
@@ -124,8 +139,14 @@ func TestObserverStackTransparent(t *testing.T) {
 				log = log[:0]
 				e.Process(&ctx)
 				executed[i] = append([]core.Key(nil), log...)
+				// ctx is fresh, so packet i carries ordinal i+1.
+				ord := i + 1
+				timed := ord%metricsEvery == 0 || depth >= 1 && ord%every == 0
 				for _, k := range log {
 					wantOps[k]++
+					if timed {
+						wantTimed[k]++
+					}
 				}
 				if ctx.Verdict == VerdictDrop {
 					wantDrops[ctx.Reason]++
@@ -133,19 +154,28 @@ func TestObserverStackTransparent(t *testing.T) {
 			}
 
 			snap := m.Snapshot()
-			gotOps := map[Key]int64{}
+			gotOps, gotTimed := map[Key]int64{}, map[Key]int64{}
 			for _, op := range snap.Ops {
 				gotOps[op.Key] = op.Count
+				if op.Timed > 0 {
+					gotTimed[op.Key] = op.Timed
+				}
 				var hist int64
 				for _, c := range op.Hist {
 					hist += c
 				}
-				if hist != op.Count {
-					t.Errorf("%s every=%d %v: Σhist=%d, count=%d", name, every, op.Key, hist, op.Count)
+				if hist != op.Timed {
+					t.Errorf("%s every=%d %v: Σhist=%d, timed=%d", name, every, op.Key, hist, op.Timed)
+				}
+				if op.Timed > 0 && op.TotalNs <= 0 {
+					t.Errorf("%s every=%d %v: %d timed executions sum to %dns", name, every, op.Key, op.Timed, op.TotalNs)
 				}
 			}
 			if !maps.Equal(gotOps, wantOps) {
 				t.Errorf("%s every=%d: op counts %v, dispatched %v", name, every, gotOps, wantOps)
+			}
+			if !maps.Equal(gotTimed, wantTimed) {
+				t.Errorf("%s every=%d: timed %v, dispatched on sampled packets %v", name, every, gotTimed, wantTimed)
 			}
 			if !maps.Equal(snap.Drops, wantDrops) {
 				t.Errorf("%s every=%d: drops %v, want %v", name, every, snap.Drops, wantDrops)
@@ -172,32 +202,38 @@ func TestObserverStackTransparent(t *testing.T) {
 			if depth == 2 && uint64(len(spans)) != n/uint64(every) {
 				t.Errorf("%s every=%d: %d spans of %d packets", name, every, len(spans), n)
 			}
-			if every != 1 {
-				continue
-			}
+			// Sampled record j is the packet with ordinal (j+1)·every.
 			if tr != nil {
 				recs := tr.Snapshot()
-				if len(recs) != len(pkts) {
-					t.Fatalf("%s: %d trace records for %d packets", name, len(recs), len(pkts))
+				if len(recs) != len(pkts)/every {
+					t.Fatalf("%s every=%d: %d trace records for %d packets", name, every, len(recs), len(pkts))
 				}
-				for i, r := range recs {
-					if got := stepKeys(r.Steps[:r.NSteps]); !slices.Equal(got, executed[i]) || r.Truncated != 0 {
-						t.Fatalf("%s packet %d: record steps %v (+%d), executed %v", name, i, got, r.Truncated, executed[i])
+				for j, r := range recs {
+					i := (j+1)*every - 1
+					if got := stepKeys(t, r.Steps[:r.NSteps]); !slices.Equal(got, executed[i]) || r.Truncated != 0 {
+						t.Fatalf("%s every=%d packet %d: record steps %v (+%d), executed %v", name, every, i, got, r.Truncated, executed[i])
 					}
 				}
 			}
-			for i, sp := range spans {
-				if got := stepKeys(sp.Steps[:sp.NSteps]); !slices.Equal(got, executed[i]) {
-					t.Fatalf("%s packet %d: span steps %v, executed %v", name, i, got, executed[i])
+			for j, sp := range spans {
+				i := (j+1)*every - 1
+				if got := stepKeys(t, sp.Steps[:sp.NSteps]); !slices.Equal(got, executed[i]) {
+					t.Fatalf("%s every=%d packet %d: span steps %v, executed %v", name, every, i, got, executed[i])
 				}
 			}
 		}
 	}
 }
 
-func stepKeys(steps []core.Step) []core.Key {
+// stepKeys lists the steps' keys and fails the test on an untimed step: what
+// a sampler copies out always carries per-FN latencies.
+func stepKeys(t *testing.T, steps []core.Step) []core.Key {
+	t.Helper()
 	keys := make([]core.Key, 0, len(steps))
 	for _, s := range steps {
+		if s.Ns <= 0 {
+			t.Errorf("sampled step %v has latency %dns", s.Key, s.Ns)
+		}
 		keys = append(keys, s.Key)
 	}
 	return keys
