@@ -20,13 +20,21 @@ vet:
 
 # core has one observer interface (Recorder) and one per-packet record
 # (ExecContext.Obs); the five-interface seam it replaced must not grow back
-# beside it.
+# beside it. Nor may the per-packet heap traffic PR 19 removed: the content
+# store links its entries by slab index (container/list stays in its test,
+# as the model), and a cache reply is built in the context's own buffer.
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
 	fi
 	@if grep -rnE 'Ordinal *%' --include=*.go internal/core | grep -v _test.go; then \
 		echo "seamcheck: the sampling decision divides again (use core.Every, DESIGN.md §9)"; exit 1; \
+	fi
+	@if grep -n '"container/list"' $$(ls internal/cs/*.go | grep -v _test.go); then \
+		echo "seamcheck: internal/cs links entries by heap pointer again (DESIGN.md §8)"; exit 1; \
+	fi
+	@if sed -n '/^func (r \*Router) replyFromCache/,/^}/p' internal/router/router.go | grep -n 'make('; then \
+		echo "seamcheck: replyFromCache allocates per hit again (build in ctx.Reply, DESIGN.md §8)"; exit 1; \
 	fi
 
 race:
@@ -49,7 +57,9 @@ BENCHTIME ?= 100ms
 bench:
 	$(GO) test -run '^$$' -bench 'FIBLookup|FIBTxnCommit|ShardedPIT|PITSequential' \
 		-benchtime $(BENCHTIME) -count 5 ./internal/fib/ ./internal/pit/
-	$(GO) test -run '^$$' -bench 'Fig2|Ablation_FIBScale|ZeroAlloc|Observed' \
+	$(GO) test -run '^$$' -bench 'Sum|Store' \
+		-benchtime $(BENCHTIME) -count 5 ./internal/crypto2em/ ./internal/cs/
+	$(GO) test -run '^$$' -bench 'Fig2|Ablation_FIBScale|ZeroAlloc|Observed|SubmitBurst|OPTHop' \
 		-benchtime $(BENCHTIME) -count 5 .
 
 # Race-mode smoke of the concurrent benchmarks: a handful of iterations is

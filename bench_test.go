@@ -5,7 +5,7 @@ package dip
 //	BenchmarkFig2            — E1: per-packet processing time for IPv4 and
 //	                           IPv6 baselines, DIP-32, DIP-128, NDN, OPT and
 //	                           NDN+OPT at 128/768/1500-byte packet sizes.
-//	BenchmarkAblation_MAC    — E3: 2EM vs AES-CMAC per OPT hop (§4.1).
+//	BenchmarkOPTHop          — E3: 2EM vs AES-CMAC per OPT hop (§4.1).
 //	BenchmarkAblation_Parallel — E4: the packet-parameter parallel flag.
 //	BenchmarkAblation_FNCount — E5: cost per additional FN.
 //	BenchmarkAblation_FIBScale — E6: LPM at 10²..10⁶ routes.
@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dip/internal/core"
@@ -241,7 +242,7 @@ func BenchmarkFig2(b *testing.B) {
 
 // E3: the MAC algorithm choice of §4.1 — 2EM vs AES-CMAC — measured on the
 // full OPT hop (parm + MAC + mark).
-func BenchmarkAblation_MAC(b *testing.B) {
+func BenchmarkOPTHop(b *testing.B) {
 	for _, kind := range []MACKind{MAC2EM, MACAESCMAC} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
@@ -436,16 +437,9 @@ func BenchmarkMixedTraffic(b *testing.B) {
 	}
 }
 
-// What observation costs, as a within-run ratio: the five-protocol mix
-// through Router.HandlePacket with no recorder (off), with the Metrics every
-// diprouter installs (metrics), and with trace recorder and journey tap over
-// it at 1-in-1024 as -trace-every/-journey-every build them (full). Counts
-// are exact and latencies sampled (DESIGN.md §9), so what metrics/off and
-// full/off show is the bracket calls and the shared counters; this
-// packet-at-a-time path also charges each sampler's seen-counter per packet,
-// which a ServeGuarded burst pays once.
-func BenchmarkObserved(b *testing.B) {
-	secret := benchSecret(b)
+// benchMix is 4096 packets of the five-protocol mix, all arriving on port 0.
+func benchMix(b *testing.B, secret *SecretValue) *workload.Trace {
+	b.Helper()
 	tr, err := workload.Generate(workload.Spec{
 		Weights: map[workload.Protocol]float64{
 			workload.ProtoIPv4: 4, workload.ProtoIPv6: 2, workload.ProtoNDN: 2,
@@ -456,6 +450,57 @@ func BenchmarkObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// The hand-off, per packet: 64-packet bursts of the mix through SubmitBurst
+// and the forwarders behind it, each burst drained before the next. With
+// one forwarder the destination queue is known without hashing the packet;
+// with four every packet is flow-hashed through the dispatch table (and the
+// burst costs up to four queue rounds and wake-ups), so workers4 − workers1
+// bounds what the hash and the fan-out cost.
+func BenchmarkSubmitBurst(b *testing.B) {
+	secret := benchSecret(b)
+	tr := benchMix(b, secret)
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			r := NewRouter(mixState(secret, 512).OpsConfig(), RouterOptions{})
+			for p := 0; p < 4; p++ {
+				r.AttachPort(PortFunc(func([]byte) {}))
+			}
+			in := r.ServeGuarded(ServeConfig{Workers: workers, Batch: 64})
+			defer in.Close()
+			burst := make([][]byte, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(burst) {
+				for j := range burst {
+					p := &tr.Packets[(i+j)%len(tr.Packets)]
+					p.Rearm()
+					burst[j] = p.Buf
+				}
+				if n := in.SubmitBurst(burst, 0); n != len(burst) {
+					b.Fatalf("accepted %d/%d", n, len(burst))
+				}
+				for in.Processed() < int64(i+len(burst)) {
+					runtime.Gosched()
+				}
+			}
+		})
+	}
+}
+
+// What observation costs, as a within-run ratio: the five-protocol mix
+// through Router.HandlePacket with no recorder (off), with the Metrics every
+// diprouter installs (metrics), and with trace recorder and journey tap over
+// it at 1-in-1024 as -trace-every/-journey-every build them (full). Counts
+// are exact and latencies sampled (DESIGN.md §9), so what metrics/off and
+// full/off show is the bracket calls and the shared counters; this
+// packet-at-a-time path also charges each sampler's seen-counter per packet,
+// which a ServeGuarded burst pays once.
+func BenchmarkObserved(b *testing.B) {
+	secret := benchSecret(b)
+	tr := benchMix(b, secret)
 	for _, level := range []string{"off", "metrics", "full"} {
 		b.Run(level, func(b *testing.B) {
 			opts := RouterOptions{}

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"dip/internal/crypto2em"
 )
 
 // Verdict is the fate an operation (or the engine) assigns a packet.
@@ -90,6 +92,10 @@ type CryptoState struct {
 	HaveKey  bool
 	PrevNode [16]byte // previous validator node label (used by F_MAC)
 	HopIndex uint8    // this router's position in the validation chain
+	// Cipher is Key expanded for 2EM by the first of F_MAC/F_mark to need it,
+	// valid while HaveCipher: whoever writes Key clears that, as Reset does.
+	HaveCipher bool
+	Cipher     crypto2em.Cipher
 }
 
 // Step is one executed FN in a packet's observation record: the operation's
@@ -187,6 +193,10 @@ type ExecContext struct {
 	// Cached is set (pointing into the content store) when an interest was
 	// satisfied locally; the router synthesizes the data reply from it.
 	Cached []byte
+
+	// Reply is the buffer the router builds that reply in; the context keeps
+	// it across packets (Reset leaves it alone), so a hit allocates nothing.
+	Reply []byte
 
 	// SourceLoc/SourceLen record the operand of an F_source FN, letting the
 	// router address FN-unsupported messages back to the packet's source.

@@ -311,7 +311,7 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	}
 	for i := range copies {
 		// Drop packet references before pooling.
-		copies[i].View, copies[i].Cached = View{}, nil
+		copies[i].View, copies[i].Cached, copies[i].Reply = View{}, nil, nil
 	}
 	wavePool.Put(wc)
 }

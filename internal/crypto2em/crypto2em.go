@@ -112,13 +112,10 @@ func Expand(master []byte) ([]byte, error) {
 	var m [BlockSize]byte
 	copy(m[:], master)
 	c := FromMaster(&m)
-	out := make([]byte, KeySize)
-	binary.BigEndian.PutUint64(out[0:8], c.k1a)
-	binary.BigEndian.PutUint64(out[8:16], c.k1b)
-	binary.BigEndian.PutUint64(out[16:24], c.k2a)
-	binary.BigEndian.PutUint64(out[24:32], c.k2b)
-	binary.BigEndian.PutUint64(out[32:40], c.k3a)
-	binary.BigEndian.PutUint64(out[40:48], c.k3b)
+	out := make([]byte, 0, KeySize)
+	for _, w := range [...]uint64{c.k1a, c.k1b, c.k2a, c.k2b, c.k3a, c.k3b} {
+		out = binary.BigEndian.AppendUint64(out, w)
+	}
 	return out, nil
 }
 
@@ -136,18 +133,19 @@ func FromMaster(master *[BlockSize]byte) Cipher {
 	return c
 }
 
-// BlockSize returns the cipher block size (mirrors cipher.Block).
-func (c *Cipher) BlockSize() int { return BlockSize }
+// enc is E on the two 64-bit lanes of one block.
+func (c *Cipher) enc(a, b uint64) (uint64, uint64) {
+	a, b = permute(&rc1, a^c.k1a, b^c.k1b)
+	a, b = permute(&rc2, a^c.k2a, b^c.k2b)
+	return a ^ c.k3a, b ^ c.k3b
+}
 
 // Encrypt computes dst = E(src) for one block. dst and src may overlap
 // exactly; both must be at least BlockSize long.
 func (c *Cipher) Encrypt(dst, src []byte) {
-	a := binary.BigEndian.Uint64(src[0:8]) ^ c.k1a
-	b := binary.BigEndian.Uint64(src[8:16]) ^ c.k1b
-	a, b = permute(&rc1, a, b)
-	a, b = permute(&rc2, a^c.k2a, b^c.k2b)
-	binary.BigEndian.PutUint64(dst[0:8], a^c.k3a)
-	binary.BigEndian.PutUint64(dst[8:16], b^c.k3b)
+	a, b := c.enc(binary.BigEndian.Uint64(src[0:8]), binary.BigEndian.Uint64(src[8:16]))
+	binary.BigEndian.PutUint64(dst[0:8], a)
+	binary.BigEndian.PutUint64(dst[8:16], b)
 }
 
 // Decrypt inverts Encrypt.
@@ -163,35 +161,22 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 // Sum appends the 16-byte 2EM-CBC-MAC of msg to dst. The mode is CBC-MAC
 // with 10*-style padding and a length block, making it safe for the
 // variable-length inputs OPT feeds it (the 416-bit tag region plus hop
-// parameters).
+// parameters), with the chaining value kept in two 64-bit lanes throughout.
 func (c *Cipher) Sum(dst, msg []byte) []byte {
-	var x [BlockSize]byte
+	var a, b uint64
 	n := len(msg)
-	for off := 0; off+BlockSize <= n; off += BlockSize {
-		for i := 0; i < BlockSize; i++ {
-			x[i] ^= msg[off+i]
-		}
-		c.Encrypt(x[:], x[:])
+	for ; len(msg) >= BlockSize; msg = msg[BlockSize:] {
+		a, b = c.enc(a^binary.BigEndian.Uint64(msg), b^binary.BigEndian.Uint64(msg[8:]))
 	}
 	// Final partial block with 10* padding (always present: if the message
 	// is block-aligned, a full padding block is processed, preventing
 	// extension between aligned and unaligned inputs).
 	var last [BlockSize]byte
-	rem := n % BlockSize
-	copy(last[:], msg[n-rem:])
-	last[rem] = 0x80
-	for i := 0; i < BlockSize; i++ {
-		x[i] ^= last[i]
-	}
-	c.Encrypt(x[:], x[:])
-	// Length block binds the total length.
-	var lb [BlockSize]byte
-	binary.BigEndian.PutUint64(lb[8:], uint64(n))
-	for i := 0; i < BlockSize; i++ {
-		x[i] ^= lb[i]
-	}
-	c.Encrypt(x[:], x[:])
-	return append(dst, x[:]...)
+	last[copy(last[:], msg)] = 0x80
+	a, b = c.enc(a^binary.BigEndian.Uint64(last[:]), b^binary.BigEndian.Uint64(last[8:]))
+	// Length block (0 ‖ n) binds the total length.
+	a, b = c.enc(a, b^uint64(n))
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(dst, a), b)
 }
 
 // SumInto writes the 16-byte MAC of msg into out (exactly BlockSize long)

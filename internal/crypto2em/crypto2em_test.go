@@ -2,6 +2,9 @@ package crypto2em
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -159,15 +162,22 @@ func TestSumIntoPanicsOnBadSize(t *testing.T) {
 	c.SumInto(make([]byte, 4), nil)
 }
 
-func BenchmarkSum52B(b *testing.B) {
+// BenchmarkSum times the MAC at the sizes one OPT hop feeds it: F_mark's
+// 16-byte PVF, the bare 52-byte tag region, and F_MAC's region plus the
+// previous-validator label (68 bytes).
+func BenchmarkSum(b *testing.B) {
 	key, _ := Expand(make([]byte, 16))
 	c, _ := New(key)
-	msg := make([]byte, 52)
-	var out [BlockSize]byte
-	b.ReportAllocs()
-	b.SetBytes(52)
-	for i := 0; i < b.N; i++ {
-		c.SumInto(out[:], msg)
+	for _, n := range []int{16, 52, 68} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			msg := make([]byte, n)
+			var out [BlockSize]byte
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				c.SumInto(out[:], msg)
+			}
+		})
 	}
 }
 
@@ -206,4 +216,72 @@ func TestFromMasterZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("FromMaster+SumInto allocates %.1f", allocs)
 	}
+}
+
+// refSum is the byte-at-a-time CBC-MAC that Sum was before it moved onto two
+// 64-bit lanes, kept as the oracle: XOR each block into a 16-byte state,
+// encrypt it in place, then the 10*-padded tail and the length block.
+func refSum(c *Cipher, dst, msg []byte) []byte {
+	var x [BlockSize]byte
+	n := len(msg)
+	for off := 0; off+BlockSize <= n; off += BlockSize {
+		for i := 0; i < BlockSize; i++ {
+			x[i] ^= msg[off+i]
+		}
+		c.Encrypt(x[:], x[:])
+	}
+	var last [BlockSize]byte
+	rem := n % BlockSize
+	copy(last[:], msg[n-rem:])
+	last[rem] = 0x80
+	for i := 0; i < BlockSize; i++ {
+		x[i] ^= last[i]
+	}
+	c.Encrypt(x[:], x[:])
+	var lb [BlockSize]byte
+	binary.BigEndian.PutUint64(lb[8:], uint64(n))
+	for i := 0; i < BlockSize; i++ {
+		x[i] ^= lb[i]
+	}
+	c.Encrypt(x[:], x[:])
+	return append(dst, x[:]...)
+}
+
+// TestSumMatchesReference requires bit-identical tags from the lane CBC-MAC
+// and the byte-wise reference for every length up to 255 (past F_MAC's
+// 240-byte operand bound plus label) under 64 random keys.
+func TestSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x2e3))
+	msg := make([]byte, 255)
+	for k := 0; k < 64; k++ {
+		var master [BlockSize]byte
+		rng.Read(master[:])
+		rng.Read(msg)
+		c := FromMaster(&master)
+		for n := 0; n <= len(msg); n++ {
+			want, got := refSum(&c, nil, msg[:n]), c.Sum(nil, msg[:n])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("key %x len %d: Sum = %x, reference %x", master, n, got, want)
+			}
+		}
+	}
+	// Sum appends: what dst already holds stays in front of the tag.
+	c := testCipher(t)
+	if got := c.Sum([]byte("hdr"), msg[:20]); !bytes.Equal(got, refSum(c, []byte("hdr"), msg[:20])) {
+		t.Errorf("Sum with a non-empty dst = %x", got)
+	}
+}
+
+func FuzzSumMatchesReference(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add(bytes.Repeat([]byte{0x42}, 16), make([]byte, 52))
+	f.Add([]byte("k"), bytes.Repeat([]byte{0xff}, 68))
+	f.Fuzz(func(t *testing.T, key, msg []byte) {
+		var master [BlockSize]byte
+		copy(master[:], key)
+		c := FromMaster(&master)
+		if want, got := refSum(&c, nil, msg), c.Sum(nil, msg); !bytes.Equal(got, want) {
+			t.Fatalf("key %x msg %x: Sum = %x, reference %x", master, msg, got, want)
+		}
+	})
 }

@@ -4,7 +4,7 @@
 // the local content store and then match the FIB".
 //
 // The store can be split into power-of-two shards keyed by name hash, each
-// with its own lock, LRU list, and capacity slice, so concurrent forwarding
+// with its own lock, LRU order, and capacity slice, so concurrent forwarding
 // workers only contend when their names hash together. Recency is then
 // tracked per shard: eviction is LRU within a shard and approximately LRU
 // globally, the standard trade sharded caches make. New keeps a single
@@ -13,7 +13,6 @@
 package cs
 
 import (
-	"container/list"
 	"sync"
 
 	"dip/internal/nhash"
@@ -33,21 +32,26 @@ type Store[K comparable] struct {
 	onEvict func(k K, data []byte, touched bool)
 }
 
+// csShard is one lock domain. Entries live in one slab, linked by index (the
+// NDN-DPDK table shape): slots[0] roots a circular recency ring (next: most,
+// prev: least recently used), free a chain of vacated slots (0: none).
 type csShard[K comparable] struct {
 	mu    sync.Mutex
 	cap   int
 	bytes int
-	size  int
-	ll    *list.List
-	index map[K]*list.Element
+	slots []slot[K]
+	free  int32
+	index map[K]int32
 }
 
-type item[K comparable] struct {
-	key  K
-	data []byte
-	// hits counts touches after insertion (Get hits and Put refreshes):
-	// 0 means the entry was cached once and never asked for again.
-	hits uint32
+type slot[K comparable] struct {
+	key        K
+	prev, next int32
+	// touched: hit after insertion (a Get or a Put refresh). Untouched, the
+	// entry was cached once and never asked for again, and nobody outside
+	// the store has seen data.
+	touched bool
+	data    []byte
 }
 
 // New returns a store holding at most capacity entries in one shard (exact
@@ -82,8 +86,8 @@ func NewSharded[K comparable](capacity, shards int) *Store[K] {
 		}
 		s.shards[i] = csShard[K]{
 			cap:   c,
-			ll:    list.New(),
-			index: make(map[K]*list.Element),
+			slots: make([]slot[K], 1),
+			index: make(map[K]int32),
 		}
 	}
 	return s
@@ -101,8 +105,32 @@ func (s *Store[K]) shardOf(k K) *csShard[K] {
 	return &s.shards[nhash.Of(k)&s.mask]
 }
 
+// unlink takes slot i out of the recency ring; pushFront puts it at its head.
+func (sh *csShard[K]) unlink(i int32) {
+	e := &sh.slots[i]
+	sh.slots[e.prev].next, sh.slots[e.next].prev = e.next, e.prev
+}
+
+func (sh *csShard[K]) pushFront(i int32) {
+	first := sh.slots[0].next
+	sh.slots[i].prev, sh.slots[i].next = 0, first
+	sh.slots[first].prev, sh.slots[0].next = i, i
+}
+
+// touch marks slot i hit and makes it the most recently used.
+func (sh *csShard[K]) touch(i int32) *slot[K] {
+	if sh.slots[0].next != i {
+		sh.unlink(i)
+		sh.pushFront(i)
+	}
+	sh.slots[i].touched = true
+	return &sh.slots[i]
+}
+
 // Put caches data under k, copying it so the caller's buffer stays free for
-// reuse. Existing entries are refreshed and moved to the front.
+// reuse. Existing entries are refreshed and moved to the front; a new key in
+// a full shard pushes the least recently used entry out: to onEvict if set,
+// else an untouched victim's buffer (no Get returned it) takes the new payload.
 func (s *Store[K]) Put(k K, data []byte) {
 	sh := s.shardOf(k)
 	if sh.cap <= 0 {
@@ -110,38 +138,47 @@ func (s *Store[K]) Put(k K, data []byte) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.index[k]; ok {
-		it := el.Value.(*item[K])
-		sh.bytes += len(data) - len(it.data)
-		it.data = append(it.data[:0], data...)
-		it.hits++
-		sh.ll.MoveToFront(el)
+	if i, ok := sh.index[k]; ok {
+		e := sh.touch(i)
+		sh.bytes += len(data) - len(e.data)
+		e.data = append(e.data[:0], data...)
 		return
 	}
-	cp := append([]byte(nil), data...)
-	el := sh.ll.PushFront(&item[K]{key: k, data: cp})
-	sh.index[k] = el
-	sh.size++
-	sh.bytes += len(cp)
-	for sh.size > sh.cap {
-		s.evictOldest(sh)
+	var buf []byte
+	if len(sh.index) >= sh.cap {
+		i := sh.slots[0].prev
+		old := sh.slots[i]
+		sh.remove(i) // accounts old.data before ownership moves to the hook
+		if s.onEvict != nil {
+			s.onEvict(old.key, old.data, old.touched)
+		} else if !old.touched {
+			buf = old.data[:0]
+		}
 	}
+	i := sh.free
+	if i != 0 {
+		sh.free = sh.slots[i].next
+	} else {
+		i = int32(len(sh.slots))
+		sh.slots = append(sh.slots, slot[K]{})
+	}
+	sh.slots[i] = slot[K]{key: k, data: append(buf, data...)}
+	sh.pushFront(i)
+	sh.index[k] = i
+	sh.bytes += len(data)
 }
 
-// Get returns the cached payload for k and refreshes its recency. The
-// returned slice is owned by the store; callers must copy before modifying.
+// Get returns the cached payload for k and refreshes its recency. The slice is
+// the entry's own buffer: copy before modifying; only a Put of k rewrites it.
 func (s *Store[K]) Get(k K) ([]byte, bool) {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.index[k]
+	i, ok := sh.index[k]
 	if !ok {
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	it := el.Value.(*item[K])
-	it.hits++
-	return it.data, true
+	return sh.touch(i).data, true
 }
 
 // Remove drops the entry for k, reporting whether it existed. Used by the
@@ -151,12 +188,11 @@ func (s *Store[K]) Remove(k K) bool {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.index[k]
-	if !ok {
-		return false
+	i, ok := sh.index[k]
+	if ok {
+		sh.remove(i)
 	}
-	sh.remove(el)
-	return true
+	return ok
 }
 
 // Len returns the number of cached entries.
@@ -165,7 +201,7 @@ func (s *Store[K]) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		n += sh.size
+		n += len(sh.index)
 		sh.mu.Unlock()
 	}
 	return n
@@ -183,25 +219,12 @@ func (s *Store[K]) Bytes() int {
 	return n
 }
 
-// evictOldest drops the shard's LRU entry, handing it to the eviction hook
-// (tiered spill) when one is installed. Called with the shard lock held.
-func (s *Store[K]) evictOldest(sh *csShard[K]) {
-	el := sh.ll.Back()
-	if el == nil {
-		return
-	}
-	it := el.Value.(*item[K])
-	data, hits := it.data, it.hits
-	sh.remove(el) // accounts it.data before ownership moves to the hook
-	if s.onEvict != nil {
-		s.onEvict(it.key, data, hits > 0)
-	}
-}
-
-func (sh *csShard[K]) remove(el *list.Element) {
-	it := el.Value.(*item[K])
-	sh.ll.Remove(el)
-	delete(sh.index, it.key)
-	sh.size--
-	sh.bytes -= len(it.data)
+// remove vacates slot i (ring, index, payload reference) onto the free chain.
+func (sh *csShard[K]) remove(i int32) {
+	e := &sh.slots[i]
+	sh.unlink(i)
+	delete(sh.index, e.key)
+	sh.bytes -= len(e.data)
+	*e = slot[K]{next: sh.free}
+	sh.free = i
 }

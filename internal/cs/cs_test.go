@@ -2,8 +2,13 @@ package cs
 
 import (
 	"bytes"
+	"container/list"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"dip/internal/nhash"
 )
 
 func TestPutGet(t *testing.T) {
@@ -198,4 +203,280 @@ func BenchmarkGetHitSharded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Get(uint32(i) & 1023)
 	}
+}
+
+// model is the container/list store the slab replaced, kept as the oracle:
+// one list element, one item and one map entry per cached object, the same
+// shard split and the same hook contract.
+type model[K comparable] struct {
+	shards  []modelShard[K]
+	mask    uint64
+	onEvict func(k K, data []byte, touched bool)
+}
+
+type modelShard[K comparable] struct {
+	cap, bytes int
+	ll         *list.List
+	index      map[K]*list.Element
+}
+
+type modelItem[K comparable] struct {
+	key  K
+	data []byte
+	hits uint32
+}
+
+func newModel[K comparable](capacity, shards int) *model[K] {
+	n := nhash.Pow2(shards)
+	for capacity > 0 && n > 1 && capacity/n < 1 {
+		n /= 2
+	}
+	m := &model[K]{shards: make([]modelShard[K], n), mask: uint64(n - 1)}
+	for i := range m.shards {
+		c := 0
+		if capacity > 0 {
+			if c = capacity / n; i < capacity%n {
+				c++
+			}
+		}
+		m.shards[i] = modelShard[K]{cap: c, ll: list.New(), index: make(map[K]*list.Element)}
+	}
+	return m
+}
+
+func (m *model[K]) shardOf(k K) *modelShard[K] {
+	if m.mask == 0 {
+		return &m.shards[0]
+	}
+	return &m.shards[nhash.Of(k)&m.mask]
+}
+
+func (m *model[K]) Put(k K, data []byte) {
+	sh := m.shardOf(k)
+	if sh.cap <= 0 {
+		return
+	}
+	if el, ok := sh.index[k]; ok {
+		it := el.Value.(*modelItem[K])
+		sh.bytes += len(data) - len(it.data)
+		it.data = append(it.data[:0], data...)
+		it.hits++
+		sh.ll.MoveToFront(el)
+		return
+	}
+	cp := append([]byte(nil), data...)
+	sh.index[k] = sh.ll.PushFront(&modelItem[K]{key: k, data: cp})
+	sh.bytes += len(cp)
+	for sh.ll.Len() > sh.cap {
+		it := sh.ll.Back().Value.(*modelItem[K])
+		sh.remove(sh.ll.Back())
+		if m.onEvict != nil {
+			m.onEvict(it.key, it.data, it.hits > 0)
+		}
+	}
+}
+
+func (m *model[K]) Get(k K) ([]byte, bool) {
+	sh := m.shardOf(k)
+	el, ok := sh.index[k]
+	if !ok {
+		return nil, false
+	}
+	sh.ll.MoveToFront(el)
+	it := el.Value.(*modelItem[K])
+	it.hits++
+	return it.data, true
+}
+
+func (m *model[K]) Remove(k K) bool {
+	sh := m.shardOf(k)
+	el, ok := sh.index[k]
+	if ok {
+		sh.remove(el)
+	}
+	return ok
+}
+
+func (sh *modelShard[K]) remove(el *list.Element) {
+	it := el.Value.(*modelItem[K])
+	sh.ll.Remove(el)
+	delete(sh.index, it.key)
+	sh.bytes -= len(it.data)
+}
+
+func (m *model[K]) LenBytes() (n, b int) {
+	for i := range m.shards {
+		n += m.shards[i].ll.Len()
+		b += m.shards[i].bytes
+	}
+	return n, b
+}
+
+// TestMatchesListModel drives the slab store and the list model with the
+// same seeded Put/Get/Remove sequence and requires the same observable
+// behaviour at every step: hits and returned bytes, Len and Bytes, and —
+// through the hook — which entry each eviction pushes out, in what order,
+// with what payload and touched flag.
+func TestMatchesListModel(t *testing.T) {
+	type eviction struct {
+		k       uint32
+		data    string
+		touched bool
+	}
+	for _, shards := range []int{1, 8} {
+		for _, capacity := range []int{0, 1, 7, 8192} {
+			for _, hook := range []bool{false, true} {
+				t.Run(fmt.Sprintf("shards%d/cap%d/hook%v", shards, capacity, hook), func(t *testing.T) {
+					s, m := NewSharded[uint32](capacity, shards), newModel[uint32](capacity, shards)
+					var got, want []eviction
+					if hook {
+						s.onEvict = func(k uint32, d []byte, touched bool) { got = append(got, eviction{k, string(d), touched}) }
+						m.onEvict = func(k uint32, d []byte, touched bool) { want = append(want, eviction{k, string(d), touched}) }
+					}
+					rng := rand.New(rand.NewSource(int64(shards*100003 + capacity*7 + 1)))
+					keys, steps := uint32(3*capacity+5), 20*capacity+5000
+					payload := make([]byte, 40)
+					for i := 0; i < steps; i++ {
+						k := rng.Uint32() % keys
+						switch op := rng.Intn(10); {
+						case op < 5:
+							gd, gok := s.Get(k)
+							wd, wok := m.Get(k)
+							if gok != wok || !bytes.Equal(gd, wd) {
+								t.Fatalf("step %d Get(%d) = %q %v, model %q %v", i, k, gd, gok, wd, wok)
+							}
+						case op < 9:
+							rng.Read(payload)
+							d := payload[:rng.Intn(len(payload)+1)]
+							s.Put(k, d)
+							m.Put(k, d)
+						default:
+							if g, w := s.Remove(k), m.Remove(k); g != w {
+								t.Fatalf("step %d Remove(%d) = %v, model %v", i, k, g, w)
+							}
+						}
+						if n, b := m.LenBytes(); s.Len() != n || s.Bytes() != b {
+							t.Fatalf("step %d: Len/Bytes = %d/%d, model %d/%d", i, s.Len(), s.Bytes(), n, b)
+						}
+						if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+							t.Fatalf("step %d: evictions diverge: %d vs model %d, last %+v vs %+v", i, len(got), len(want), got[len(got)-1:], want[len(want)-1:])
+						}
+					}
+					if capacity > 1 && hook && len(want) < capacity/2 {
+						t.Fatalf("only %d evictions at capacity %d: the sequence does not exercise eviction", len(want), capacity)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAllocs pins the slab's allocation contract: a hit allocates nothing; a
+// Put of a new key into a full store allocates nothing when the entry it
+// pushes out was never hit (its buffer takes the new payload) and exactly the
+// payload copy when it was (the list store paid an element and an item on top).
+func TestAllocs(t *testing.T) {
+	const capacity = 1024
+	s := New[uint32](capacity)
+	payload := make([]byte, 64)
+	for i := uint32(0); i < capacity; i++ {
+		s.Put(i, payload)
+	}
+	k := uint32(capacity)
+	if n := testing.AllocsPerRun(2*capacity, func() { s.Put(k, payload); k++ }); n != 0 {
+		t.Errorf("Put over an untouched entry allocates %.1f, want 0", n)
+	}
+	j := k // one warm-up run + capacity-1 counted: every entry is hit once
+	if n := testing.AllocsPerRun(capacity-1, func() { j--; s.Get(j) }); n != 0 {
+		t.Errorf("Get hit allocates %.1f, want 0", n)
+	}
+	if n := testing.AllocsPerRun(capacity/2, func() { s.Put(k, payload); k++ }); n != 1 {
+		t.Errorf("Put over a touched entry allocates %.1f, want 1 (the payload copy)", n)
+	}
+	if s.Len() != capacity {
+		t.Errorf("Len = %d after churn, want %d", s.Len(), capacity)
+	}
+}
+
+// TestGetSliceOutlivesEntry: a payload buffer anyone outside the store has
+// seen belongs to one key for good. What Get returned stays intact after the
+// entry is evicted and its slot is taken by other keys (only a Put of the same
+// key rewrites it), and so does what the eviction hook was handed; only the
+// buffer of an entry nobody ever asked for moves on to the next key.
+func TestGetSliceOutlivesEntry(t *testing.T) {
+	s := New[int](2)
+	s.Put(1, []byte("one"))
+	held, _ := s.Get(1)
+	for k := 2; k < 10; k++ {
+		s.Put(k, []byte("XXXXXXXX"))
+	}
+	if _, ok := s.Get(1); ok {
+		t.Fatal("entry 1 survived eight newer keys in a two-entry store")
+	}
+	if string(held) != "one" {
+		t.Errorf("slice from Get was rewritten to %q after its entry was evicted", held)
+	}
+
+	h := New[int](1)
+	var handed [][]byte
+	h.onEvict = func(_ int, d []byte, _ bool) { handed = append(handed, d) }
+	for k := 0; k < 10; k++ {
+		h.Put(k, []byte{byte(k), byte(k)})
+	}
+	for k, d := range handed {
+		if !bytes.Equal(d, []byte{byte(k), byte(k)}) {
+			t.Errorf("payload handed to onEvict for key %d now reads %v", k, d)
+		}
+	}
+	if len(handed) != 9 {
+		t.Errorf("onEvict saw %d evictions, want 9", len(handed))
+	}
+}
+
+// zipfKeys draws n keys from a Zipf(1.1) popularity over 65 536 names, the
+// content-store working set of the benchmark's NDN traffic.
+func zipfKeys(n int) []uint32 {
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, 1<<16-1)
+	keys := make([]uint32, n)
+	for i := range keys {
+		keys[i] = uint32(z.Uint64())
+	}
+	return keys
+}
+
+// BenchmarkStore is the store at the benchmark's shape — 8192 entries under
+// 65 536 Zipf(1.1) names: GetHit looks up names known to be cached, PutEvict
+// inserts names known to be absent into a full store (one eviction each).
+func BenchmarkStore(b *testing.B) {
+	const capacity = 8192
+	payload := make([]byte, 256)
+	keys := zipfKeys(1 << 16)
+	b.Run("GetHit", func(b *testing.B) {
+		s := New[uint32](capacity)
+		for _, k := range keys {
+			s.Put(k, payload)
+		}
+		var hot []uint32
+		for _, k := range keys {
+			if _, ok := s.Get(k); ok {
+				hot = append(hot, k)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Get(hot[i%len(hot)])
+		}
+	})
+	b.Run("PutEvict", func(b *testing.B) {
+		s := New[uint32](capacity)
+		for _, k := range keys {
+			s.Put(k, payload)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Put(uint32(1<<16+i), payload)
+		}
+	})
 }

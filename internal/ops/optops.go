@@ -59,21 +59,24 @@ func (o *Parm) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	if err := o.secret.SessionKey(ctx.Crypto.Key[:], sid); err != nil {
 		return err
 	}
-	ctx.Crypto.HaveKey = true
+	ctx.Crypto.HaveKey, ctx.Crypto.HaveCipher = true, false
 	ctx.Crypto.PrevNode = o.prevLabel
 	ctx.Crypto.HopIndex = o.hopIndex
 	return nil
 }
 
 // macInto computes the configured MAC of msg under the context's hop key.
-// The 2EM path is allocation-free (no key schedule); the AES-CMAC path pays
-// a per-packet key schedule — the exact asymmetry the paper's §4.1 hardware
-// discussion is about, measured by experiment E3.
+// The 2EM path is allocation-free (no key schedule; F_MAC and F_mark share one
+// expansion through ctx.Crypto); the AES-CMAC path pays a per-packet key
+// schedule — the asymmetry the paper's §4.1 is about, measured by E3.
 func macInto(kind opt.Kind, ctx *core.ExecContext, out, msg []byte) error {
 	switch kind {
 	case opt.Kind2EM:
-		c := crypto2em.FromMaster(&ctx.Crypto.Key)
-		c.SumInto(out, msg)
+		c := &ctx.Crypto
+		if !c.HaveCipher {
+			c.Cipher, c.HaveCipher = crypto2em.FromMaster(&c.Key), true
+		}
+		c.Cipher.SumInto(out, msg)
 		return nil
 	case opt.KindAESCMAC:
 		m, err := cmac.New(ctx.Crypto.Key[:])

@@ -17,7 +17,8 @@ import (
 )
 
 // Port is an attachment point packets leave through. Send must not retain
-// pkt after returning (links and sockets copy as they serialize).
+// pkt after returning (links and sockets copy as they serialize) — and the
+// contract is load-bearing: a cache reply's buffer is rewritten by the next.
 type Port interface {
 	Send(pkt []byte)
 }
@@ -195,6 +196,9 @@ func (r *Router) countDrop(reason core.DropReason) {
 	}
 }
 
+// maxReplyKeep bounds the reply buffer an idle context may pin.
+const maxReplyKeep = 64 << 10
+
 // replyFromCache synthesizes the NDN data packet answering an interest the
 // content store satisfied (footnote 2), sending it back on the ingress port.
 func (r *Router) replyFromCache(v core.View, ctx *core.ExecContext, inPort int) {
@@ -204,12 +208,16 @@ func (r *Router) replyFromCache(v core.View, ctx *core.ExecContext, inPort int) 
 	}
 	h := profiles.NDNData(name)
 	h.HopLimit = v.HopLimit()
-	buf, err := h.AppendTo(make([]byte, 0, h.WireSize()+len(ctx.Cached)))
+	buf, err := h.AppendTo(ctx.Reply[:0])
 	if err != nil {
 		return
 	}
 	buf = append(buf, ctx.Cached...)
 	r.sendOn(inPort, buf)
+	ctx.Reply = buf
+	if cap(buf) > maxReplyKeep {
+		ctx.Reply = nil
+	}
 }
 
 // interestName extracts the 32-bit content name an F_FIB FN addresses.

@@ -179,6 +179,49 @@ func TestCacheReplySynthesis(t *testing.T) {
 	}
 }
 
+// TestCacheReplyBufferOwnership: the reply is built in the buffer the
+// execution context owns — the second hit reuses the first one's storage —
+// and a reply that outgrew maxReplyKeep is sent but its buffer is not kept,
+// so an idle context never pins a jumbo payload.
+func TestCacheReplyBufferOwnership(t *testing.T) {
+	cfg := baseCfg(t)
+	cfg.NameFIB.AddUint32(0xAA000000, 8, fib.NextHop{Port: 3})
+	cfg.ContentStore = cs.New[uint32](8)
+	r, ports := newTestRouter(t, cfg, Config{})
+	jumbo := bytes.Repeat([]byte{0x5A}, maxReplyKeep+1)
+	for name, payload := range map[uint32][]byte{0xAA000001: []byte("the bits"), 0xAA000002: jumbo} {
+		r.HandlePacket(pkt(t, profiles.NDNInterest(name), nil), 0)
+		r.HandlePacket(pkt(t, profiles.NDNData(name), payload), 3)
+	}
+	ctx := new(core.ExecContext)
+	hit := func(name uint32) []byte {
+		ports[1].pkts = nil
+		r.handlePacket(ctx, pkt(t, profiles.NDNInterest(name), nil), 1)
+		if len(ports[1].pkts) != 1 {
+			t.Fatalf("name %#x: %d cache replies, want 1", name, len(ports[1].pkts))
+		}
+		return ports[1].pkts[0]
+	}
+	first := hit(0xAA000001) // the port's copy: ctx.Reply itself is rewritten by every hit
+	if !bytes.Equal(ctx.Reply, first) {
+		t.Fatalf("context holds %x after a hit, sent %x", ctx.Reply, first)
+	}
+	owned := &ctx.Reply[0]
+	hit(0xAA000001)
+	if &ctx.Reply[0] != owned {
+		t.Error("second hit did not reuse the context's reply buffer")
+	}
+	if got := hit(0xAA000002); !bytes.HasSuffix(got, jumbo) || len(got) != len(first)-len("the bits")+len(jumbo) {
+		t.Errorf("jumbo reply is %d bytes, want header + %d", len(got), len(jumbo))
+	}
+	if ctx.Reply != nil {
+		t.Errorf("context still holds a %d-byte buffer after a jumbo reply", cap(ctx.Reply))
+	}
+	if got := hit(0xAA000001); !bytes.Equal(got, first) {
+		t.Errorf("reply after the buffer was dropped: %x, want %x", got, first)
+	}
+}
+
 func TestFNUnsupportedSignalling(t *testing.T) {
 	// A router without OPT state receives an OPT packet whose F_parm demands
 	// signalling.

@@ -151,7 +151,11 @@ func (r *pktRing) push(q queuedPacket) bool {
 	if r.n == len(r.buf) {
 		return false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = q
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = q
 	r.n++
 	return true
 }
@@ -159,7 +163,9 @@ func (r *pktRing) push(q queuedPacket) bool {
 func (r *pktRing) pop() queuedPacket {
 	q := r.buf[r.head]
 	r.buf[r.head] = queuedPacket{} // drop the buffer reference
-	r.head = (r.head + 1) % len(r.buf)
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n--
 	return q
 }
@@ -280,8 +286,11 @@ func flowHash(pkt []byte) uint64 {
 }
 
 // forwarderOf returns the index of the forwarder (and queue) pinned to
-// pkt's flow.
+// pkt's flow: 0, with nothing hashed, when there is one (or pump mode).
 func (in *Ingress) forwarderOf(pkt []byte) int {
+	if len(in.queues) == 1 {
+		return 0
+	}
 	return int(in.dispatch[flowHash(pkt)&in.shardMask])
 }
 
@@ -388,15 +397,20 @@ func (in *Ingress) Submit(pkt []byte, inPort int) bool {
 	}
 	q.mu.Unlock()
 	if !ok {
-		in.dropped.Add(1)
-		in.shed[class].Add(1)
-		if class == guard.ClassControl {
-			in.event(telemetry.EventShedHigh)
-		} else {
-			in.event(telemetry.EventShedLow)
-		}
+		in.countShed(class)
 	}
 	return ok
+}
+
+// countShed records one packet shed at a full ring of its class.
+func (in *Ingress) countShed(class guard.Class) {
+	in.dropped.Add(1)
+	in.shed[class].Add(1)
+	if class == guard.ClassControl {
+		in.event(telemetry.EventShedHigh)
+	} else {
+		in.event(telemetry.EventShedLow)
+	}
 }
 
 // SubmitBurst hands a whole received burst to the forwarders, returning
@@ -439,7 +453,7 @@ func (in *Ingress) submitChunk(pkts [][]byte, inPort int) int {
 	)
 	for i, p := range pkts {
 		cls[i] = in.cfg.Classify(p)
-		dst[i] = in.dispatch[flowHash(p)&in.shardMask]
+		dst[i] = int32(in.forwarderOf(p))
 	}
 	if in.cfg.Admission == nil {
 		for i := 0; i < n; i++ {
@@ -489,13 +503,7 @@ func (in *Ingress) submitChunk(pkts [][]byte, inPort int) int {
 			if ring.push(queuedPacket{pkt: pkts[k], inPort: inPort}) {
 				accepted++
 			} else {
-				in.dropped.Add(1)
-				in.shed[cls[k]].Add(1)
-				if cls[k] == guard.ClassControl {
-					in.event(telemetry.EventShedHigh)
-				} else {
-					in.event(telemetry.EventShedLow)
-				}
+				in.countShed(cls[k])
 			}
 		}
 		q.ready.Signal()

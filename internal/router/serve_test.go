@@ -1,13 +1,17 @@
 package router
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dip/internal/core"
 	"dip/internal/fib"
+	"dip/internal/guard"
 	"dip/internal/ops"
 	"dip/internal/profiles"
+	"dip/internal/telemetry"
 )
 
 func TestIngressProcessesAll(t *testing.T) {
@@ -78,5 +82,78 @@ func TestIngressTailDropAndClose(t *testing.T) {
 	}
 	if in2.Dropped() == 0 {
 		t.Error("drop counter not advanced")
+	}
+}
+
+// TestSingleQueueHandOff covers the one-queue shortcut — one forwarder and
+// pump mode answer "queue 0" without hashing the packet — from the outside:
+// whatever is submitted, packet by packet or in bursts, still meets its
+// fate. Non-DIP bytes are counted malformed, a poison packet lands in
+// quarantine and costs only itself, and within each class packets are
+// processed in the order they were submitted.
+func TestSingleQueueHandOff(t *testing.T) {
+	for _, workers := range []int{1, 0} {
+		cfg := baseCfg(t)
+		cfg.FIB32.AddUint32(0, 0, fib.Local)
+		m := &telemetry.Metrics{}
+		var order [guard.NumClasses][]byte // delivered tags per class; one consumer, so no lock
+		r := New(ops.NewRouterRegistry(cfg), Config{
+			Metrics: m,
+			LocalDelivery: func(p []byte, _ int) {
+				tag := p[len(p)-1]
+				if tag == 0xEE {
+					panic("poison payload")
+				}
+				order[tagClass(p)] = append(order[tagClass(p)], tag)
+			},
+		})
+		in := r.ServeGuarded(ServeConfig{Workers: workers, Batch: 8, HighDepth: 256, LowDepth: 256, Classify: tagClass})
+		garbage := [][]byte{nil, {0x45}, bytes.Repeat([]byte{0xAB}, 64)}
+		for _, g := range garbage {
+			if fw := in.forwarderOf(g); fw != 0 {
+				t.Fatalf("workers=%d: garbage dispatched to forwarder %d of one", workers, fw)
+			}
+		}
+		// Tags 0x01… are bulk, 0xC0… control; garbage and poison ride between.
+		var want [guard.NumClasses][]byte
+		var burst [][]byte
+		for i := 0; i < 40; i++ {
+			tag := byte(1 + i)
+			if i%3 == 0 {
+				tag = byte(0xC0 + i/3)
+			}
+			want[tagClass([]byte{tag})] = append(want[tagClass([]byte{tag})], tag)
+			burst = append(burst, localPkt(t, tag))
+			switch i {
+			case 7, 19, 31:
+				burst = append(burst, garbage[i%3])
+			case 11:
+				burst = append(burst, localPkt(t, 0xEE))
+			}
+		}
+		half := len(burst) / 2
+		for _, p := range burst[:half] {
+			if !in.Submit(p, 0) {
+				t.Fatalf("workers=%d: Submit refused", workers)
+			}
+		}
+		if n := in.SubmitBurst(burst[half:], 0); n != len(burst)-half {
+			t.Fatalf("workers=%d: SubmitBurst accepted %d/%d", workers, n, len(burst)-half)
+		}
+		in.Close() // drains: forwarder exit, or an inline Pump
+		for c := range want {
+			if !bytes.Equal(order[c], want[c]) {
+				t.Errorf("workers=%d class %d: processed order % x, want % x", workers, c, order[c], want[c])
+			}
+		}
+		if got := in.Processed(); got != int64(len(burst)) {
+			t.Errorf("workers=%d: processed %d, want %d", workers, got, len(burst))
+		}
+		if got := m.Snapshot().Drops[core.DropMalformed]; got != int64(len(garbage)) {
+			t.Errorf("workers=%d: %d malformed drops, want %d", workers, got, len(garbage))
+		}
+		if q := in.Quarantine().Snapshot(); len(q) != 1 || q[0].Panic != "poison payload" {
+			t.Errorf("workers=%d: quarantine %+v, want the one poison packet", workers, q)
+		}
 	}
 }

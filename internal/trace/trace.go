@@ -16,12 +16,12 @@
 //     the shared seen-counter is charged once per burst by the burst's first
 //     packet. The unsampled path is that decision and nothing else.
 //   - Sampled packets write in place into a fixed-size ring of preallocated
-//     records guarded by per-slot sequence locks: a writer bumps the slot's
-//     version to odd, fills it, and bumps it to even; readers copy and
-//     retry/skip on version change. No mutexes, no heap traffic, ever.
-//   - Ring overwrite is the drop policy: the newest MaxInFlight packets win,
-//     and the Overwritten counter makes the loss observable (exported as
-//     dip_trace_overwritten_total).
+//     records guarded by per-slot sequence locks: a writer takes the slot
+//     (version even → odd, by CAS), fills it, and bumps it to even; readers
+//     copy and retry/skip on version change. No mutexes, no heap traffic.
+//   - Ring overwrite is the drop policy: the newest records win, except at a
+//     slot a writer lapped by a whole ring has not sealed yet: the newcomer is
+//     dropped. Overwritten counts both (dip_trace_overwritten_total).
 //
 // The ring must be comfortably larger than the number of concurrently
 // sampled packets (workers / N per tick); with the default 1024 slots and
@@ -112,6 +112,7 @@ type Recorder struct {
 	slots []slot
 	seq   atomic.Uint64 // next sample sequence number
 	seen  atomic.Uint64 // packets that passed the sampling decision
+	lost  atomic.Uint64 // samples dropped at a slot still owned by a lapped writer
 	// clock stamps Record.At; nil means wall time. Set before traffic flows
 	// (SetClock), so the hot path reads it without synchronization.
 	clock func() int64
@@ -165,9 +166,13 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 		return
 	}
 	seq := r.seq.Add(1) - 1
-	ctx.Obs.Claim(r, seq, 0)
 	sl := &r.slots[seq&r.mask]
-	sl.ver.Add(1) // odd: under construction
+	// Even → odd by CAS: ours until EndPacket, unless a lapped writer holds it.
+	if v := sl.ver.Load(); v&1 != 0 || !sl.ver.CompareAndSwap(v, v+1) {
+		r.lost.Add(1)
+		return
+	}
+	ctx.Obs.Claim(r, seq, 0)
 	sl.rec = Record{Seq: seq, At: r.nowStamp(), InPort: int32(ctx.InPort)}
 	pkt := ctx.View.Packet()
 	sl.rec.PktTotal = uint16(min(len(pkt), 1<<16-1))
@@ -205,13 +210,11 @@ func (r *Recorder) Sampled() uint64 { return r.seq.Load() }
 // concurrent reading may run up to one burst per forwarder ahead.
 func (r *Recorder) Seen() uint64 { return r.seen.Load() }
 
-// Overwritten returns how many sampled records have been lost to ring
-// wrap-around.
+// Overwritten returns how many sampled records have been lost: to ring
+// wrap-around, or on arrival at a slot a lapped writer still held.
 func (r *Recorder) Overwritten() uint64 {
-	if s, size := r.seq.Load(), uint64(len(r.slots)); s > size {
-		return s - size
-	}
-	return 0
+	s, size := r.seq.Load(), uint64(len(r.slots))
+	return r.lost.Load() + max(s, size) - size
 }
 
 // RingSize returns the ring capacity in records.

@@ -135,6 +135,47 @@ func TestRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestLappedWriterKeepsItsSlot is the interleaving TestConcurrentSampling
+// only reaches by luck, run deterministically: a writer stalls between
+// BeginPacket and EndPacket while other packets take a whole ring of
+// samples. The sample that comes round to the stalled writer's slot is
+// dropped and counted, never a second writer into the same record; the
+// stalled writer then seals a record that is entirely its own, and the slot
+// serves the next lap as usual.
+func TestLappedWriterKeepsItsSlot(t *testing.T) {
+	r := NewRecorder(nil, 1, 4)
+	e := routerEngine(t, r)
+	pkt := buildIPv4(t)
+	v, err := core.ParseView(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stalled core.ExecContext
+	stalled.Reset(v, 9)
+	r.BeginPacket(&stalled) // seq 0 takes slot 0 and stalls
+	for i := 0; i < 4; i++ {
+		process(t, e, pkt) // seqs 1–3 fill slots 1–3; seq 4 finds slot 0 taken
+	}
+	if got := r.Overwritten(); got != 1+1 { // the dropped seq 4, and five samples over four slots
+		t.Fatalf("overwritten %d with a writer lapped once, want 2", got)
+	}
+	stalled.Verdict = core.VerdictDeliver
+	r.EndPacket(&stalled)
+	recs := r.Snapshot()
+	if len(recs) != 3 || recs[0].Seq != 1 || recs[2].Seq != 3 {
+		t.Fatalf("snapshot %+v, want seqs 1..3 (seq 0 is out of the window, seq 4 was dropped)", recs)
+	}
+	if rec := r.slots[0].rec; rec.Seq != 0 || rec.InPort != 9 || rec.Verdict != core.VerdictDeliver || r.slots[0].ver.Load()%2 != 0 {
+		t.Fatalf("slot 0 holds %+v at version %d, want the stalled writer's sealed record", rec, r.slots[0].ver.Load())
+	}
+	for i := 0; i < 4; i++ {
+		process(t, e, pkt) // seqs 5–8: the next lap reuses slot 0 for seq 8
+	}
+	if recs = r.Snapshot(); len(recs) != 4 || recs[0].Seq != 5 || recs[3].Seq != 8 {
+		t.Fatalf("after the next lap the ring holds %d records from seq %d, want 5..8", len(recs), recs[0].Seq)
+	}
+}
+
 func TestDropReasonTraced(t *testing.T) {
 	r := NewRecorder(nil, 1, 8)
 	// No route for the destination → no-route drop.

@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"bytes"
 	"testing"
 
 	"dip/internal/core"
@@ -177,6 +178,71 @@ func TestZeroAllocTracedBurstPath(t *testing.T) {
 	// 1-in-8 sampling writes the trace ring 8 times per 64-packet burst.
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("traced burst path allocates %.1f/burst, want 0", n)
+	}
+}
+
+// TestZeroAllocCacheHitBurstPath pins the cache-reply contract on the
+// forwarder path: an interest the content store answers leaves as the data
+// packet profiles.NDNData would marshal — hop limit copied from the
+// interest — followed by the cached payload, built in the buffer the
+// forwarder's context owns, so a hit costs 0 allocations. The port checks
+// the bytes during Send and keeps nothing, as the Port contract demands.
+func TestZeroAllocCacheHitBurstPath(t *testing.T) {
+	const name = 0xAA000001
+	payload := []byte("cached content bytes")
+	state := NewNodeState().EnableCache(64)
+	state.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
+	r := NewRouter(state.OpsConfig(), RouterOptions{})
+	want := func(hop byte, body []byte) []byte {
+		h := NDNDataProfile(name)
+		h.HopLimit = hop
+		b, err := BuildPacket(h, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	replies, expect := 0, want(63, payload)
+	r.AttachPort(PortFunc(func(pkt []byte) {
+		replies++
+		if !bytes.Equal(pkt, expect) {
+			t.Errorf("cache reply %x, want %x", pkt, expect)
+		}
+	}))
+	r.AttachPort(PortFunc(func([]byte) {}))
+	// Fill the store the way traffic does: interest out, data back.
+	interest, err := BuildPacket(NDNInterestProfile(name), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.HandlePacket(append([]byte(nil), interest...), 0)
+	r.HandlePacket(want(64, payload), 1)
+	if replies != 1 { // the data satisfied the pending interest: hop limit 63 too
+		t.Fatalf("PIT fan-out sent %d packets to port 0, want 1", replies)
+	}
+	in := r.ServeGuarded(ServeConfig{Workers: 0, Batch: 64, HighDepth: 128, LowDepth: 128})
+	defer in.Close()
+	pkts := make([][]byte, 64)
+	for i := range pkts {
+		pkts[i] = append([]byte(nil), interest...)
+	}
+	run := func() {
+		for _, p := range pkts {
+			p[3] = 64
+		}
+		if n := in.SubmitBurst(pkts, 0); n != 64 {
+			t.Fatalf("accepted %d/64", n)
+		}
+		if n := in.Pump(); n != 64 {
+			t.Fatalf("pumped %d/64", n)
+		}
+	}
+	run() // the first hit sizes the context's reply buffer
+	if replies != 1+64 {
+		t.Fatalf("%d replies after one burst of hits, want 65", replies)
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("cache-hit burst path allocates %.1f/burst, want 0", n)
 	}
 }
 
