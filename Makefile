@@ -25,8 +25,10 @@ vet:
 # as the model), and a cache reply is built in the context's own buffer.
 # And one benchmark, one gate, one fetcher: the cross-run harness, its
 # committed JSON records and their merge script, and the per-name host
-# fetcher stay deleted (the brackets keep these lines from matching a
-# repository-wide grep for the names).
+# fetcher stay deleted. And one content store: the cold tier is part of
+# cs.Store, so the tiered type, its constructors and the F_FIB/F_PIT
+# variants built over it stay deleted (the brackets keep these lines from
+# matching a repository-wide grep for the names).
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -45,6 +47,9 @@ seamcheck:
 	fi
 	@if grep -rnE 'NewFetche[r]|FetchConfi[g]' --include=*.go .; then \
 		echo "seamcheck: a second fetcher is back (SegFetcher is the fetcher; one name = one segment)"; exit 1; \
+	fi
+	@if grep -rnE 'cs\.Tiere[d]|NewTiere[d]|NewSharde[d]|TieredStor[e]|NewTieredFI[B]|NewTieredPI[T]|NewGuardedPI[T]|NewGuardedTieredPI[T]|GetHo[t]' --include=*.go .; then \
+		echo "seamcheck: a second content-store type or constructor is back (one cs.Store, cold tier by OpenCold: DESIGN.md §8)"; exit 1; \
 	fi
 
 race:

@@ -25,7 +25,7 @@ const (
 // tieredRig is one router with a two-tier store, port 0 capturing output.
 type tieredRig struct {
 	r       *Router
-	tiered  *TieredStore
+	tiered  *ContentStore
 	mu      sync.Mutex
 	replies []uint32 // data names seen on the consumer port
 	gotData chan uint32
@@ -34,15 +34,16 @@ type tieredRig struct {
 func newTieredRig(t *testing.T, readers int, gate func()) *tieredRig {
 	t.Helper()
 	rig := &tieredRig{gotData: make(chan uint32, 256)}
-	st := NewNodeState()
-	tiered, err := st.EnableTieredCache(ctHotCap, 1, TieredConfig{
+	st := NewNodeState().EnableCache(ctHotCap)
+	tiered := st.ContentStore
+	err := tiered.OpenCold(TieredConfig{
 		Slots:    128,
 		SlotSize: 256,
 		Readers:  readers,
 		ReadGate: gate,
 	})
 	if err != nil {
-		t.Fatalf("EnableTieredCache: %v", err)
+		t.Fatalf("OpenCold: %v", err)
 	}
 	t.Cleanup(func() { tiered.Close() })
 	rig.tiered = tiered
@@ -76,7 +77,7 @@ func (rig *tieredRig) preload(t *testing.T, n int) {
 	for i := 0; i < n; i++ {
 		name := uint32(0xAA000000 + i)
 		rig.tiered.Put(name, payload)
-		rig.tiered.GetHot(name) // touch: admit to cold on eviction
+		rig.tiered.Get(name) // touch: admit to cold on eviction
 	}
 	// Spills ride the async queue; wait until the worker has indexed every
 	// eviction so cold lookups below are deterministic.
@@ -167,7 +168,7 @@ func TestColdReadNeverBlocksForwarder(t *testing.T) {
 	}
 	// Re-injection runs the data packet through F_PIT, whose cache insert
 	// promotes the payload: the next interest for it is a hot hit.
-	if _, ok := rig.tiered.GetHot(coldName); !ok {
+	if _, ok := rig.tiered.Get(coldName); !ok {
 		t.Fatal("cold payload not promoted to hot tier after re-injection")
 	}
 }
@@ -256,9 +257,9 @@ func TestTieredMetricsExported(t *testing.T) {
 // engine path allocation-free — layering the cold tier must cost the fast
 // path nothing.
 func TestZeroAllocTieredHotHit(t *testing.T) {
-	st := NewNodeState()
-	tiered, err := st.EnableTieredCache(64, 1, TieredConfig{Slots: 64})
-	if err != nil {
+	st := NewNodeState().EnableCache(64)
+	tiered := st.ContentStore
+	if err := tiered.OpenCold(TieredConfig{Slots: 64}); err != nil {
 		t.Fatal(err)
 	}
 	defer tiered.Close()

@@ -121,13 +121,12 @@ type (
 	NextHop = fib.NextHop
 	// PIT is a pending interest table keyed by 32-bit content names.
 	PIT = pit.Table[uint32]
-	// ContentStore is the LRU content cache.
+	// ContentStore is the LRU content cache. ContentStore.OpenCold gives it
+	// a file-backed cold slot arena under the RAM tier, with non-blocking
+	// cold reads satisfied by async re-injection (SetReinject, Close).
 	ContentStore = cs.Store[uint32]
-	// TieredStore is the two-tier content cache: ContentStore as hot RAM
-	// tier over a file-backed cold slot arena, with non-blocking cold
-	// reads satisfied by async re-injection.
-	TieredStore = cs.Tiered[uint32]
-	// TieredConfig sizes the cold tier (slots, slot size, reader pool).
+	// TieredConfig sizes the cold tier ContentStore.OpenCold attaches
+	// (slots, slot size, reader pool).
 	TieredConfig = cs.ColdConfig
 	// TierStats is a two-tier content-store snapshot (per-tier hit ratios,
 	// cold-read latency histogram, arena occupancy).
@@ -327,7 +326,7 @@ func RouteExchange() *Header { return profiles.RouteExchange() }
 const NHRouteExchange = profiles.NHRouteExchange
 
 // NodeState bundles the forwarding state a fully-featured DIP node keeps
-// (see node.State: EnableCache, EnableTieredCache, EnableOPT, OpsConfig).
+// (see node.State: EnableCache, EnableOPT, OpsConfig).
 type NodeState = node.State
 
 // NewNodeState allocates fresh tables (no content store; pass csCapacity
@@ -337,8 +336,9 @@ func NewNodeState() *NodeState { return node.NewState() }
 // One node description, one constructor: a NodeSpec is the plain-data
 // description of a router (every field is a diprouter flag or topo DSL
 // key), a NodeEnv is the live-process or simulator environment, and
-// BuildNode assembles the running Node — cache tiers, PIT sizing, guarded
-// ingress, recorder stack, F_tel, postcard collector and speaker included.
+// BuildNode assembles the running Node — content store and cold tier, PIT
+// sizing and its sweep on the environment's clock, guarded ingress,
+// recorder stack, F_tel, postcard collector and speaker included.
 // Node.ServeUDP is the socket loop cmd/diprouter runs.
 type (
 	NodeSpec  = node.Spec

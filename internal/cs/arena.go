@@ -73,11 +73,11 @@ func DecodeSlotHeader(b []byte) (SlotHeader, error) {
 	}, nil
 }
 
-// Arena is the file-backed slot store. Allocation state lives in a free
+// arena is the file-backed slot store. Allocation state lives in a free
 // bitmap guarded by one mutex; slot I/O itself runs lock-free (pread and
 // pwrite carry their own offsets), so concurrent readers never serialize
 // on the allocator.
-type Arena struct {
+type arena struct {
 	f        *os.File
 	slotSize int // payload capacity per slot
 	stride   int64
@@ -88,11 +88,11 @@ type Arena struct {
 	used   int
 }
 
-// NewArena opens (truncating) a slot arena of slots payload slots of
+// newArena opens (truncating) a slot arena of slots payload slots of
 // slotSize bytes each at path. An empty path creates an anonymous temp
 // file — unlinked immediately after opening, so the space is reclaimed the
 // moment the process exits, however it exits.
-func NewArena(path string, slots, slotSize int) (*Arena, error) {
+func newArena(path string, slots, slotSize int) (*arena, error) {
 	if slots < 1 || slotSize < 1 {
 		return nil, fmt.Errorf("cs: arena wants positive slots and slot size, got %d×%d", slots, slotSize)
 	}
@@ -111,7 +111,7 @@ func NewArena(path string, slots, slotSize int) (*Arena, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cs: arena backing file: %w", err)
 	}
-	return &Arena{
+	return &arena{
 		f:        f,
 		slotSize: slotSize,
 		stride:   int64(SlotHeaderSize + slotSize),
@@ -121,20 +121,20 @@ func NewArena(path string, slots, slotSize int) (*Arena, error) {
 }
 
 // SlotSize returns the payload capacity of one slot.
-func (a *Arena) SlotSize() int { return a.slotSize }
+func (a *arena) SlotSize() int { return a.slotSize }
 
 // Slots returns the arena's slot count.
-func (a *Arena) Slots() int { return a.nslots }
+func (a *arena) Slots() int { return a.nslots }
 
 // Used returns the number of allocated slots.
-func (a *Arena) Used() int {
+func (a *arena) Used() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.used
 }
 
 // Alloc reserves a free slot, reporting ok=false when the arena is full.
-func (a *Arena) Alloc() (slot int, ok bool) {
+func (a *arena) Alloc() (slot int, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for w, word := range a.bitmap {
@@ -154,7 +154,7 @@ func (a *Arena) Alloc() (slot int, ok bool) {
 }
 
 // Free releases a slot back to the allocator.
-func (a *Arena) Free(slot int) {
+func (a *arena) Free(slot int) {
 	if slot < 0 || slot >= a.nslots {
 		return
 	}
@@ -168,7 +168,7 @@ func (a *Arena) Free(slot int) {
 
 // WriteSlot stores payload (≤ SlotSize bytes) into slot under keyHash,
 // header and payload in one pwrite.
-func (a *Arena) WriteSlot(slot int, keyHash uint64, payload []byte) error {
+func (a *arena) WriteSlot(slot int, keyHash uint64, payload []byte) error {
 	if len(payload) > a.slotSize {
 		return fmt.Errorf("cs: payload %d bytes exceeds slot size %d", len(payload), a.slotSize)
 	}
@@ -187,7 +187,7 @@ func (a *Arena) WriteSlot(slot int, keyHash uint64, payload []byte) error {
 // under keyHash. The payload is appended to dst (pass nil to allocate).
 // Any mismatch — magic, key hash, length, checksum — returns
 // ErrSlotCorrupt; ReadSlot never panics on hostile bytes.
-func (a *Arena) ReadSlot(dst []byte, slot int, keyHash uint64) ([]byte, error) {
+func (a *arena) ReadSlot(dst []byte, slot int, keyHash uint64) ([]byte, error) {
 	if slot < 0 || slot >= a.nslots {
 		return dst, fmt.Errorf("%w: slot %d out of range", ErrSlotCorrupt, slot)
 	}
@@ -214,4 +214,4 @@ func (a *Arena) ReadSlot(dst []byte, slot int, keyHash uint64) ([]byte, error) {
 }
 
 // Close releases the backing file.
-func (a *Arena) Close() error { return a.f.Close() }
+func (a *arena) Close() error { return a.f.Close() }

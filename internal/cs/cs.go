@@ -3,13 +3,13 @@
 // caching, the FIB matching module can be slightly modified to first match
 // the local content store and then match the FIB".
 //
-// The store can be split into power-of-two shards keyed by name hash, each
-// with its own lock, LRU order, and capacity slice, so concurrent forwarding
-// workers only contend when their names hash together. Recency is then
-// tracked per shard: eviction is LRU within a shard and approximately LRU
-// globally, the standard trade sharded caches make. New keeps a single
-// shard (exact LRU, the right default for the small caches tests and topo
-// scenarios build); NewSharded spreads the capacity for contended routers.
+// There is one store type. Its RAM tier can be split into power-of-two
+// shards keyed by name hash (WithShards), each with its own lock, LRU order
+// and capacity slice, so concurrent forwarding workers only contend when
+// their names hash together; eviction is then LRU per shard and roughly LRU
+// globally. The default is one shard (exact LRU). OpenCold (cold.go) puts a
+// file-backed cold tier under the RAM tier, the way NDN-DPDK keeps memory
+// and disk entries in one CS table.
 package cs
 
 import (
@@ -18,17 +18,19 @@ import (
 	"dip/internal/nhash"
 )
 
-// Store is a bounded LRU cache from content keys to payloads. It is safe
-// for concurrent use.
+// Store is a bounded LRU cache from content keys to payloads, with an
+// optional cold tier. It is safe for concurrent use.
 type Store[K comparable] struct {
 	shards []csShard[K]
 	mask   uint64
-	// onEvict, when set (by the tiered store in this package), receives
+	// cold is the disk tier; nil (a RAM-only store) until OpenCold.
+	cold *coldTier[K]
+	// onEvict, when set (by OpenCold, to the cold tier's spill), receives
 	// entries pushed out by the capacity bound. Ownership of data transfers
 	// to the handler — the store holds no reference after the call — and
 	// touched reports whether the entry was ever hit after insertion (the
 	// insert-on-second-hit admission signal). Called with the shard lock
-	// held; handlers must not call back into the store.
+	// held; handlers must not call back into the RAM tier.
 	onEvict func(k K, data []byte, touched bool)
 }
 
@@ -54,47 +56,43 @@ type slot[K comparable] struct {
 	data    []byte
 }
 
-// New returns a store holding at most capacity entries in one shard (exact
-// global LRU). capacity ≤ 0 is treated as a disabled cache that stores
-// nothing.
-func New[K comparable](capacity int) *Store[K] {
-	return NewSharded[K](capacity, 1)
+// Option configures a Store.
+type Option[K comparable] func(*Store[K])
+
+// WithShards splits the RAM tier over n lock domains (rounded down to a power
+// of two; also capped so every shard keeps at least one entry; default 1).
+// The capacity divides across shards with the remainder spread one entry at
+// a time over the leading shards, so the per-shard bounds sum to exactly the
+// requested capacity — never more, never less. Eviction is LRU per shard.
+func WithShards[K comparable](n int) Option[K] {
+	return func(s *Store[K]) { s.shards = make([]csShard[K], nhash.Pow2(n)) }
 }
 
-// NewSharded returns a store of at most capacity entries split over shards
-// lock domains (rounded down to a power of two; also capped so every shard
-// keeps at least one entry). The capacity divides across shards with the
-// remainder spread one entry at a time over the leading shards, so the
-// per-shard bounds sum to exactly the requested capacity — never more,
-// never less. Eviction is LRU per shard.
-func NewSharded[K comparable](capacity, shards int) *Store[K] {
-	n := nhash.Pow2(shards)
+// New returns a RAM-only store holding at most capacity entries, in one shard
+// (exact global LRU) unless WithShards says otherwise. capacity ≤ 0 is
+// treated as a disabled cache that stores nothing.
+func New[K comparable](capacity int, opts ...Option[K]) *Store[K] {
+	s := &Store[K]{}
+	for _, o := range opts {
+		o(s)
+	}
+	n, base, rem := max(len(s.shards), 1), 0, 0
 	if capacity > 0 {
 		for n > 1 && capacity/n < 1 {
 			n /= 2
 		}
-	}
-	s := &Store[K]{shards: make([]csShard[K], n), mask: uint64(n - 1)}
-	base, rem := 0, 0
-	if capacity > 0 {
 		base, rem = capacity/n, capacity%n
 	}
+	s.shards, s.mask = make([]csShard[K], n), uint64(n-1)
 	for i := range s.shards {
 		c := base
 		if i < rem {
 			c++
 		}
-		s.shards[i] = csShard[K]{
-			cap:   c,
-			slots: make([]slot[K], 1),
-			index: make(map[K]int32),
-		}
+		s.shards[i] = csShard[K]{cap: c, slots: make([]slot[K], 1), index: make(map[K]int32)}
 	}
 	return s
 }
-
-// NumShards returns the shard count (a power of two).
-func (s *Store[K]) NumShards() int { return len(s.shards) }
 
 func (s *Store[K]) shardOf(k K) *csShard[K] {
 	// The default store has one shard (mask 0): every key lands on shard 0,
@@ -131,7 +129,11 @@ func (sh *csShard[K]) touch(i int32) *slot[K] {
 // reuse. Existing entries are refreshed and moved to the front; a new key in
 // a full shard pushes the least recently used entry out: to onEvict if set,
 // else an untouched victim's buffer (no Get returned it) takes the new payload.
+// A cold copy of k whose bytes differ from data is dropped.
 func (s *Store[K]) Put(k K, data []byte) {
+	if s.cold != nil {
+		s.cold.invalidate(k, data)
+	}
 	sh := s.shardOf(k)
 	if sh.cap <= 0 {
 		return
@@ -168,8 +170,9 @@ func (s *Store[K]) Put(k K, data []byte) {
 	sh.bytes += len(data)
 }
 
-// Get returns the cached payload for k and refreshes its recency. The slice is
-// the entry's own buffer: copy before modifying; only a Put of k rewrites it.
+// Get returns the payload the RAM tier holds for k and refreshes its recency;
+// it never touches the disk (see ColdContains). The slice is the entry's own
+// buffer: copy before modifying; only a Put of k rewrites it.
 func (s *Store[K]) Get(k K) ([]byte, bool) {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
@@ -178,24 +181,31 @@ func (s *Store[K]) Get(k K) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
+	if s.cold != nil {
+		s.cold.hotHits.Add(1)
+	}
 	return sh.touch(i).data, true
 }
 
-// Remove drops the entry for k, reporting whether it existed. Used by the
-// content-poisoning response path: once F_pass flags a source, its cached
-// objects are purged.
+// Remove drops k from both tiers, reporting whether either held it. Used by
+// the content-poisoning response path: once F_pass flags a source, its
+// cached objects are purged.
 func (s *Store[K]) Remove(k K) bool {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	i, ok := sh.index[k]
 	if ok {
 		sh.remove(i)
 	}
+	sh.mu.Unlock()
+	if s.cold != nil && s.cold.remove(k) {
+		return true
+	}
 	return ok
 }
 
-// Len returns the number of cached entries.
+// Len returns the number of entries in the RAM tier (cold occupancy is
+// ColdLen).
 func (s *Store[K]) Len() int {
 	n := 0
 	for i := range s.shards {
@@ -207,7 +217,7 @@ func (s *Store[K]) Len() int {
 	return n
 }
 
-// Bytes returns the total cached payload bytes.
+// Bytes returns the payload bytes the RAM tier holds.
 func (s *Store[K]) Bytes() int {
 	n := 0
 	for i := range s.shards {

@@ -137,9 +137,9 @@ func TestShardedCapacityExact(t *testing.T) {
 		{0, 4, 4},   // disabled cache keeps requested shards, zero cap
 	}
 	for _, tc := range cases {
-		s := NewSharded[int](tc.capacity, tc.shards)
-		if got := s.NumShards(); got != tc.wantShards {
-			t.Errorf("NewSharded(%d,%d): shards = %d, want %d", tc.capacity, tc.shards, got, tc.wantShards)
+		s := New[int](tc.capacity, WithShards[int](tc.shards))
+		if got := len(s.shards); got != tc.wantShards {
+			t.Errorf("New(%d, WithShards(%d)): shards = %d, want %d", tc.capacity, tc.shards, got, tc.wantShards)
 		}
 		total := 0
 		for i := range s.shards {
@@ -150,7 +150,7 @@ func TestShardedCapacityExact(t *testing.T) {
 			want = 0
 		}
 		if total != want {
-			t.Errorf("NewSharded(%d,%d): shard caps sum to %d, want %d", tc.capacity, tc.shards, total, want)
+			t.Errorf("New(%d, WithShards(%d)): shard caps sum to %d, want %d", tc.capacity, tc.shards, total, want)
 		}
 		// Overfill and confirm the live bound matches the contract too.
 		if tc.capacity > 0 {
@@ -158,7 +158,7 @@ func TestShardedCapacityExact(t *testing.T) {
 				s.Put(i, []byte("x"))
 			}
 			if s.Len() > tc.capacity {
-				t.Errorf("NewSharded(%d,%d): holds %d entries, exceeds requested capacity", tc.capacity, tc.shards, s.Len())
+				t.Errorf("New(%d, WithShards(%d)): holds %d entries, exceeds requested capacity", tc.capacity, tc.shards, s.Len())
 			}
 		}
 	}
@@ -194,7 +194,7 @@ func BenchmarkGetHitSingleShard(b *testing.B) {
 // BenchmarkGetHitSharded is the same hit pattern through a sharded store,
 // where every lookup must hash the key to pick its shard.
 func BenchmarkGetHitSharded(b *testing.B) {
-	s := NewSharded[uint32](1024, 8)
+	s := New[uint32](1024, WithShards[uint32](8))
 	for i := uint32(0); i < 1024; i++ {
 		s.Put(i, []byte("payload"))
 	}
@@ -316,7 +316,10 @@ func (m *model[K]) LenBytes() (n, b int) {
 // same seeded Put/Get/Remove sequence and requires the same observable
 // behaviour at every step: hits and returned bytes, Len and Bytes, and —
 // through the hook — which entry each eviction pushes out, in what order,
-// with what payload and touched flag.
+// with what payload and touched flag. The cold input is a store with a cold
+// tier attached (never cold-hit: no RequestCold) whose evictions are observed
+// on their way to the spill; the model then also tracks which cold copies
+// exist, since Remove reports either tier.
 func TestMatchesListModel(t *testing.T) {
 	type eviction struct {
 		k       uint32
@@ -325,16 +328,33 @@ func TestMatchesListModel(t *testing.T) {
 	}
 	for _, shards := range []int{1, 8} {
 		for _, capacity := range []int{0, 1, 7, 8192} {
-			for _, hook := range []bool{false, true} {
-				t.Run(fmt.Sprintf("shards%d/cap%d/hook%v", shards, capacity, hook), func(t *testing.T) {
-					s, m := NewSharded[uint32](capacity, shards), newModel[uint32](capacity, shards)
+			for _, input := range []string{"hookfalse", "hooktrue", "cold"} {
+				t.Run(fmt.Sprintf("shards%d/cap%d/%s", shards, capacity, input), func(t *testing.T) {
+					keys, steps := uint32(3*capacity+5), 20*capacity+5000
+					s, m := New[uint32](capacity, WithShards[uint32](shards)), newModel[uint32](capacity, shards)
 					var got, want []eviction
-					if hook {
-						s.onEvict = func(k uint32, d []byte, touched bool) { got = append(got, eviction{k, string(d), touched}) }
-						m.onEvict = func(k uint32, d []byte, touched bool) { want = append(want, eviction{k, string(d), touched}) }
+					var coldCopy map[uint32]string // the model's cold tier (cold input only)
+					if input != "hookfalse" {
+						spill := func(uint32, []byte, bool) {}
+						if input == "cold" {
+							if err := s.OpenCold(ColdConfig{Slots: int(keys), SlotSize: 64}); err != nil {
+								t.Fatal(err)
+							}
+							t.Cleanup(func() { s.Close() })
+							spill, coldCopy = s.onEvict, map[uint32]string{}
+						}
+						s.onEvict = func(k uint32, d []byte, touched bool) {
+							got = append(got, eviction{k, string(d), touched})
+							spill(k, d, touched)
+						}
+						m.onEvict = func(k uint32, d []byte, touched bool) {
+							want = append(want, eviction{k, string(d), touched})
+							if touched && coldCopy != nil {
+								coldCopy[k] = string(d)
+							}
+						}
 					}
 					rng := rand.New(rand.NewSource(int64(shards*100003 + capacity*7 + 1)))
-					keys, steps := uint32(3*capacity+5), 20*capacity+5000
 					payload := make([]byte, 40)
 					for i := 0; i < steps; i++ {
 						k := rng.Uint32() % keys
@@ -348,10 +368,18 @@ func TestMatchesListModel(t *testing.T) {
 						case op < 9:
 							rng.Read(payload)
 							d := payload[:rng.Intn(len(payload)+1)]
+							if c, ok := coldCopy[k]; ok && c != string(d) {
+								delete(coldCopy, k)
+							}
 							s.Put(k, d)
 							m.Put(k, d)
 						default:
-							if g, w := s.Remove(k), m.Remove(k); g != w {
+							w := m.Remove(k)
+							if _, ok := coldCopy[k]; ok {
+								delete(coldCopy, k)
+								w = true
+							}
+							if g := s.Remove(k); g != w {
 								t.Fatalf("step %d Remove(%d) = %v, model %v", i, k, g, w)
 							}
 						}
@@ -361,9 +389,15 @@ func TestMatchesListModel(t *testing.T) {
 						if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
 							t.Fatalf("step %d: evictions diverge: %d vs model %d, last %+v vs %+v", i, len(got), len(want), got[len(got)-1:], want[len(want)-1:])
 						}
+						if s.ColdLen() != len(coldCopy) {
+							t.Fatalf("step %d: ColdLen = %d, model %d", i, s.ColdLen(), len(coldCopy))
+						}
 					}
-					if capacity > 1 && hook && len(want) < capacity/2 {
+					if capacity > 1 && input != "hookfalse" && len(want) < capacity/2 {
 						t.Fatalf("only %d evictions at capacity %d: the sequence does not exercise eviction", len(want), capacity)
+					}
+					if capacity > 1 && input == "cold" && s.Stats().Spilled == 0 {
+						t.Fatal("no eviction reached the cold tier")
 					}
 				})
 			}

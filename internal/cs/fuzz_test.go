@@ -35,7 +35,7 @@ func FuzzSlotCodec(f *testing.F) {
 		// torn write or bit rot would) and read them back. Verification
 		// must either return the exact payload a legitimate writer stored
 		// under keyHash, or reject — no third outcome.
-		a, aerr := NewArena("", 1, 64)
+		a, aerr := newArena("", 1, 64)
 		if aerr != nil {
 			t.Skip("no temp file available")
 		}

@@ -8,23 +8,23 @@ import (
 	"time"
 )
 
-// newSyncTiered builds a synchronous (Readers 0) tiered store for
+// newSyncTiered builds a store with a synchronous (Readers 0) cold tier for
 // deterministic tests: spills and reads happen inline.
-func newSyncTiered(t *testing.T, hotCap, slots int, cfg ColdConfig) *Tiered[uint32] {
+func newSyncTiered(t *testing.T, hotCap, slots int, cfg ColdConfig) *Store[uint32] {
 	t.Helper()
 	cfg.Slots = slots
-	ts, err := NewTiered(New[uint32](hotCap), cfg)
-	if err != nil {
-		t.Fatalf("NewTiered: %v", err)
+	ts := New[uint32](hotCap)
+	if err := ts.OpenCold(cfg); err != nil {
+		t.Fatalf("OpenCold: %v", err)
 	}
 	t.Cleanup(func() { ts.Close() })
 	return ts
 }
 
 func TestArenaRoundTrip(t *testing.T) {
-	a, err := NewArena("", 4, 64)
+	a, err := newArena("", 4, 64)
 	if err != nil {
-		t.Fatalf("NewArena: %v", err)
+		t.Fatalf("newArena: %v", err)
 	}
 	defer a.Close()
 	slot, ok := a.Alloc()
@@ -52,9 +52,9 @@ func TestArenaRoundTrip(t *testing.T) {
 }
 
 func TestArenaAllocExhaustion(t *testing.T) {
-	a, err := NewArena("", 3, 16)
+	a, err := newArena("", 3, 16)
 	if err != nil {
-		t.Fatalf("NewArena: %v", err)
+		t.Fatalf("newArena: %v", err)
 	}
 	defer a.Close()
 	seen := map[int]bool{}
@@ -82,7 +82,7 @@ func TestArenaAllocExhaustion(t *testing.T) {
 func TestSpillAdmission(t *testing.T) {
 	ts := newSyncTiered(t, 2, 8, ColdConfig{})
 	ts.Put(1, []byte("touched"))
-	ts.GetHot(1) // second hit: admits on eviction
+	ts.Get(1) // second hit: admits on eviction
 	ts.Put(2, []byte("one-hit wonder"))
 	// Fill past capacity so both 1 and 2 are pushed out.
 	ts.Put(3, []byte("x"))
@@ -113,9 +113,9 @@ func TestColdReadReinjects(t *testing.T) {
 		gotKey, gotData, gotStart, gotEnd = k, data, start, end
 	})
 	ts.Put(7, []byte("cold content"))
-	ts.GetHot(7)
+	ts.Get(7)
 	ts.Put(8, []byte("evictor")) // pushes 7 to the cold tier
-	if _, ok := ts.GetHot(7); ok {
+	if _, ok := ts.Get(7); ok {
 		t.Fatal("7 still hot after eviction")
 	}
 	if !ts.ColdContains(7) {
@@ -148,12 +148,12 @@ func TestColdReadReinjects(t *testing.T) {
 func TestColdPromotion(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("content"))
-	ts.GetHot(1)
+	ts.Get(1)
 	ts.Put(2, []byte("evictor"))
 	if !ts.RequestCold(1) {
 		t.Fatal("RequestCold refused")
 	}
-	got, ok := ts.GetHot(1)
+	got, ok := ts.Get(1)
 	if !ok || !bytes.Equal(got, []byte("content")) {
 		t.Fatalf("promotion failed: %q, %v", got, ok)
 	}
@@ -169,7 +169,7 @@ func TestColdPromotion(t *testing.T) {
 func TestPutInvalidatesStaleCold(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("version A"))
-	ts.GetHot(1)
+	ts.Get(1)
 	ts.Put(2, []byte("evictor")) // spills version A
 	if !ts.ColdContains(1) {
 		t.Fatal("setup: 1 not cold")
@@ -180,7 +180,7 @@ func TestPutInvalidatesStaleCold(t *testing.T) {
 		t.Fatal("identical re-insert churned the arena")
 	}
 	ts.Put(1, []byte("version B")) // changed: stale slot freed
-	ts.misses.Store(0)
+	ts.cold.misses.Store(0)
 	if ts.ColdContains(1) {
 		t.Fatal("stale cold copy survived a content change")
 	}
@@ -192,7 +192,7 @@ func TestPutInvalidatesStaleCold(t *testing.T) {
 func TestRemoveBothTiers(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("a"))
-	ts.GetHot(1)
+	ts.Get(1)
 	ts.Put(2, []byte("b")) // 1 spills cold, 2 is hot
 	if !ts.Remove(1) {
 		t.Fatal("Remove(1) found nothing")
@@ -210,8 +210,8 @@ func TestRemoveBothTiers(t *testing.T) {
 func TestPendingDedupe(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	hot := New[uint32](1)
-	ts, err := NewTiered(hot, ColdConfig{
+	ts := New[uint32](1)
+	err := ts.OpenCold(ColdConfig{
 		Slots:   8,
 		Readers: 1,
 		ReadGate: func() {
@@ -220,13 +220,13 @@ func TestPendingDedupe(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("NewTiered: %v", err)
+		t.Fatalf("OpenCold: %v", err)
 	}
 	defer ts.Close()
 	done := make(chan uint32, 8)
 	ts.SetReinject(func(k uint32, _ []byte, _, _ int64) { done <- k })
 	ts.Put(1, []byte("cold"))
-	ts.GetHot(1)
+	ts.Get(1)
 	ts.Put(2, []byte("evictor"))
 	// The spill rides the async queue; wait for the worker to index it.
 	for i := 0; ts.Stats().Spilled == 0; i++ {
@@ -266,13 +266,13 @@ func TestPendingDedupe(t *testing.T) {
 func TestCorruptSlotDropped(t *testing.T) {
 	ts := newSyncTiered(t, 1, 8, ColdConfig{})
 	ts.Put(1, []byte("will rot"))
-	ts.GetHot(1)
+	ts.Get(1)
 	ts.Put(2, []byte("evictor"))
-	ts.mu.Lock()
-	slot := ts.index[1].slot
-	ts.mu.Unlock()
+	ts.cold.mu.Lock()
+	slot := ts.cold.index[1].slot
+	ts.cold.mu.Unlock()
 	// Flip payload bytes behind the checksum's back.
-	if _, err := ts.arena.f.WriteAt([]byte{0xFF, 0xFF}, int64(slot)*ts.arena.stride+SlotHeaderSize); err != nil {
+	if _, err := ts.cold.arena.f.WriteAt([]byte{0xFF, 0xFF}, int64(slot)*ts.cold.arena.stride+SlotHeaderSize); err != nil {
 		t.Fatalf("corrupt write: %v", err)
 	}
 	called := false
@@ -287,7 +287,7 @@ func TestCorruptSlotDropped(t *testing.T) {
 	if st.ReadErrors != 1 {
 		t.Fatalf("ReadErrors = %d", st.ReadErrors)
 	}
-	ts.misses.Store(0)
+	ts.cold.misses.Store(0)
 	if ts.ColdContains(1) {
 		t.Fatal("poisoned slot still indexed")
 	}
@@ -296,14 +296,14 @@ func TestCorruptSlotDropped(t *testing.T) {
 	}
 }
 
-// TestTieredStressRace drives concurrent Put/GetHot/ColdContains/
+// TestTieredStressRace drives concurrent Put/Get/ColdContains/
 // RequestCold/Remove across both tiers; run under -race this is the
 // lock-discipline check for the whole hierarchy.
 func TestTieredStressRace(t *testing.T) {
-	hot := NewSharded[uint32](64, 4)
-	ts, err := NewTiered(hot, ColdConfig{Slots: 256, Readers: 2, SlotSize: 64})
-	if err != nil {
-		t.Fatalf("NewTiered: %v", err)
+	ts := New[uint32](64, WithShards[uint32](4))
+	hot := ts
+	if err := ts.OpenCold(ColdConfig{Slots: 256, Readers: 2, SlotSize: 64}); err != nil {
+		t.Fatalf("OpenCold: %v", err)
 	}
 	ts.SetReinject(func(k uint32, data []byte, _, _ int64) { ts.Put(k, data) })
 	var wg sync.WaitGroup
@@ -318,11 +318,11 @@ func TestTieredStressRace(t *testing.T) {
 				case 0, 1:
 					ts.Put(k, payload)
 				case 2:
-					if _, ok := ts.GetHot(k); !ok && ts.ColdContains(k) {
+					if _, ok := ts.Get(k); !ok && ts.ColdContains(k) {
 						ts.RequestCold(k)
 					}
 				case 3:
-					ts.GetHot(k)
+					ts.Get(k)
 				case 4:
 					if i%97 == 0 {
 						ts.Remove(k)
@@ -348,7 +348,7 @@ func TestHotHitZeroAllocs(t *testing.T) {
 		ts.Put(i, []byte("hot payload"))
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := ts.GetHot(17); !ok {
+		if _, ok := ts.Get(17); !ok {
 			t.Fatal("hot miss")
 		}
 	})
@@ -361,26 +361,26 @@ func TestHotHitZeroAllocs(t *testing.T) {
 // raw costs side by side. The hot hit is E20's within-run pair: a
 // 4096-entry hot tier (4 shards) over a catalog of half its size and of
 // 16× its size, preloaded with a touch per object so eviction admits the
-// overflow cold, then one resident name read through GetHot. The never-
+// overflow cold, then one resident name read through Get. The never-
 // block contract is that the second row does not move.
 func BenchmarkTieredHotHit(b *testing.B) {
 	const hotCap = 4096
 	payload := make([]byte, 256)
 	for _, catalog := range []int{hotCap / 2, 16 * hotCap} {
-		ts, err := NewTiered(NewSharded[uint32](hotCap, 4), ColdConfig{Slots: catalog + hotCap, SlotSize: 512})
-		if err != nil {
-			b.Fatalf("NewTiered: %v", err)
+		ts := New[uint32](hotCap, WithShards[uint32](4))
+		if err := ts.OpenCold(ColdConfig{Slots: catalog + hotCap, SlotSize: 512}); err != nil {
+			b.Fatalf("OpenCold: %v", err)
 		}
 		for i := uint32(0); i < uint32(catalog); i++ {
 			ts.Put(0xE2000000+i, payload)
-			ts.GetHot(0xE2000000 + i)
+			ts.Get(0xE2000000 + i)
 		}
 		const name = 0xE2000000
 		ts.Put(name, payload)
 		b.Run(fmt.Sprintf("catalog%d", catalog), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, ok := ts.GetHot(name); !ok {
+				if _, ok := ts.Get(name); !ok {
 					b.Fatal("hot miss")
 				}
 			}
@@ -390,16 +390,15 @@ func BenchmarkTieredHotHit(b *testing.B) {
 }
 
 func BenchmarkTieredColdCycle(b *testing.B) {
-	hot := New[uint32](1)
-	ts, err := NewTiered(hot, ColdConfig{Slots: 4096, SlotSize: 256})
-	if err != nil {
-		b.Fatalf("NewTiered: %v", err)
+	ts := New[uint32](1)
+	if err := ts.OpenCold(ColdConfig{Slots: 4096, SlotSize: 256}); err != nil {
+		b.Fatalf("OpenCold: %v", err)
 	}
 	defer ts.Close()
 	payload := make([]byte, 256)
 	for i := uint32(0); i < 2048; i++ {
 		ts.Put(i, payload)
-		ts.GetHot(i) // touch so eviction admits it cold
+		ts.Get(i) // touch so eviction admits it cold
 	}
 	sink := 0
 	ts.SetReinject(func(_ uint32, data []byte, _, _ int64) { sink += len(data) })

@@ -61,8 +61,9 @@ type Source struct {
 	// PIT and CS supply table occupancy.
 	PIT PITStats
 	CS  CSStats
-	// CSTier, when set, supplies the two-tier content-store snapshot for
-	// the dip_cs_tier_* / dip_cs_cold_* series (cs.Tiered.Stats).
+	// CSTier, when set, supplies the two-tier snapshot of a content store
+	// with a cold tier for the dip_cs_tier_* / dip_cs_cold_* series
+	// (cs.Store.Stats).
 	CSTier func() cs.TierStats
 	// Trace supplies ring sample/drop counters and the /trace dump.
 	Trace *trace.Recorder

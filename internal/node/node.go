@@ -40,6 +40,9 @@ type Env struct {
 	// F_tel records and the cold-read histogram. Nil is the wall clock; a
 	// simulation passes its virtual clock so every timestamp is comparable.
 	Stamp func() int64
+	// Schedule runs fn after delay of Clock time: the simulator's event
+	// queue, or a wall-clock timer. The PIT's TTL sweep runs on it.
+	Schedule func(delay time.Duration, fn func())
 	// Defer schedules work that must not run re-entrantly inside the
 	// current packet: a synchronous cold read completes inside the
 	// interest's own handling, so its re-inject (and a pump-mode burst)
@@ -61,11 +64,15 @@ type Env struct {
 	Log func(format string, args ...any)
 }
 
-// WallEnv is the live-process environment: wall time, inline re-injects,
-// async cold reads.
+// WallEnv is the live-process environment: wall time, timers on
+// time.AfterFunc, inline re-injects, async cold reads.
 func WallEnv(log func(format string, args ...any)) Env {
 	start := time.Now()
-	return Env{Clock: func() time.Duration { return time.Since(start) }, Log: log}
+	return Env{
+		Clock:    func() time.Duration { return time.Since(start) },
+		Schedule: func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
+		Log:      log,
+	}
 }
 
 // SimEnv is the virtual-time environment over sim: one virtual clock for
@@ -76,15 +83,17 @@ func SimEnv(sim *netsim.Simulator) Env {
 	return Env{
 		Clock:    sim.Now,
 		Stamp:    func() int64 { return int64(sim.Now()) },
+		Schedule: sim.Schedule,
 		Defer:    func(fn func()) { sim.Schedule(0, fn) },
 		SyncCold: true,
 	}
 }
 
-// Node is a built DIP node: a router over its state, with whichever of
-// the guarded ingress, cold tier, recorder stack, F_tel, postcard collector
-// and speaker its Spec asked for already wired together. The exported
-// fields are read-only after Build.
+// Node is a built DIP node: a router over its state (the content store
+// with its cold tier, when the Spec has one), with whichever of the guarded
+// ingress, recorder stack, F_tel, postcard collector and speaker its Spec
+// asked for already wired together, and its PIT swept on the Env's timer.
+// The exported fields are read-only after Build.
 type Node struct {
 	Spec    Spec               // as given, with derived defaults (HopID, IntSlots) filled in
 	State   *State             // forwarding tables
@@ -92,7 +101,6 @@ type Node struct {
 	Ingress *router.Ingress    // guard layer; nil when packets are handled inline
 	Metrics *telemetry.Metrics // always counting
 	Speaker *bootstrap.Speaker // nil when off
-	Tiered  *cs.Tiered[uint32] // nil without a cold tier
 
 	env      Env
 	tracer   *trace.Recorder
@@ -106,6 +114,10 @@ type Node struct {
 	// once so Handle does not allocate a closure per packet.
 	pumpMu sync.Mutex
 	pump   func()
+	// parked holds the PIT sweep's next tick while the table is empty (see
+	// sweepTimer); stopSweep cancels the sweep.
+	parked    atomic.Pointer[func()]
+	stopSweep func()
 }
 
 // Build assembles the node s describes in environment env.
@@ -126,7 +138,8 @@ func Build(s Spec, env Env) (*Node, error) {
 			}
 		}
 	}
-	var popts []pit.Option[uint32]
+	// PIT time is the Env's: under SimEnv entries age in virtual time.
+	popts := []pit.Option[uint32]{pit.WithClock[uint32](func() time.Time { return time.Time{}.Add(env.Clock()) })}
 	if s.PITPerPort > 0 {
 		popts = append(popts, pit.WithPerPortCap[uint32](s.PITPerPort))
 	}
@@ -134,6 +147,11 @@ func Build(s Spec, env Env) (*Node, error) {
 		popts = append(popts, pit.WithShards[uint32](s.PITShards))
 	}
 	st.PIT = pit.New[uint32](popts...)
+	n.stopSweep = st.PIT.SweepEvery(sweepTimer{n}, pit.DefaultTTL, func(removed int) {
+		for range removed {
+			n.Metrics.RecordEvent(telemetry.EventPITExpired)
+		}
+	})
 	if len(s.Secret) > 0 {
 		sv, err := drkey.NewSecretValue(s.Name, s.Secret)
 		if err != nil {
@@ -142,24 +160,22 @@ func Build(s Spec, env Env) (*Node, error) {
 		st.EnableOPT(sv, opt.Kind2EM, [16]byte{}, s.HopIndex)
 	}
 	st.RequirePass = s.RequirePass
-	switch {
-	case s.CSCold > 0:
+	if s.Cache > 0 {
+		st.ContentStore = cs.New[uint32](s.Cache, cs.WithShards[uint32](s.CSShards))
+	}
+	if s.CSCold > 0 { // Validate has checked there is a cache to put it under
 		readers := s.CSReaders
 		if env.SyncCold {
 			readers = 0
 		} else if readers == 0 {
 			readers = 2
 		}
-		var err error
-		n.Tiered, err = st.EnableTieredCache(s.Cache, s.CSShards, cs.ColdConfig{
+		if err := st.ContentStore.OpenCold(cs.ColdConfig{
 			Path: s.CSColdFile, Slots: s.CSCold, SlotSize: s.CSSlot, Readers: readers, Now: env.Stamp,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("cscold: %w", err)
 		}
-		n.Tiered.SetReinject(n.reinject)
-	case s.Cache > 0:
-		st.ContentStore = cs.NewSharded[uint32](s.Cache, s.CSShards)
+		st.ContentStore.SetReinject(n.reinject)
 	}
 
 	// Recorder stack, innermost first: metrics always count; the trace
@@ -261,11 +277,30 @@ func Build(s Spec, env Env) (*Node, error) {
 // (callers reusing their buffer hand over a copy); in pump mode the admitted
 // packet's burst is then run through Env.Defer.
 func (n *Node) Handle(pkt []byte, inPort int) {
+	n.unparkSweep()
 	switch {
 	case n.Ingress == nil:
 		n.Router.HandlePacket(pkt, inPort)
 	case n.Ingress.Submit(pkt, inPort) && n.Spec.Workers == 0:
 		n.deferred(n.pump)
+	}
+}
+
+// sweepTimer is the PIT sweep's scheduler: the Env's, except that a tick
+// finding the table empty parks, and the next Handle arms it one TTL out — a
+// sweep re-armed forever would keep a simulation from ever draining.
+type sweepTimer struct{ n *Node }
+
+func (t sweepTimer) Schedule(_ time.Duration, fn func()) {
+	t.n.parked.Store(&fn)
+	if t.n.State.PIT.Len() > 0 {
+		t.n.unparkSweep()
+	}
+}
+
+func (n *Node) unparkSweep() {
+	if p := n.parked.Load(); p != nil && n.parked.CompareAndSwap(p, nil) {
+		n.env.Schedule(pit.DefaultTTL, *p)
 	}
 }
 
@@ -409,8 +444,8 @@ func (n *Node) MetricsSource() export.Source {
 	if n.State.ContentStore != nil {
 		src.CS = n.State.ContentStore
 	}
-	if n.Tiered != nil {
-		src.CSTier = n.Tiered.Stats
+	if n.Spec.CSCold > 0 {
+		src.CSTier = n.State.ContentStore.Stats
 	}
 	if n.Speaker != nil {
 		src.Routes = n.Speaker.Stats
@@ -421,13 +456,14 @@ func (n *Node) MetricsSource() export.Source {
 	return src
 }
 
-// Close stops the ingress forwarders and releases the cold arena. Safe to
-// call more than once.
+// Close stops the ingress forwarders and the PIT sweep and releases the cold
+// arena. Safe to call more than once.
 func (n *Node) Close() {
 	if n.Ingress != nil {
 		n.Ingress.Close()
 	}
-	if n.Tiered != nil {
-		n.Tiered.Close()
+	n.stopSweep()
+	if n.State.ContentStore != nil {
+		n.State.ContentStore.Close()
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"dip/internal/host"
 	"dip/internal/netsim"
 	"dip/internal/opt"
+	"dip/internal/pit"
 	"dip/internal/profiles"
 	"dip/internal/router"
 	"dip/internal/telemetry"
@@ -31,7 +32,8 @@ type outcome struct {
 
 // probe builds spec under env with four recording ports and returns a
 // function feeding one packet and reporting its outcome. settle drains
-// whatever the environment deferred.
+// whatever the environment deferred (and nothing later: a simulation run
+// to the end would age the PIT by sweeping it).
 func probe(t *testing.T, spec Spec, env Env, settle func()) func(pkt []byte, inPort int) outcome {
 	t.Helper()
 	n, err := Build(spec, env)
@@ -125,7 +127,7 @@ func TestOneWayToBuild(t *testing.T) {
 	}
 	sim := netsim.New()
 	wall := probe(t, spec, WallEnv(nil), func() {})
-	virt := probe(t, spec, SimEnv(sim), func() { sim.Run() })
+	virt := probe(t, spec, SimEnv(sim), func() { sim.RunUntil(sim.Now()) })
 	seen := map[string]int{}
 	for i, p := range tr.Packets {
 		w, v := wall(p.Buf, p.InPort), virt(p.Buf, p.InPort)
@@ -242,7 +244,7 @@ func TestColdReinjectPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Handle(pkt, inPort)
-		sim.Run()
+		sim.RunUntil(sim.Now()) // the deferred events, not the PIT sweep
 	}
 	fetch := func(name uint32, payload string) {
 		handle(profiles.NDNInterest(name), "", 0)
@@ -255,7 +257,7 @@ func TestColdReinjectPath(t *testing.T) {
 	toConsumer = nil
 	handle(profiles.NDNInterest(0xAA000001), "", 0)
 
-	if st := n.Tiered.Stats(); st.ColdHits != 1 || st.Reinjected != 1 {
+	if st := n.State.ContentStore.Stats(); st.ColdHits != 1 || st.Reinjected != 1 {
 		t.Fatalf("tier stats: %+v", st)
 	}
 	if len(toConsumer) != 1 {
@@ -277,5 +279,69 @@ func TestColdReinjectPath(t *testing.T) {
 	}
 	if len(logged) == 0 || !strings.Contains(logged[len(logged)-1], "cold read 0xaa000001 re-injected") {
 		t.Errorf("log: %q", logged)
+	}
+}
+
+// TestPITAgesInEnvTime: the PIT runs on the Env's clock, so a re-request for
+// a name one TTL after an unanswered interest finds the entry expired and is
+// forwarded again, instead of aggregating onto it as wall time would have it.
+func TestPITAgesInEnvTime(t *testing.T) {
+	sim := netsim.New()
+	n, err := Build(Spec{Name: "aging", Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	interest, err := host.BuildPacket(profiles.NDNInterest(0xAA000001), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Schedule(0, func() { n.Handle(append([]byte(nil), interest...), 0) })
+	sim.Schedule(10*time.Second, func() { n.Handle(append([]byte(nil), interest...), 0) })
+	sim.Run()
+	if snap := n.Metrics.Snapshot(); snap.Forwarded != 2 || snap.Absorbed != 0 {
+		t.Fatalf("forwarded=%d absorbed=%d, want the re-request forwarded", snap.Forwarded, snap.Absorbed)
+	}
+}
+
+// TestPITSweptOnEnvTimer: unanswered interests are swept on the Env's timer
+// one TTL after they expire, and every removal is counted in the metrics and
+// on the scrape.
+func TestPITSweptOnEnvTimer(t *testing.T) {
+	const unanswered = 5
+	sim := netsim.New()
+	n, err := Build(Spec{Name: "sweep", Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	for i := uint32(0); i < unanswered; i++ {
+		pkt, err := host.BuildPacket(profiles.NDNInterest(0xAA000001+i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Handle(pkt, 0)
+	}
+	if got := n.State.PIT.Len(); got != unanswered {
+		t.Fatalf("PIT holds %d entries before the TTL, want %d", got, unanswered)
+	}
+	sim.RunUntil(2 * pit.DefaultTTL) // the TTL, then one sweep past it
+	if got, expired := n.State.PIT.Len(), n.State.PIT.ExpiredTotal(); got != 0 || expired != unanswered {
+		t.Fatalf("after the sweep: Len=%d ExpiredTotal=%d, want 0 and %d", got, expired, unanswered)
+	}
+	if got := n.Metrics.Event(telemetry.EventPITExpired); got != unanswered {
+		t.Errorf("pit-expired events = %d, want %d", got, unanswered)
+	}
+	var buf bytes.Buffer
+	n.MetricsSource().WriteMetrics(&buf)
+	if want := fmt.Sprintf("dip_pit_expired_total{node=\"sweep\"} %d\n", unanswered); !strings.Contains(buf.String(), want) {
+		t.Errorf("scrape lacks %q", want)
+	}
+	if sim.Run(); sim.Pending() != 0 {
+		t.Error("the sweep keeps the simulation from draining")
 	}
 }

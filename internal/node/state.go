@@ -21,7 +21,6 @@ type State struct {
 	NameFIB      *fib.Table
 	PIT          *pit.Table[uint32]
 	ContentStore *cs.Store[uint32]
-	TieredStore  *cs.Tiered[uint32]
 	Secret       *drkey.SecretValue
 	MACKind      opt.Kind
 	PrevLabel    [16]byte
@@ -45,27 +44,12 @@ func NewState() *State {
 }
 
 // EnableCache attaches a content store of the given capacity (one shard,
-// exact LRU).
+// exact LRU). A cold tier is the store's own: ContentStore.OpenCold, then
+// SetReinject before serving traffic and Close when done (Build does all
+// three).
 func (s *State) EnableCache(capacity int) *State {
 	s.ContentStore = cs.New[uint32](capacity)
 	return s
-}
-
-// EnableTieredCache layers a file-backed cold arena under a fresh sharded
-// hot tier: hot evictions spill to disk under insert-on-second-hit
-// admission, and cold hits are served by async re-injection so forwarders
-// never block on a read. The returned store must be Closed by the caller
-// (it owns the arena file and reader pool); wire its completion callback
-// with SetReinject before serving traffic (Build does both).
-func (s *State) EnableTieredCache(capacity, shards int, cold cs.ColdConfig) (*cs.Tiered[uint32], error) {
-	hot := cs.NewSharded[uint32](capacity, shards)
-	t, err := cs.NewTiered(hot, cold)
-	if err != nil {
-		return nil, err
-	}
-	s.ContentStore = hot
-	s.TieredStore = t
-	return t, nil
 }
 
 // EnableOPT attaches the DRKey secret and MAC configuration the
@@ -86,7 +70,6 @@ func (s *State) OpsConfig() ops.Config {
 		NameFIB:      s.NameFIB,
 		PIT:          s.PIT,
 		ContentStore: s.ContentStore,
-		TieredStore:  s.TieredStore,
 		Secret:       s.Secret,
 		MACKind:      s.MACKind,
 		PrevLabel:    s.PrevLabel,

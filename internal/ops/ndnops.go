@@ -19,24 +19,17 @@ import (
 //  2. FIB longest-prefix match on the 32-bit name to pick the egress,
 //  3. PIT recording of the ingress port (with interest aggregation).
 type FIB struct {
-	fib   *fib.Table
-	pit   *pit.Table[uint32]
-	store *cs.Store[uint32] // nil disables caching
-	// tiered, when set, layers a cold tier under the store: a hot miss
-	// probes the cold index, and a cold hit parks the interest in the PIT
-	// while an async reader fetches the slot — the forwarder never blocks
-	// on disk.
-	tiered *cs.Tiered[uint32]
+	fib *fib.Table
+	pit *pit.Table[uint32]
+	// store is nil without caching. With a cold tier, a RAM miss probes the
+	// cold index, and a cold hit parks the interest in the PIT while an
+	// async reader fetches the slot — the forwarder never blocks on disk.
+	store *cs.Store[uint32]
 }
 
 // NewFIB builds the module. store may be nil.
 func NewFIB(t *fib.Table, p *pit.Table[uint32], store *cs.Store[uint32]) *FIB {
 	return &FIB{fib: t, pit: p, store: store}
-}
-
-// NewTieredFIB builds the module over a two-tier content store.
-func NewTieredFIB(t *fib.Table, p *pit.Table[uint32], ts *cs.Tiered[uint32]) *FIB {
-	return &FIB{fib: t, pit: p, store: ts.Hot(), tiered: ts}
 }
 
 // Key implements core.Operation.
@@ -55,13 +48,7 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 		return err
 	}
 	name := uint32(v) << (32 - bits)
-	if o.tiered != nil {
-		if data, ok := o.tiered.GetHot(name); ok {
-			ctx.Cached = data
-			ctx.Absorb()
-			return nil
-		}
-	} else if o.store != nil {
+	if o.store != nil {
 		if data, ok := o.store.Get(name); ok {
 			ctx.Cached = data
 			ctx.Absorb()
@@ -73,7 +60,7 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	// router — the reader pool re-injects the data once the slot is read.
 	// Like the hot tier, the cold tier is checked before the FIB (footnote
 	// 2's ordering), so a cold hit is served even with no route.
-	coldHit := o.tiered != nil && o.tiered.ColdContains(name)
+	coldHit := o.store != nil && o.store.ColdContains(name)
 	nh, ok := o.fib.LookupUint32(name)
 	if !coldHit {
 		if !ok {
@@ -107,7 +94,7 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 		return nil
 	}
 	if coldHit {
-		if o.tiered.RequestCold(name) {
+		if o.store.RequestCold(name) {
 			ctx.Absorb() // parked; the async read will satisfy the PIT entry
 			return nil
 		}
@@ -131,33 +118,15 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 type PIT struct {
 	pit   *pit.Table[uint32]
 	store *cs.Store[uint32] // nil disables caching
-	// tiered, when set, routes cache inserts through the two-tier store so
-	// stale cold slots are invalidated and hot evictions spill to disk.
-	tiered *cs.Tiered[uint32]
 	// requirePass gates cache insertion on a prior successful F_pass
 	// check — the content-poisoning defense posture of §2.4.
 	requirePass bool
 }
 
-// NewPIT builds the module. store may be nil.
-func NewPIT(p *pit.Table[uint32], store *cs.Store[uint32]) *PIT {
-	return &PIT{pit: p, store: store}
-}
-
-// NewTieredPIT builds the module over a two-tier content store.
-func NewTieredPIT(p *pit.Table[uint32], ts *cs.Tiered[uint32]) *PIT {
-	return &PIT{pit: p, store: ts.Hot(), tiered: ts}
-}
-
-// NewGuardedPIT builds the module in require-pass mode: payloads only
+// NewPIT builds the module. store may be nil. With requirePass, payloads only
 // enter the content store when the packet carried a valid F_pass label.
-func NewGuardedPIT(p *pit.Table[uint32], store *cs.Store[uint32]) *PIT {
-	return &PIT{pit: p, store: store, requirePass: true}
-}
-
-// NewGuardedTieredPIT is NewGuardedPIT over a two-tier content store.
-func NewGuardedTieredPIT(p *pit.Table[uint32], ts *cs.Tiered[uint32]) *PIT {
-	return &PIT{pit: p, store: ts.Hot(), tiered: ts, requirePass: true}
+func NewPIT(p *pit.Table[uint32], store *cs.Store[uint32], requirePass bool) *PIT {
+	return &PIT{pit: p, store: store, requirePass: requirePass}
 }
 
 // Key implements core.Operation.
@@ -188,11 +157,7 @@ func (o *PIT) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	if o.store != nil && (!o.requirePass || ctx.Passed) {
 		payload := ctx.View.Payload()
 		if ctx.ChargeState(len(payload)) {
-			if o.tiered != nil {
-				o.tiered.Put(name, payload)
-			} else {
-				o.store.Put(name, payload)
-			}
+			o.store.Put(name, payload)
 		}
 	}
 	return nil

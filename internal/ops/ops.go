@@ -54,14 +54,11 @@ type Config struct {
 	FIB128 *fib.Table
 	// NameFIB, PIT and ContentStore back F_FIB and F_PIT. ContentStore may
 	// be nil (no caching; the paper's prototype router "has no cached
-	// data", footnote 2).
+	// data", footnote 2). A store with a cold tier (cs.Store.OpenCold) has
+	// its cold hits parked in the PIT and satisfied by async re-injection.
 	NameFIB      *fib.Table
 	PIT          *pit.Table[uint32]
 	ContentStore *cs.Store[uint32]
-	// TieredStore, when set, takes precedence over ContentStore: F_FIB and
-	// F_PIT run against the two-tier (RAM + cold arena) hierarchy, with
-	// cold hits parked in the PIT and satisfied by async re-injection.
-	TieredStore *cs.Tiered[uint32]
 	// Secret, MACKind, PrevLabel and HopIndex configure F_parm/F_MAC/F_mark.
 	Secret    *drkey.SecretValue
 	MACKind   opt.Kind
@@ -95,21 +92,10 @@ func NewRouterRegistry(cfg Config) *core.Registry {
 	}
 	reg.MustRegister(NewSource())
 	if cfg.NameFIB != nil && cfg.PIT != nil {
-		switch {
-		case cfg.TieredStore != nil:
-			reg.MustRegister(NewTieredFIB(cfg.NameFIB, cfg.PIT, cfg.TieredStore))
-			if cfg.RequirePass {
-				reg.MustRegister(NewGuardedTieredPIT(cfg.PIT, cfg.TieredStore))
-			} else {
-				reg.MustRegister(NewTieredPIT(cfg.PIT, cfg.TieredStore))
-			}
-		case cfg.RequirePass:
-			reg.MustRegister(NewFIB(cfg.NameFIB, cfg.PIT, cfg.ContentStore))
-			reg.MustRegister(NewGuardedPIT(cfg.PIT, cfg.ContentStore))
-		default:
-			reg.MustRegister(NewFIB(cfg.NameFIB, cfg.PIT, cfg.ContentStore))
-			reg.MustRegister(NewPIT(cfg.PIT, cfg.ContentStore))
-		}
+		reg.MustRegister(
+			NewFIB(cfg.NameFIB, cfg.PIT, cfg.ContentStore),
+			NewPIT(cfg.PIT, cfg.ContentStore, cfg.RequirePass),
+		)
 	}
 	if cfg.Secret != nil {
 		reg.MustRegister(

@@ -45,6 +45,10 @@ const MaxPortsPerEntry = 8
 // against per-packet state budgets.
 const EntryCost = 64
 
+// DefaultTTL is the interest lifetime New uses unless WithTTL overrides it
+// (NDN's customary value).
+const DefaultTTL = 4 * time.Second
+
 // DefaultShards is the shard count New uses unless WithShards overrides it.
 // Eight shards cost ~3KB of fixed overhead and keep 8 workers from
 // serializing; single-threaded callers lose nothing measurable.
@@ -130,7 +134,7 @@ func (p *portTab) pending(port int) int {
 // Option configures a Table.
 type Option[K comparable] func(*Table[K])
 
-// WithTTL sets the interest lifetime (default 4s, NDN's customary value).
+// WithTTL sets the interest lifetime (default DefaultTTL).
 func WithTTL[K comparable](ttl time.Duration) Option[K] {
 	return func(t *Table[K]) { t.ttl = ttl }
 }
@@ -141,7 +145,7 @@ func WithCapacity[K comparable](n int) Option[K] {
 	return func(t *Table[K]) { t.cap = int64(n) }
 }
 
-// WithClock injects a time source for tests.
+// WithClock injects a time source (a simulation's virtual clock; tests).
 func WithClock[K comparable](now func() time.Time) Option[K] {
 	return func(t *Table[K]) { t.now = now }
 }
@@ -164,7 +168,7 @@ func WithShards[K comparable](n int) Option[K] {
 // New returns an empty PIT.
 func New[K comparable](opts ...Option[K]) *Table[K] {
 	t := &Table[K]{
-		ttl: 4 * time.Second,
+		ttl: DefaultTTL,
 		cap: 65536,
 		now: time.Now,
 	}

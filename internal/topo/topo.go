@@ -622,10 +622,10 @@ func (t *Topology) EnableJourneys(every int) *journey.Collector {
 // has not started.
 func (t *Topology) TierStats(router string) (cs.TierStats, bool) {
 	rn, ok := t.routers[router]
-	if !ok || rn.node == nil || rn.node.Tiered == nil {
+	if !ok || rn.node == nil || rn.spec.CSCold == 0 {
 		return cs.TierStats{}, false
 	}
-	return rn.node.Tiered.Stats(), true
+	return rn.node.State.ContentStore.Stats(), true
 }
 
 // Close releases per-router resources (cold-tier arena files). Safe to
