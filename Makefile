@@ -28,7 +28,9 @@ vet:
 # fetcher stay deleted. And one content store: the cold tier is part of
 # cs.Store, so the tiered type, its constructors and the F_FIB/F_PIT
 # variants built over it stay deleted (the brackets keep these lines from
-# matching a repository-wide grep for the names).
+# matching a repository-wide grep for the names). And one parse per packet:
+# the engine dispatches from the triples ExecContext.Load decoded, and the
+# router and host parse through Load, never ParseView and a second decode.
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -50,6 +52,12 @@ seamcheck:
 	fi
 	@if grep -rnE 'cs\.Tiere[d]|NewTiere[d]|NewSharde[d]|TieredStor[e]|NewTieredFI[B]|NewTieredPI[T]|NewGuardedPI[T]|NewGuardedTieredPI[T]|GetHo[t]' --include=*.go .; then \
 		echo "seamcheck: a second content-store type or constructor is back (one cs.Store, cold tier by OpenCold: DESIGN.md §8)"; exit 1; \
+	fi
+	@if grep -n '\.FN(' internal/core/engine.go; then \
+		echo "seamcheck: the engine decodes FN triples again (dispatch from the list Load decoded: DESIGN.md §5)"; exit 1; \
+	fi
+	@if grep -rn 'ParseView(' --include=*.go internal/router internal/host | grep -v _test.go; then \
+		echo "seamcheck: the forwarding or host path parses outside ExecContext.Load (DESIGN.md §5)"; exit 1; \
 	fi
 
 race:

@@ -42,8 +42,21 @@ func Uint64(b []byte, off, n uint) (uint64, error) {
 	if err := Check(len(b), off, n); err != nil {
 		return 0, err
 	}
+	if off&7 == 0 && n&7 == 0 {
+		// Whole bytes, as every address and name operand is: no shifting.
+		var v uint64
+		for _, c := range b[off>>3 : (off+n)>>3] {
+			v = v<<8 | uint64(c)
+		}
+		return v, nil
+	}
+	return uint64Bits(b, off, n), nil
+}
+
+// uint64Bits is Uint64 on a checked range of any alignment: the leading
+// partial byte, then whole bytes, then trailing bits.
+func uint64Bits(b []byte, off, n uint) uint64 {
 	var v uint64
-	// Consume leading partial byte, then whole bytes, then trailing bits.
 	for n > 0 {
 		byteIdx := off >> 3
 		bitInByte := off & 7
@@ -59,7 +72,7 @@ func Uint64(b []byte, off, n uint) (uint64, error) {
 		off += take
 		n -= take
 	}
-	return v, nil
+	return v
 }
 
 // PutUint64 writes v as an n-bit big-endian unsigned integer at bit offset

@@ -2,6 +2,7 @@ package bitfield
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,47 @@ func TestUint64Errors(t *testing.T) {
 	}
 	if _, err := Uint64(b, 32, 0); err != nil {
 		t.Errorf("off==total with n=0 should be in range: %v", err)
+	}
+}
+
+// Property: Uint64, byte-aligned fast path included, reads what the bit
+// loop reads, and fails exactly where the range checks say it must, for
+// every bit alignment and every width up to 64 and a few beyond.
+func TestUint64MatchesBitLoop(t *testing.T) {
+	ref := func(b []byte, off, n uint) (uint64, error) {
+		if n > 64 {
+			return 0, ErrTooWide
+		}
+		if err := Check(len(b), off, n); err != nil {
+			return 0, err
+		}
+		return uint64Bits(b, off, n), nil
+	}
+	kind := func(err error) error {
+		for _, k := range []error{ErrTooWide, ErrOutOfRange} {
+			if errors.Is(err, k) {
+				return k
+			}
+		}
+		return err
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(12))
+		rng.Read(b)
+		for align := uint(0); align < 8; align++ {
+			for n := uint(0); n <= 66; n++ {
+				// Byte offsets from 0 to one past the end reach the range
+				// error for every width that does not fit.
+				off := uint(rng.Intn(len(b)+2))*8 + align
+				got, err := Uint64(b, off, n)
+				want, wantErr := ref(b, off, n)
+				if got != want || kind(err) != kind(wantErr) {
+					t.Fatalf("Uint64(% x, off=%d, n=%d) = %#x, %v; bit loop %#x, %v",
+						b, off, n, got, err, want, wantErr)
+				}
+			}
+		}
 	}
 }
 

@@ -168,8 +168,8 @@ func (o *Observation) Release(by Recorder) (a, b uint64, ok bool) {
 }
 
 // ExecContext carries one packet through the engine. Contexts are owned by
-// the caller and reused across packets via Reset, keeping the forwarding
-// path allocation-free.
+// the caller and reused across packets via Load (or Reset), keeping the
+// forwarding path allocation-free.
 type ExecContext struct {
 	View   View
 	InPort int
@@ -191,8 +191,10 @@ type ExecContext struct {
 	Passed bool
 
 	// Cached is set (pointing into the content store) when an interest was
-	// satisfied locally; the router synthesizes the data reply from it.
-	Cached []byte
+	// satisfied locally; the router synthesizes the data reply from it and
+	// CachedName, the name the store answered for (valid while Cached is).
+	Cached     []byte
+	CachedName uint32
 
 	// Reply is the buffer the router builds that reply in; the context keeps
 	// it across packets (Reset leaves it alone), so a hit allocates nothing.
@@ -210,8 +212,8 @@ type ExecContext struct {
 	// UnsupportedKey is the offending key when SignalUnsupported is set.
 	UnsupportedKey Key
 
-	// Deadline, when nonzero, is the absolute per-packet processing
-	// deadline (security limit, paper §2.4).
+	// Deadline is the absolute per-packet processing deadline (security
+	// limit, paper §2.4), set by Process when the engine has one.
 	Deadline time.Time
 
 	// AdmittedAt and QueueDepth are the serving layer's admission snapshot
@@ -243,6 +245,10 @@ type ExecContext struct {
 	MonoNow time.Duration
 
 	stateBudget int // remaining per-packet state bytes; <0 means unlimited
+
+	// fns[:View.FNNum()] are the packet's FN triples, decoded by Load (or
+	// Reset) once: Algorithm 1 dispatches from them, never from the bytes.
+	fns [MaxFNs]FN
 
 	// Obs is the packet's observation record. It sits last so the step
 	// array stays out of the cache lines the recorder-less path touches.
@@ -309,10 +315,32 @@ func (c *ExecContext) SampleEvery(every Every, seen *atomic.Uint64) bool {
 	return every.Divides(c.Ordinal) && c.Obs.nclaims < maxClaims
 }
 
-// Reset prepares the context for a new packet. The view must already be
-// parsed. Limits are re-armed from the engine on each Process call.
+// Load parses pkt as ParseView does — the same parser — but in place: the
+// view is written straight into c.View, every FN triple is left decoded for
+// Process, and the rest of the context is reset for the new packet as Reset
+// does. It is the forwarding path's one parse. On error the context holds an
+// empty view, so Process would execute no FN.
+func (c *ExecContext) Load(pkt []byte, inPort int) error {
+	if err := c.View.parse(pkt, &c.fns); err != nil {
+		c.View = View{}
+		return err
+	}
+	c.reset(inPort)
+	return nil
+}
+
+// Reset prepares the context for a new packet from an already parsed view,
+// decoding its FN triples as Load does. Limits are re-armed from the engine
+// on each Process call.
 func (c *ExecContext) Reset(v View, inPort int) {
 	c.View = v
+	for i := 0; i < v.FNNum(); i++ {
+		c.fns[i] = v.FN(i)
+	}
+	c.reset(inPort)
+}
+
+func (c *ExecContext) reset(inPort int) {
 	c.InPort = inPort
 	c.Verdict = VerdictContinue
 	c.Reason = DropNone

@@ -113,21 +113,21 @@ func (e *Engine) Process(ctx *ExecContext) {
 			ctx.Obs.Begin = time.Since(monoBase)
 		}
 	}
-	n := ctx.View.FNNum()
+	// Algorithm 1 runs from the triples Load decoded, not from the bytes.
+	fns := ctx.fns[:ctx.View.fnNum]
 	// FN_Num is one byte: only a limit below the wire maximum needs a count.
-	if e.limits.MaxFNs < MaxFNs && e.routerFNCount(ctx.View) > e.limits.MaxFNs {
+	if e.limits.MaxFNs < MaxFNs && e.routerFNCount(fns) > e.limits.MaxFNs {
 		ctx.Drop(DropOpBudget)
 		e.finish(ctx)
 		return
 	}
 	reg := e.reg.Load()
-	if ctx.View.Parallel() && n > 1 {
-		e.processParallel(reg, ctx)
+	if len(fns) > 1 && ctx.View.Parallel() {
+		e.processParallel(reg, ctx, fns)
 		e.finish(ctx)
 		return
 	}
-	for i := 0; i < n; i++ {
-		fn := ctx.View.FN(i)
+	for _, fn := range fns {
 		if fn.Host != e.host {
 			continue // Algorithm 1 line 5–7: skip the other side's operations
 		}
@@ -140,7 +140,7 @@ func (e *Engine) Process(ctx *ExecContext) {
 
 // execute dispatches one FN and reports whether processing should continue.
 func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
-	if !ctx.Deadline.IsZero() && time.Now().After(ctx.Deadline) {
+	if e.limits.Deadline > 0 && time.Now().After(ctx.Deadline) {
 		ctx.Drop(DropDeadline)
 		return false
 	}
@@ -180,15 +180,13 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 // operations inside one stage run concurrently on private context copies
 // that are merged afterwards. The host asserts, by setting the flag, that
 // same-stage operations touch disjoint operand bytes.
-func (e *Engine) processParallel(reg *Registry, ctx *ExecContext) {
-	n := ctx.View.FNNum()
+func (e *Engine) processParallel(reg *Registry, ctx *ExecContext, decoded []FN) {
 	// Collect router FNs with their stages. MaxFNs ≤ 255 so a fixed array
 	// keeps this allocation-free apart from goroutine spawning.
 	var fns [MaxFNs]staged
 	cnt := 0
 	minStage, maxStage := 1<<30, -(1 << 30)
-	for i := 0; i < n; i++ {
-		fn := ctx.View.FN(i)
+	for _, fn := range decoded {
 		if fn.Host != e.host {
 			continue
 		}
@@ -293,7 +291,7 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 			ctx.Passed = true
 		}
 		if c.Cached != nil && ctx.Cached == nil {
-			ctx.Cached = c.Cached
+			ctx.Cached, ctx.CachedName = c.Cached, c.CachedName
 		}
 		if c.HasSource && !ctx.HasSource {
 			ctx.SourceLoc, ctx.SourceLen, ctx.HasSource = c.SourceLoc, c.SourceLen, true
@@ -316,10 +314,10 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	wavePool.Put(wc)
 }
 
-func (e *Engine) routerFNCount(v View) int {
+func (e *Engine) routerFNCount(fns []FN) int {
 	n := 0
-	for i := 0; i < v.FNNum(); i++ {
-		if v.FN(i).Host == e.host {
+	for _, fn := range fns {
+		if fn.Host == e.host {
 			n++
 		}
 	}

@@ -7,8 +7,21 @@ import (
 
 // FuzzParseView: arbitrary bytes must never panic the parser, and anything
 // it accepts must be internally consistent (accessors in bounds,
-// re-marshalling reproduces the header).
+// re-marshalling reproduces the header). Every input also goes through
+// ExecContext.Load on a context still holding another packet: Load must
+// accept exactly what ParseView accepts, see the same view and leave the
+// triples decoded as View.FN reads them; a Load that fails must leave
+// nothing for Process to execute; and Reset after a Load must leave the
+// reset view's triples decoded.
 func FuzzParseView(f *testing.F) {
+	prior, _ := (&Header{
+		FNs:       []FN{RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB)},
+		Locations: []byte{1},
+	}).MarshalBinary()
+	fib := &testOp{key: KeyFIB}
+	reg := NewRegistry()
+	reg.MustRegister(fib)
+	e := NewEngine(reg, Limits{})
 	seed, _ := (&Header{
 		NextHeader: 6,
 		HopLimit:   64,
@@ -22,10 +35,45 @@ func FuzzParseView(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0, 0, 0, 0})
 	f.Add([]byte{Version, 0, 255, 0, 255, 255})
+	// A valid F_FIB triple, then one with the invalid key: Load has decoded
+	// the first when it fails on the second.
+	f.Add([]byte{Version, 0, 2, 9, 0x00, 0x20, 0, 0, 0, 8, 0, byte(KeyFIB), 0, 0, 0, 8, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := ParseView(data)
+		var ctx ExecContext
+		if err := ctx.Load(prior, 2); err != nil {
+			t.Fatal(err)
+		}
+		lerr := ctx.Load(data, 1)
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("ParseView error %v, Load error %v", err, lerr)
+		}
 		if err != nil {
+			fib.calls.Store(0)
+			e.Process(&ctx)
+			if n := fib.calls.Load(); n != 0 || ctx.View.FNNum() != 0 {
+				t.Fatalf("a failed Load left %d FNs, and Process executed %d", ctx.View.FNNum(), n)
+			}
 			return
+		}
+		lv := ctx.View
+		if lv.FNNum() != v.FNNum() || lv.HeaderLen() != v.HeaderLen() || lv.Parallel() != v.Parallel() ||
+			!bytes.Equal(lv.Locations(), v.Locations()) || !bytes.Equal(lv.Payload(), v.Payload()) {
+			t.Fatalf("Load view %v, ParseView view %v", lv, v)
+		}
+		for i := 0; i < v.FNNum(); i++ {
+			if ctx.fns[i] != v.FN(i) {
+				t.Fatalf("Load decoded FN %d as %v, View.FN reads %v", i, ctx.fns[i], v.FN(i))
+			}
+		}
+		if err := ctx.Load(prior, 2); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Reset(v, 1)
+		for i := 0; i < v.FNNum(); i++ {
+			if ctx.fns[i] != v.FN(i) {
+				t.Fatalf("Reset after Load left FN %d as %v, View.FN reads %v", i, ctx.fns[i], v.FN(i))
+			}
 		}
 		// Everything the view exposes must be safe to touch.
 		_ = v.NextHeader()

@@ -104,29 +104,32 @@ func (s *Stack) SetRecorder(rec core.Recorder) { s.engine.SetRecorder(rec) }
 // HandlePacket processes one received packet through the host side of
 // Algorithm 1 (only host-tagged FNs execute).
 func (s *Stack) HandlePacket(pkt []byte) Rx {
-	v, err := core.ParseView(pkt)
-	if err != nil {
+	ctx := ctxPool.Get().(*core.ExecContext)
+	defer releaseCtx(ctx)
+	if ctx.Load(pkt, 0) != nil {
 		return Rx{Kind: RxMalformed}
 	}
+	v := ctx.View
 	if key, ok := profiles.ParseFNUnsupported(v); ok {
 		return Rx{Kind: RxFNUnsupported, Key: key, View: v}
 	}
-	ctx := ctxPool.Get().(*core.ExecContext)
-	ctx.Reset(v, 0)
 	s.engine.Process(ctx)
-	verdict, reason := ctx.Verdict, ctx.Reason
-	ctx.View = core.View{} // drop the packet buffer reference
-	ctxPool.Put(ctx)
-	if verdict == core.VerdictDrop {
-		return Rx{Kind: RxRejected, Reason: reason, View: v}
+	if ctx.Verdict == core.VerdictDrop {
+		return Rx{Kind: RxRejected, Reason: ctx.Reason, View: v}
 	}
 	return Rx{Kind: RxDelivered, Payload: v.Payload(), View: v}
 }
 
 // ctxPool recycles execution contexts: they carry the engine's observation
 // record, too large to allocate per packet, and their packet ordinal, which
-// a sampling recorder's 1-in-N decision counts on.
+// a sampling recorder's 1-in-N decision counts on. Every packet the host
+// side receives is parsed into one of them with Load.
 var ctxPool = sync.Pool{New: func() any { return new(core.ExecContext) }}
+
+func releaseCtx(ctx *core.ExecContext) {
+	ctx.View = core.View{} // drop the packet buffer reference
+	ctxPool.Put(ctx)
+}
 
 // BuildPacket serializes a profile header plus payload into a wire packet.
 func BuildPacket(h *core.Header, payload []byte) ([]byte, error) {

@@ -311,7 +311,10 @@ func (f *SegFetcher) onTimeout(name uint32, gen uint64) {
 // controller), and when it is the object's last missing segment the whole
 // object completes. Duplicate or unknown data returns matched=false.
 func (f *SegFetcher) HandleData(pkt []byte) (name uint32, matched bool) {
-	v, err := core.ParseView(pkt)
+	ctx := ctxPool.Get().(*core.ExecContext)
+	err := ctx.Load(pkt, 0)
+	v := ctx.View
+	releaseCtx(ctx)
 	if err != nil {
 		return 0, false
 	}

@@ -50,7 +50,7 @@ func (o *FIB) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	name := uint32(v) << (32 - bits)
 	if o.store != nil {
 		if data, ok := o.store.Get(name); ok {
-			ctx.Cached = data
+			ctx.Cached, ctx.CachedName = data, name
 			ctx.Absorb()
 			return nil
 		}

@@ -6,7 +6,6 @@
 package router
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -128,16 +127,14 @@ func (r *Router) HandlePacket(pkt []byte, inPort int) {
 // pays one pool Get/Put per packet on a context that never carries a burst
 // stamp.
 func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
-	v, err := core.ParseView(pkt)
-	if err != nil {
+	if ctx.Load(pkt, inPort) != nil {
 		r.countDrop(core.DropMalformed)
 		return
 	}
-	if !v.DecHopLimit() {
+	if !ctx.View.DecHopLimit() {
 		r.countDrop(core.DropHopLimit)
 		return
 	}
-	ctx.Reset(v, inPort)
 	r.engine.Process(ctx)
 	if r.cfg.Metrics != nil {
 		r.cfg.Metrics.CountVerdict(ctx.Verdict)
@@ -153,11 +150,11 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
 		}
 	case core.VerdictAbsorb:
 		if ctx.Cached != nil {
-			r.replyFromCache(v, ctx, inPort)
+			r.replyFromCache(ctx, inPort)
 		}
 	case core.VerdictDrop:
 		if ctx.SignalUnsupported && !r.cfg.DisableSignalling {
-			r.signalUnsupported(v, ctx, inPort)
+			r.signalUnsupported(ctx, inPort)
 		}
 	}
 }
@@ -200,14 +197,12 @@ func (r *Router) countDrop(reason core.DropReason) {
 const maxReplyKeep = 64 << 10
 
 // replyFromCache synthesizes the NDN data packet answering an interest the
-// content store satisfied (footnote 2), sending it back on the ingress port.
-func (r *Router) replyFromCache(v core.View, ctx *core.ExecContext, inPort int) {
-	name, ok := interestName(v)
-	if !ok {
-		return
-	}
-	h := profiles.NDNData(name)
-	h.HopLimit = v.HopLimit()
+// content store satisfied (footnote 2) under the name F_FIB looked up,
+// whatever its operand's width and offset, and sends it back on the ingress
+// port.
+func (r *Router) replyFromCache(ctx *core.ExecContext, inPort int) {
+	h := profiles.NDNData(ctx.CachedName)
+	h.HopLimit = ctx.View.HopLimit()
 	buf, err := h.AppendTo(ctx.Reply[:0])
 	if err != nil {
 		return
@@ -220,26 +215,11 @@ func (r *Router) replyFromCache(v core.View, ctx *core.ExecContext, inPort int) 
 	}
 }
 
-// interestName extracts the 32-bit content name an F_FIB FN addresses.
-func interestName(v core.View) (uint32, bool) {
-	for i := 0; i < v.FNNum(); i++ {
-		fn := v.FN(i)
-		if fn.Key == core.KeyFIB && fn.Len == 32 && fn.Loc%8 == 0 {
-			locs := v.Locations()
-			off := int(fn.Loc) / 8
-			if off+4 <= len(locs) {
-				return binary.BigEndian.Uint32(locs[off:]), true
-			}
-		}
-	}
-	return 0, false
-}
-
 // signalUnsupported builds and sends the FN-unsupported notification back
 // toward the packet's source. Without an F_source FN the source is
 // unaddressable and the packet is silently dropped.
-func (r *Router) signalUnsupported(v core.View, ctx *core.ExecContext, inPort int) {
-	src := profiles.SourceOf(v)
+func (r *Router) signalUnsupported(ctx *core.ExecContext, inPort int) {
+	src := profiles.SourceOf(ctx.View)
 	msg, err := profiles.BuildFNUnsupported(src, ctx.UnsupportedKey)
 	if err != nil {
 		return

@@ -222,6 +222,59 @@ func TestCacheReplyBufferOwnership(t *testing.T) {
 	}
 }
 
+// TestCacheReplyNarrowAndUnalignedNames: F_FIB accepts a 1…32-bit name at
+// any bit offset and absorbs the interest on a cache hit, so the router must
+// answer every such hit — under the name the store was asked for — not only
+// a 32-bit, byte-aligned one, and also when F_FIB ran in a parallel wave.
+func TestCacheReplyNarrowAndUnalignedNames(t *testing.T) {
+	cfg := baseCfg(t)
+	cfg.NameFIB.AddUint32(0xAA000000, 8, fib.NextHop{Port: 3})
+	cfg.ContentStore = cs.New[uint32](8)
+	r, ports := newTestRouter(t, cfg, Config{})
+	r.HandlePacket(pkt(t, profiles.NDNInterest(0xAABBCC00), nil), 0)
+	r.HandlePacket(pkt(t, profiles.NDNData(0xAABBCC00), []byte("the bits")), 3)
+	for _, c := range []struct {
+		name     string
+		loc, len uint16
+		locs     []byte
+		parallel bool
+	}{
+		{"24 bits in a parallel wave", 0, 24, []byte{0xAA, 0xBB, 0xCC}, true},
+		{"24 bits", 0, 24, []byte{0xAA, 0xBB, 0xCC}, false},
+		{"32 bits at bit 4", 4, 32, []byte{0x0A, 0xAB, 0xBC, 0xC0, 0x00}, false},
+	} {
+		ports[1].pkts = nil
+		h := &core.Header{
+			HopLimit:  9,
+			FNs:       []core.FN{core.RouterFN(c.loc, c.len, core.KeyFIB)},
+			Locations: c.locs,
+		}
+		if c.parallel {
+			// F_source shares F_FIB's stage, so the two run as one wave.
+			h.Parallel = true
+			h.FNs = append(h.FNs, core.RouterFN(0, 8, core.KeySource))
+		}
+		r.HandlePacket(pkt(t, h, nil), 1)
+		if len(ports[1].pkts) != 1 {
+			t.Errorf("%s: %d cache replies, want 1", c.name, len(ports[1].pkts))
+			continue
+		}
+		v, err := core.ParseView(ports[1].pkts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name, ok := host.DataName(v); !ok || name != 0xAABBCC00 || string(v.Payload()) != "the bits" {
+			t.Errorf("%s: reply for %#x (ok %v) carrying %q", c.name, name, ok, v.Payload())
+		}
+		if v.HopLimit() != 8 {
+			t.Errorf("%s: reply hop limit %d, want the interest's 8", c.name, v.HopLimit())
+		}
+	}
+	if len(ports[3].pkts) != 1 {
+		t.Errorf("upstream interests = %d, want 1 (the cache absorbed the rest)", len(ports[3].pkts))
+	}
+}
+
 func TestFNUnsupportedSignalling(t *testing.T) {
 	// A router without OPT state receives an OPT packet whose F_parm demands
 	// signalling.

@@ -314,8 +314,8 @@ func (in *Ingress) forwarder(q *burstQueue, w *workerState) {
 
 // runBurst processes one burst run-to-completion on its forwarder's
 // context: a single heartbeat stamp and one burst stamp cover the whole
-// burst. Each packet still executes behind the panic quarantine, so a
-// poison packet costs exactly itself — the rest of its burst completes.
+// burst. The burst executes behind the panic quarantine, so a poison packet
+// costs exactly itself — the rest of its burst completes.
 func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *workerState) {
 	at := int64(in.cfg.Clock())
 	if w != nil {
@@ -326,9 +326,8 @@ func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *work
 	// (when a packet carries it) turns them into per-hop latency and queue
 	// depth, and observers charge their seen-counters once from the stamp.
 	ctx.BeginBurst(len(burst), at)
-	for i := range burst {
-		in.safeHandle(ctx, burst[i])
-		burst[i] = queuedPacket{} // drop the buffer reference promptly
+	for i := 0; i < len(burst); {
+		i = in.safeRun(ctx, burst, i)
 	}
 	scrub(ctx)
 	if w != nil {
@@ -337,13 +336,18 @@ func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *work
 	in.processed.Add(int64(len(burst)))
 }
 
-// safeHandle is the panic isolation boundary: a packet that crashes the
-// pipeline costs exactly that packet. The offending bytes, ingress port,
-// panic value, and stack are captured into the quarantine ring for offline
-// dissection (guard.Capture renders dipdump-ready dumps).
-func (in *Ingress) safeHandle(ctx *core.ExecContext, q queuedPacket) {
+// safeRun is the panic isolation boundary: it runs burst[i:] behind one
+// deferred recover and returns where to resume — len(burst), or the packet
+// after one that crashed the pipeline. That packet costs exactly itself: its
+// bytes, ingress port, panic value, and stack are captured into the
+// quarantine ring for offline dissection (guard.Capture renders
+// dipdump-ready dumps).
+func (in *Ingress) safeRun(ctx *core.ExecContext, burst []queuedPacket, i int) (next int) {
 	defer func() {
 		if p := recover(); p != nil {
+			q := burst[next]
+			burst[next] = queuedPacket{}
+			next++
 			in.panics.Add(1)
 			cp := make([]byte, len(q.pkt))
 			copy(cp, q.pkt)
@@ -359,7 +363,11 @@ func (in *Ingress) safeHandle(ctx *core.ExecContext, q queuedPacket) {
 			}
 		}
 	}()
-	in.r.handlePacket(ctx, q.pkt, q.inPort)
+	for next = i; next < len(burst); next++ {
+		in.r.handlePacket(ctx, burst[next].pkt, burst[next].inPort)
+		burst[next] = queuedPacket{} // drop the buffer reference promptly
+	}
+	return next
 }
 
 func (in *Ingress) event(e telemetry.Event) {

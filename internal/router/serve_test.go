@@ -157,3 +157,76 @@ func TestSingleQueueHandOff(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisonInBurstCostsItself: a burst runs behind one recover, and a
+// poison packet anywhere in it — first, in the middle, last, or two in a
+// row — is quarantined with its in-port while every other packet of the
+// burst is handled exactly once, in submission order.
+func TestPoisonInBurstCostsItself(t *testing.T) {
+	const n, gateTag = 64, 0xBF
+	for _, poison := range [][]int{{0}, {n / 2}, {n - 1}, {20, 21}} {
+		for _, workers := range []int{1, 0} {
+			isPoison := map[byte]bool{}
+			for _, i := range poison {
+				isPoison[byte(i)] = true
+			}
+			cfg := baseCfg(t)
+			cfg.FIB32.AddUint32(0, 0, fib.Local)
+			gate, parked := make(chan struct{}), make(chan struct{})
+			var got []byte // one consumer; read after Close
+			r := New(ops.NewRouterRegistry(cfg), Config{
+				LocalDelivery: func(p []byte, _ int) {
+					switch tag := p[len(p)-1]; {
+					case tag == gateTag:
+						close(parked)
+						<-gate
+					case isPoison[tag]:
+						panic("poison")
+					default:
+						got = append(got, tag)
+					}
+				},
+			})
+			in := r.ServeGuarded(ServeConfig{Workers: workers, Batch: n, HighDepth: n, LowDepth: n})
+			submitted := int64(n)
+			if workers == 1 {
+				// Park the forwarder on a burst of its own, so the n packets
+				// below queue up behind it and leave as one burst.
+				in.Submit(localPkt(t, gateTag), 0)
+				<-parked
+				submitted++
+			}
+			var want []byte
+			for i := 0; i < n; i++ {
+				if !in.Submit(localPkt(t, byte(i)), 1+i%5) {
+					t.Fatalf("poison %v workers=%d: Submit %d refused", poison, workers, i)
+				}
+				if !isPoison[byte(i)] {
+					want = append(want, byte(i))
+				}
+			}
+			if workers == 1 {
+				close(gate)
+			} else if got := in.Pump(); got != n {
+				t.Fatalf("poison %v: pumped %d, want %d", poison, got, n)
+			}
+			in.Close()
+			if !bytes.Equal(got, want) {
+				t.Errorf("poison %v workers=%d: handled % x, want % x", poison, workers, got, want)
+			}
+			if p := in.Processed(); p != submitted {
+				t.Errorf("poison %v workers=%d: processed %d, want %d", poison, workers, p, submitted)
+			}
+			q := in.Quarantine().Snapshot()
+			if len(q) != len(poison) {
+				t.Fatalf("poison %v workers=%d: %d captures", poison, workers, len(q))
+			}
+			for j, c := range q {
+				if i := poison[j]; c.Packet[len(c.Packet)-1] != byte(i) || c.InPort != 1+i%5 || c.Panic != "poison" {
+					t.Errorf("poison %v workers=%d: capture %d is tag %#x from port %d (%q), want %#x from port %d",
+						poison, workers, j, c.Packet[len(c.Packet)-1], c.InPort, c.Panic, i, 1+i%5)
+				}
+			}
+		}
+	}
+}
