@@ -31,6 +31,10 @@ vet:
 # matching a repository-wide grep for the names). And one parse per packet:
 # the engine dispatches from the triples ExecContext.Load decoded, and the
 # router and host parse through Load, never ParseView and a second decode.
+# And one way to build a router: outside internal/pit, internal/node and the
+# dip.go constructors no program code sets a PIT lifetime, arms a PIT sweep
+# or builds a router itself (set node.Spec.PITTTL and call node.Build). And
+# one way to change a trie: copy-on-write only, no in-place mutators.
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -58,6 +62,13 @@ seamcheck:
 	fi
 	@if grep -rn 'ParseView(' --include=*.go internal/router internal/host | grep -v _test.go; then \
 		echo "seamcheck: the forwarding or host path parses outside ExecContext.Load (DESIGN.md §5)"; exit 1; \
+	fi
+	@if grep -rnE 'pit\.WithTT[L]|\.SweepEver[y]\(|router\.Ne[w]\(' --include=*.go . \
+		| grep -v _test.go | grep -vE '^\./(internal/(pit|node)/|dip\.go:)'; then \
+		echo "seamcheck: a router is wired outside node.Build (set node.Spec.PITTTL: DESIGN.md §16)"; exit 1; \
+	fi
+	@if grep -rnE 'func \(t \*(BitTrie|NameTrie)\[V\]\) (Inser[t]|Delet[e])\(' --include=*.go internal/lpm; then \
+		echo "seamcheck: an in-place trie mutator is back (InsertCOW/DeleteCOW only: DESIGN.md §8)"; exit 1; \
 	fi
 
 race:

@@ -87,7 +87,7 @@ func runCCChaos(t *testing.T, seed int64, algo cc.Algo, initCwnd int) ccChaosOut
 	fl = fleet
 	// Sample every packet through the router so each journey carries its
 	// Algorithm 1 bracket; the tap forwards to the fleet's metrics recorder.
-	fl.Router.SetRecorder(journey.NewRouterTap("R", col, fl.Metrics, 1, simNow))
+	fl.Node.Router.SetRecorder(journey.NewRouterTap("R", col, fl.Metrics, 1, simNow))
 
 	res := fl.Run()
 	out := ccChaosOutcome{Fleet: *res}

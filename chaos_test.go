@@ -15,7 +15,7 @@ import (
 
 	"dip/internal/host"
 	"dip/internal/netsim"
-	"dip/internal/pit"
+	"dip/internal/node"
 	"dip/internal/telemetry"
 )
 
@@ -37,25 +37,15 @@ type chaosOutcome struct {
 func runChaos(t *testing.T, seed int64, loss float64, nFetch int) chaosOutcome {
 	t.Helper()
 	sim := netsim.New()
-	metrics := []*Metrics{{}, {}, {}}
 
 	// Short PIT TTLs: an expired entry is what lets a retransmitted
 	// interest propagate past routers that saw (and aggregated) the lost
-	// original.
-	routers := make([]*Router, 3)
-	pits := make([]*pit.Table[uint32], 3)
+	// original. Each node sweeps its PIT on the simulator every TTL.
+	routers := make([]*Node, 3)
+	metrics := make([]*Metrics, 3)
 	for i := range routers {
-		st := NewNodeState().EnableCache(64)
-		st.PIT = pit.New[uint32](
-			pit.WithTTL[uint32](40*time.Millisecond),
-			pit.WithClock[uint32](func() time.Time { return time.Unix(0, 0).Add(sim.Now()) }),
-		)
-		pits[i] = st.PIT
-		st.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
-		routers[i] = NewRouter(st.OpsConfig(), RouterOptions{
-			Name:    fmt.Sprintf("R%d", i+1),
-			Metrics: metrics[i],
-		})
+		routers[i] = chaosNode(t, node.SimEnv(sim), NodeSpec{Name: fmt.Sprintf("R%d", i+1), Cache: 64})
+		metrics[i] = routers[i].Metrics
 	}
 
 	impair := func(s int64, observer *Metrics) *netsim.Impairment {
@@ -81,9 +71,7 @@ func runChaos(t *testing.T, seed int64, loss float64, nFetch int) chaosOutcome {
 	// must surface as malformed drops, not crashes.
 	ims[2].CorruptProb = 0.02
 
-	recv := func(r *Router) netsim.Receiver {
-		return netsim.ReceiverFunc(func(pkt []byte, port int) { r.HandlePacket(pkt, port) })
-	}
+	recv := func(r *Node) netsim.Receiver { return netsim.ReceiverFunc(r.Handle) }
 	const hop = time.Millisecond
 
 	// Consumer C.
@@ -116,12 +104,12 @@ func runChaos(t *testing.T, seed int64, loss float64, nFetch int) chaosOutcome {
 	// Wiring, port 0 then port 1 on each router:
 	//   R1: 0 → C,  1 → R2      R2: 0 → R1, 1 → R3      R3: 0 → R2, 1 → P
 	toR1 := sim.Pipe(recv(routers[0]), 0, hop, 0)
-	routers[0].AttachPort(sim.Pipe(consumerRx, 0, hop, 0))
-	routers[0].AttachPort(sim.Pipe(recv(routers[1]), 0, hop, 0, netsim.WithImpairment(ims[0])))
-	routers[1].AttachPort(sim.Pipe(recv(routers[0]), 1, hop, 0, netsim.WithImpairment(ims[1])))
-	routers[1].AttachPort(sim.Pipe(recv(routers[2]), 0, hop, 0, netsim.WithImpairment(ims[2])))
-	routers[2].AttachPort(sim.Pipe(recv(routers[1]), 1, hop, 0, netsim.WithImpairment(ims[3])))
-	routers[2].AttachPort(sim.Pipe(producerRx, 0, hop, 0))
+	routers[0].AttachPort(sim.Pipe(consumerRx, 0, hop, 0), false)
+	routers[0].AttachPort(sim.Pipe(recv(routers[1]), 0, hop, 0, netsim.WithImpairment(ims[0])), false)
+	routers[1].AttachPort(sim.Pipe(recv(routers[0]), 1, hop, 0, netsim.WithImpairment(ims[1])), false)
+	routers[1].AttachPort(sim.Pipe(recv(routers[2]), 0, hop, 0, netsim.WithImpairment(ims[2])), false)
+	routers[2].AttachPort(sim.Pipe(recv(routers[1]), 1, hop, 0, netsim.WithImpairment(ims[3])), false)
+	routers[2].AttachPort(sim.Pipe(producerRx, 0, hop, 0), false)
 	toR3 = sim.Pipe(recv(routers[2]), 1, hop, 0)
 
 	// One-segment objects under a blind window wide enough for every name:
@@ -137,22 +125,11 @@ func runChaos(t *testing.T, seed int64, loss float64, nFetch int) chaosOutcome {
 		outcome.Payloads[name] = string(payload)
 	}
 
-	// PIT sweepers keep abandoned entries from pinning router state.
-	for i, p := range pits {
-		m := metrics[i]
-		cancel := p.SweepEvery(sim, 50*time.Millisecond, func(n int) {
-			for j := 0; j < n; j++ {
-				m.RecordEvent(telemetry.EventPITExpired)
-			}
-		})
-		defer cancel()
-	}
-
 	for i := 0; i < nFetch; i++ {
 		name := uint32(0xAA000000 + i)
 		sim.Schedule(time.Duration(i)*5*time.Millisecond, func() { fetcher.FetchObject(name, 1) })
 	}
-	// Sweepers reschedule forever; drain by horizon, far past any retx.
+	// Run to a horizon far past any retransmission.
 	sim.RunUntil(20 * time.Second)
 
 	outcome.Stats = fetcher.Stats()
@@ -229,13 +206,7 @@ func TestChaosHeavyImpairmentStillConverges(t *testing.T) {
 		t.Skip("chaos soak")
 	}
 	sim := netsim.New()
-	st := NewNodeState()
-	st.PIT = pit.New[uint32](
-		pit.WithTTL[uint32](40*time.Millisecond),
-		pit.WithClock[uint32](func() time.Time { return time.Unix(0, 0).Add(sim.Now()) }),
-	)
-	st.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
-	r := NewRouter(st.OpsConfig(), RouterOptions{})
+	r := chaosNode(t, node.SimEnv(sim), NodeSpec{Name: "R"})
 
 	im := netsim.NewImpairment(77)
 	im.DropProb = 0.20
@@ -265,10 +236,10 @@ func TestChaosHeavyImpairmentStillConverges(t *testing.T) {
 			}
 		}
 	})
-	rRecv := netsim.ReceiverFunc(func(pkt []byte, port int) { r.HandlePacket(pkt, port) })
+	rRecv := netsim.ReceiverFunc(r.Handle)
 	toRouterLossy := sim.Pipe(rRecv, 0, time.Millisecond, 0, netsim.WithImpairment(im))
-	r.AttachPort(sim.Pipe(consumerRx, 0, time.Millisecond, 0, netsim.WithImpairment(imBack)))
-	r.AttachPort(sim.Pipe(producerRx, 0, time.Millisecond, 0))
+	r.AttachPort(sim.Pipe(consumerRx, 0, time.Millisecond, 0, netsim.WithImpairment(imBack)), false)
+	r.AttachPort(sim.Pipe(producerRx, 0, time.Millisecond, 0), false)
 	toRouter = sim.Pipe(rRecv, 1, time.Millisecond, 0)
 
 	const n = 40
@@ -295,4 +266,22 @@ func TestChaosHeavyImpairmentStillConverges(t *testing.T) {
 			t.Errorf("name %#x completed %d times (duplicate data double-satisfied)", name, c)
 		}
 	}
+}
+
+// chaosPITTTL is the chaos rigs' PIT lifetime: a few hops' round trips, so
+// a retransmitted interest outlives the stale entry its lost original left.
+const chaosPITTTL = 40 * time.Millisecond
+
+// chaosNode builds one simulated chaos-rig router from spec: 0xAA/8 names
+// routed out port 1 and a chaosPITTTL PIT, swept on env's timer.
+func chaosNode(t *testing.T, env NodeEnv, spec NodeSpec) *Node {
+	t.Helper()
+	spec.Names = []NodeRoute{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}
+	spec.PITTTL = chaosPITTTL
+	n, err := BuildNode(spec, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n
 }

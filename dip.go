@@ -171,9 +171,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceRecord is one sampled packet's journey.
 	TraceRecord = trace.Record
-	// JourneyCollector stitches cross-element spans into per-packet
-	// journeys with latency decomposition and an anomaly flight recorder.
-	JourneyCollector = journey.Collector
 	// JourneySpan is one element's observation of one packet.
 	JourneySpan = journey.Span
 	// Journey is one packet instance's stitched span sequence.
@@ -186,12 +183,6 @@ type (
 	FlightRecorder = journey.FlightRecorder
 	// FrozenJourney is one flight-recorder entry.
 	FrozenJourney = journey.FrozenJourney
-	// JourneyTraceID correlates spans from different elements into one
-	// journey (explicit TraceCtx FN, or the packet content fingerprint).
-	JourneyTraceID = journey.TraceID
-	// JourneySpanSink receives spans (JourneyCollector and JourneyEmitter
-	// both satisfy it).
-	JourneySpanSink = journey.SpanSink
 	// MetricsSource bundles what one node exposes over its metrics listener.
 	MetricsSource = export.Source
 	// SegFetcher pipelines congestion-controlled multi-segment object
@@ -242,10 +233,6 @@ type (
 	AdmissionRate = guard.Rate
 	// Admission is a router ingress's admission-control state.
 	Admission = guard.Admission
-	// GuardClass is an ingress admission priority class.
-	GuardClass = guard.Class
-	// Quarantine is the bounded poison-packet capture ring.
-	Quarantine = guard.Quarantine
 	// QuarantineCapture is one quarantined poison packet.
 	QuarantineCapture = guard.Capture
 	// Catalog is an advertised FN availability set.
@@ -298,13 +285,6 @@ const (
 func NewAdmission(policy AdmissionPolicy, clock func() time.Duration) *Admission {
 	return guard.NewAdmission(policy, clock)
 }
-
-// NewQuarantine builds a poison-packet capture ring holding the last n
-// captures (n < 1 uses the default size).
-func NewQuarantine(n int) *Quarantine { return guard.NewQuarantine(n) }
-
-// ClassifyPacket reports the default admission class of raw packet bytes.
-func ClassifyPacket(pkt []byte) GuardClass { return guard.Classify(pkt) }
 
 // NewSpeaker builds a route-exchange agent for one router. Peer it with
 // AddNeighbor (the send func typically wraps BuildPacket(RouteExchange(), msg)
@@ -393,12 +373,6 @@ func NewTraceRecorder(inner *Metrics, every, ring int) *TraceRecorder {
 	return trace.NewRecorder(inner, every, ring)
 }
 
-// NewJourneyCollector builds a span-stitching collector with default
-// bounds (4096 live journeys, 64-entry flight recorder).
-func NewJourneyCollector() *JourneyCollector {
-	return journey.NewCollector(journey.Config{})
-}
-
 // NewJourneyEmitter builds a span ring for live-process /journeys export
 // (size < 1 selects the default 4096).
 func NewJourneyEmitter(size int) *JourneyEmitter { return journey.NewEmitter(size) }
@@ -409,26 +383,6 @@ func NewJourneyEmitter(size int) *JourneyEmitter { return journey.NewEmitter(siz
 // *Metrics or a *TraceRecorder); now is the span clock (nil = wall time).
 func NewRouterJourneyTap(node string, sink journey.SpanSink, inner core.Recorder, every int, now func() int64) *journey.RouterTap {
 	return journey.NewRouterTap(node, sink, inner, every, now)
-}
-
-// JourneyTraceOf derives a packet's journey trace ID (explicit TraceCtx FN
-// when carried, content fingerprint otherwise; 0 for non-DIP bytes).
-func JourneyTraceOf(pkt []byte) JourneyTraceID { return journey.TraceOf(pkt) }
-
-// WithJourneyTrace appends a host-tagged TraceCtx FN carrying an explicit
-// trace ID, so the journey survives payload rewrites that would change the
-// content fingerprint. Routers skip it (host tag); taps read it.
-func WithJourneyTrace(h *Header, id JourneyTraceID) *Header {
-	return journey.WithTraceCtx(h, id)
-}
-
-// NewFetchJourneyTap builds a host.FetchObserver emitting send/retx/
-// satisfy/dead-letter spans; set as SegConfig.Observer. (Link and
-// tunnel taps live with their substrates — journey.NewLinkTap and
-// journey.NewTunnelTap — which diptopo wires up; the facade exposes no
-// netsim/tunnel surface to install them on.)
-func NewFetchJourneyTap(node string, sink JourneySpanSink, now func() int64) host.FetchObserver {
-	return journey.NewFetchTap(node, sink, now)
 }
 
 // ServeMetrics binds addr and serves src's observability surface (/metrics
@@ -455,10 +409,6 @@ const (
 func NewSegFetcher(clock host.Clock, send func(pkt []byte), cfg SegConfig) *SegFetcher {
 	return host.NewSegFetcher(clock, send, cfg)
 }
-
-// SegName is the content name of object base's segment seg (segments are
-// consecutive names: base, base+1, …).
-func SegName(base uint32, seg int) uint32 { return host.SegName(base, seg) }
 
 // NewWallClock adapts real time onto the host.Clock interface fetchers
 // arm timers on: Now is time since construction, Schedule is

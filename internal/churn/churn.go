@@ -32,7 +32,7 @@ import (
 
 	"dip/internal/fib"
 	"dip/internal/names"
-	"dip/internal/ops"
+	"dip/internal/node"
 	"dip/internal/profiles"
 	"dip/internal/router"
 )
@@ -54,9 +54,10 @@ type Config struct {
 	// running during storms (default 2); SamplesPerStorm the number of
 	// timed lookups each takes per batch of samples (default 2000).
 	Samplers, SamplesPerStorm int
-	// Forward adds a burst dataplane: a router over the churning FIB32
-	// serving submitted bursts at full rate on ForwardWorkers forwarders
-	// (default GOMAXPROCS/2, min 1) while the storms run.
+	// Forward adds a burst dataplane: a node.Build router whose FIB32 is
+	// the churning 32-bit table, serving submitted bursts at full rate on
+	// ForwardWorkers forwarders (default GOMAXPROCS/2, min 1) while the
+	// storms run.
 	Forward        bool
 	ForwardWorkers int
 	// Log receives progress lines; nil discards.
@@ -225,6 +226,18 @@ func Run(cfg Config) Result {
 
 	t32, t128 := fib.New(), fib.New()
 	tname := fib.NewNameTable()
+	var dp *node.Node
+	if cfg.Forward {
+		var err error
+		dp, err = node.Build(node.Spec{Name: "churn-dp", Workers: cfg.ForwardWorkers, Batch: 64}, node.WallEnv(nil))
+		if err != nil {
+			panic("churn: dataplane: " + err.Error())
+		}
+		for p := 0; p < 8; p++ {
+			dp.AttachPort(router.PortFunc(func([]byte) {}), false)
+		}
+		t32 = dp.State.FIB32
+	}
 	var commits, commitNs atomic.Int64
 	commit := func(c interface{ Commit() }) {
 		start := time.Now()
@@ -314,19 +327,7 @@ func Run(cfg Config) Result {
 
 	var forwarded atomic.Int64
 	var fwdWG sync.WaitGroup
-	var ingress *router.Ingress
 	if cfg.Forward {
-		reg := ops.NewRouterRegistry(ops.Config{FIB32: t32})
-		r := router.New(reg, router.Config{Name: "churn-dp"})
-		for p := 0; p < 8; p++ {
-			r.AttachPort(router.PortFunc(func([]byte) {}))
-		}
-		start := time.Now()
-		ingress = r.ServeGuarded(router.ServeConfig{
-			Workers: cfg.ForwardWorkers,
-			Batch:   64,
-			Clock:   func() time.Duration { return time.Since(start) },
-		})
 		fwdWG.Add(1)
 		go func() {
 			defer fwdWG.Done()
@@ -344,7 +345,7 @@ func Run(cfg Config) Result {
 					}
 					burst = append(burst, pkt)
 				}
-				forwarded.Add(int64(ingress.SubmitBurst(burst, 0)))
+				forwarded.Add(int64(dp.Ingress.SubmitBurst(burst, 0)))
 			}
 		}()
 	}
@@ -414,7 +415,7 @@ func Run(cfg Config) Result {
 	}
 	if cfg.Forward {
 		fwdWG.Wait()
-		ingress.Close()
+		dp.Close()
 	}
 	res.Forwarded = forwarded.Load()
 

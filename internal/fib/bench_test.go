@@ -23,7 +23,7 @@ func (t *rwmuTable) AddUint32(key uint32, plen int, nh NextHop) {
 	var k [4]byte
 	k[0], k[1], k[2], k[3] = byte(key>>24), byte(key>>16), byte(key>>8), byte(key)
 	t.mu.Lock()
-	t.trie.Insert(k[:], plen, nh)
+	t.trie, _, _ = t.trie.InsertCOW(k[:], plen, nh)
 	t.mu.Unlock()
 }
 

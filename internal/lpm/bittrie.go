@@ -4,13 +4,12 @@
 // the FIB behind F_FIB when it holds numeric name IDs), and a component trie
 // over hierarchical names for NDN-style content routing.
 //
-// Both tries offer two mutation disciplines. The plain Insert/Delete methods
-// mutate in place and are not goroutine-safe; they suit single-owner tables
-// and bulk loads. The InsertCOW/DeleteCOW variants never touch the receiver:
-// they copy only the nodes along the affected path and return a new trie
-// sharing every untouched subtree, so a published trie is immutable and the
-// data plane reads it without locks or fences while the control plane swaps
-// whole tables (internal/fib implements exactly that RCU discipline).
+// Both tries change only by copy-on-write: InsertCOW/DeleteCOW never touch
+// the receiver; they copy only the nodes along the affected path and return
+// a new trie sharing every untouched subtree, so a published trie is
+// immutable and the data plane reads it without locks or fences while the
+// control plane swaps whole tables (internal/fib implements exactly that
+// RCU discipline).
 //
 // Fragment comparison runs a byte at a time — whole-byte XOR with
 // bits.LeadingZeros8 locating the divergence — so a lookup at 10⁶ routes
@@ -109,61 +108,11 @@ func commonBits(frag *[MaxKeyBits / 8]byte, key []byte, depth, limit int) int {
 	return limit
 }
 
-// Insert stores v under the prefix formed by the first plen bits of key.
-// It replaces any existing value for that exact prefix and reports whether
-// the prefix was newly created. Insert mutates the trie in place; use
-// InsertCOW for the copy-on-write discipline.
-func (t *BitTrie[V]) Insert(key []byte, plen int, v V) (created bool, err error) {
-	if err := checkKey(key, plen); err != nil {
-		return false, err
-	}
-	n := t.root
-	depth := 0
-	for {
-		// Match this node's fragment against key[depth:plen].
-		limit := plen - depth
-		if limit > int(n.flen) {
-			limit = int(n.flen)
-		}
-		common := commonBits(&n.frag, key, depth, limit)
-		if common < int(n.flen) {
-			// Split the node at `common`.
-			t.splitNode(n, common)
-			// After split, n holds the common fragment and one child.
-			if depth+common == plen {
-				n.has = true
-				n.val = v
-				t.size++
-				return true, nil
-			}
-			leaf := newLeaf[V](key, depth+common, plen, v)
-			n.child[bitAt(key, depth+common)] = leaf
-			t.size++
-			return true, nil
-		}
-		depth += int(n.flen)
-		if depth == plen {
-			if !n.has {
-				t.size++
-				created = true
-			}
-			n.has = true
-			n.val = v
-			return created, nil
-		}
-		b := bitAt(key, depth)
-		if n.child[b] == nil {
-			n.child[b] = newLeaf[V](key, depth, plen, v)
-			t.size++
-			return true, nil
-		}
-		n = n.child[b]
-	}
-}
-
-// InsertCOW is Insert under the copy-on-write discipline: the receiver is
-// never modified; the returned trie shares every untouched subtree with it.
-// Readers holding the old trie keep a consistent view indefinitely.
+// InsertCOW stores v under the prefix formed by the first plen bits of key
+// in a successor trie, replacing any existing value for that exact prefix,
+// and reports whether the prefix was newly created. The receiver is never
+// modified; the returned trie shares every untouched subtree with it, so
+// readers holding the old trie keep a consistent view indefinitely.
 func (t *BitTrie[V]) InsertCOW(key []byte, plen int, v V) (nt *BitTrie[V], created bool, err error) {
 	if err := checkKey(key, plen); err != nil {
 		return t, false, err
@@ -302,52 +251,11 @@ func (t *BitTrie[V]) Get(key []byte, plen int) (v V, ok bool) {
 	return got, true
 }
 
-// Delete removes the exact prefix (key, plen) and reports whether it
-// existed. Delete mutates the trie in place; use DeleteCOW for the
-// copy-on-write discipline.
-func (t *BitTrie[V]) Delete(key []byte, plen int) bool {
-	if checkKey(key, plen) != nil {
-		return false
-	}
-	var parent *bnode[V]
-	parentBit := 0
-	n := t.root
-	depth := 0
-	for {
-		if flen := int(n.flen); flen > 0 {
-			limit := plen - depth
-			if limit > flen {
-				limit = flen
-			}
-			if commonBits(&n.frag, key, depth, limit) < flen {
-				return false
-			}
-		}
-		depth += int(n.flen)
-		if depth == plen {
-			if !n.has {
-				return false
-			}
-			var zero V
-			n.has = false
-			n.val = zero
-			t.size--
-			t.compact(parent, parentBit, n)
-			return true
-		}
-		b := bitAt(key, depth)
-		if n.child[b] == nil {
-			return false
-		}
-		parent, parentBit = n, b
-		n = n.child[b]
-	}
-}
-
-// DeleteCOW is Delete under the copy-on-write discipline: the receiver is
-// never modified. When the prefix is absent it returns the receiver itself
-// (no allocation); otherwise the returned trie shares every untouched
-// subtree with the old one.
+// DeleteCOW removes the exact prefix (key, plen) in a successor trie and
+// reports whether it existed. The receiver is never modified. When the
+// prefix is absent it returns the receiver itself (no allocation);
+// otherwise the returned trie shares every untouched subtree with the old
+// one.
 func (t *BitTrie[V]) DeleteCOW(key []byte, plen int) (*BitTrie[V], bool) {
 	// Probe first so a miss costs no clones. Get is read-only.
 	if _, ok := t.Get(key, plen); !ok {
@@ -377,8 +285,8 @@ func (t *BitTrie[V]) DeleteCOW(key []byte, plen int) (*BitTrie[V], bool) {
 }
 
 // compact merges n into its single child (or removes it) after deletion.
-// n and parent are owned by the caller (freshly cloned on the COW path);
-// the absorbed child is only read, never written, so it may be shared.
+// n and parent are freshly cloned by DeleteCOW; the absorbed child is only
+// read, never written, so it may be shared.
 func (t *BitTrie[V]) compact(parent *bnode[V], parentBit int, n *bnode[V]) {
 	if n.has || parent == nil {
 		return

@@ -12,10 +12,10 @@ func ip4(a, b, c, d byte) []byte { return []byte{a, b, c, d} }
 
 func TestBitTrieBasicIPv4(t *testing.T) {
 	tr := NewBitTrie[string]()
-	mustInsert(t, tr, ip4(10, 0, 0, 0), 8, "ten")
-	mustInsert(t, tr, ip4(10, 1, 0, 0), 16, "ten-one")
-	mustInsert(t, tr, ip4(10, 1, 2, 0), 24, "ten-one-two")
-	mustInsert(t, tr, ip4(0, 0, 0, 0), 0, "default")
+	tr = mustInsert(t, tr, ip4(10, 0, 0, 0), 8, "ten")
+	tr = mustInsert(t, tr, ip4(10, 1, 0, 0), 16, "ten-one")
+	tr = mustInsert(t, tr, ip4(10, 1, 2, 0), 24, "ten-one-two")
+	tr = mustInsert(t, tr, ip4(0, 0, 0, 0), 0, "default")
 
 	cases := []struct {
 		key  []byte
@@ -40,7 +40,7 @@ func TestBitTrieBasicIPv4(t *testing.T) {
 
 func TestBitTrieNoMatch(t *testing.T) {
 	tr := NewBitTrie[int]()
-	mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
+	tr = mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
 	if _, _, ok := tr.Lookup(ip4(11, 0, 0, 1), 32); ok {
 		t.Error("unexpected match")
 	}
@@ -53,11 +53,11 @@ func TestBitTrieNoMatch(t *testing.T) {
 
 func TestBitTrieReplace(t *testing.T) {
 	tr := NewBitTrie[int]()
-	created, err := tr.Insert(ip4(10, 0, 0, 0), 8, 1)
+	tr, created, err := tr.InsertCOW(ip4(10, 0, 0, 0), 8, 1)
 	if err != nil || !created {
 		t.Fatalf("first insert: created=%v err=%v", created, err)
 	}
-	created, err = tr.Insert(ip4(10, 0, 0, 0), 8, 2)
+	tr, created, err = tr.InsertCOW(ip4(10, 0, 0, 0), 8, 2)
 	if err != nil || created {
 		t.Fatalf("replace: created=%v err=%v", created, err)
 	}
@@ -73,9 +73,9 @@ func TestBitTrieReplace(t *testing.T) {
 func TestBitTrieSplitPaths(t *testing.T) {
 	// Force fragment splits: two prefixes diverging mid-fragment.
 	tr := NewBitTrie[int]()
-	mustInsert(t, tr, []byte{0b10101010, 0xFF}, 16, 1)
-	mustInsert(t, tr, []byte{0b10101011, 0x00}, 16, 2) // diverges at bit 7
-	mustInsert(t, tr, []byte{0b10101010}, 8, 3)        // prefix of the first
+	tr = mustInsert(t, tr, []byte{0b10101010, 0xFF}, 16, 1)
+	tr = mustInsert(t, tr, []byte{0b10101011, 0x00}, 16, 2) // diverges at bit 7
+	tr = mustInsert(t, tr, []byte{0b10101010}, 8, 3)        // prefix of the first
 	v, plen, ok := tr.Lookup([]byte{0b10101010, 0xFF}, 16)
 	if !ok || v != 1 || plen != 16 {
 		t.Errorf("got (%d,%d,%v)", v, plen, ok)
@@ -92,18 +92,19 @@ func TestBitTrieSplitPaths(t *testing.T) {
 
 func TestBitTrieExactGetDelete(t *testing.T) {
 	tr := NewBitTrie[int]()
-	mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
-	mustInsert(t, tr, ip4(10, 1, 0, 0), 16, 2)
+	tr = mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
+	tr = mustInsert(t, tr, ip4(10, 1, 0, 0), 16, 2)
 	if v, ok := tr.Get(ip4(10, 0, 0, 0), 8); !ok || v != 1 {
 		t.Errorf("Get /8 = (%d,%v)", v, ok)
 	}
 	if _, ok := tr.Get(ip4(10, 0, 0, 0), 9); ok {
 		t.Error("Get /9 should miss")
 	}
-	if !tr.Delete(ip4(10, 1, 0, 0), 16) {
+	tr, removed := tr.DeleteCOW(ip4(10, 1, 0, 0), 16)
+	if !removed {
 		t.Fatal("delete existing failed")
 	}
-	if tr.Delete(ip4(10, 1, 0, 0), 16) {
+	if _, removed = tr.DeleteCOW(ip4(10, 1, 0, 0), 16); removed {
 		t.Error("double delete succeeded")
 	}
 	v, plen, ok := tr.Lookup(ip4(10, 1, 2, 3), 32)
@@ -117,13 +118,13 @@ func TestBitTrieExactGetDelete(t *testing.T) {
 
 func TestBitTrieKeyValidation(t *testing.T) {
 	tr := NewBitTrie[int]()
-	if _, err := tr.Insert([]byte{1}, 16, 0); err == nil {
+	if _, _, err := tr.InsertCOW([]byte{1}, 16, 0); err == nil {
 		t.Error("short key accepted")
 	}
-	if _, err := tr.Insert(make([]byte, 17), 136, 0); err == nil {
+	if _, _, err := tr.InsertCOW(make([]byte, 17), 136, 0); err == nil {
 		t.Error(">128-bit prefix accepted")
 	}
-	if _, err := tr.Insert(nil, -1, 0); err == nil {
+	if _, _, err := tr.InsertCOW(nil, -1, 0); err == nil {
 		t.Error("negative plen accepted")
 	}
 }
@@ -133,8 +134,8 @@ func TestBitTrie128Bit(t *testing.T) {
 	k := make([]byte, 16)
 	k[0] = 0x20
 	k[1] = 0x01
-	mustInsert(t, tr, k, 32, 6)
-	mustInsert(t, tr, k, 128, 7)
+	tr = mustInsert(t, tr, k, 32, 6)
+	tr = mustInsert(t, tr, k, 128, 7)
 	v, plen, ok := tr.Lookup(k, 128)
 	if !ok || v != 7 || plen != 128 {
 		t.Errorf("got (%d,%d,%v)", v, plen, ok)
@@ -168,13 +169,15 @@ func TestBitTrieAgainstModelQuick(t *testing.T) {
 			case 0, 1:
 				v := rng.Uint32()
 				model[p] = v
-				if _, err := tr.Insert(k[:], plen, v); err != nil {
+				var err error
+				if tr, _, err = tr.InsertCOW(k[:], plen, v); err != nil {
 					return false
 				}
 			case 2:
 				_, existed := model[p]
 				delete(model, p)
-				if tr.Delete(k[:], plen) != existed {
+				var removed bool
+				if tr, removed = tr.DeleteCOW(k[:], plen); removed != existed {
 					return false
 				}
 			}
@@ -224,9 +227,9 @@ func prefixMatches(key, prefix []byte, plen int) bool {
 
 func TestBitTrieWalk(t *testing.T) {
 	tr := NewBitTrie[int]()
-	mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
-	mustInsert(t, tr, ip4(10, 1, 0, 0), 16, 2)
-	mustInsert(t, tr, ip4(192, 168, 0, 0), 16, 3)
+	tr = mustInsert(t, tr, ip4(10, 0, 0, 0), 8, 1)
+	tr = mustInsert(t, tr, ip4(10, 1, 0, 0), 16, 2)
+	tr = mustInsert(t, tr, ip4(192, 168, 0, 0), 16, 3)
 	var got []int
 	tr.Walk(func(key []byte, plen int, v int) bool {
 		got = append(got, v)
@@ -244,18 +247,21 @@ func TestBitTrieWalk(t *testing.T) {
 	}
 }
 
-func mustInsert[V any](t *testing.T, tr *BitTrie[V], key []byte, plen int, v V) {
+// mustInsert returns tr's successor with (key, plen) → v inserted.
+func mustInsert[V any](t *testing.T, tr *BitTrie[V], key []byte, plen int, v V) *BitTrie[V] {
 	t.Helper()
-	if _, err := tr.Insert(key, plen, v); err != nil {
-		t.Fatalf("Insert(%v,/%d): %v", key, plen, err)
+	nt, _, err := tr.InsertCOW(key, plen, v)
+	if err != nil {
+		t.Fatalf("InsertCOW(%v,/%d): %v", key, plen, err)
 	}
+	return nt
 }
 
 func TestNameTrieBasic(t *testing.T) {
 	tr := NewNameTrie[int]()
-	tr.Insert([]string{"org", "hotnets"}, 1)
-	tr.Insert([]string{"org", "hotnets", "papers"}, 2)
-	tr.Insert([]string{"com"}, 3)
+	tr, _ = tr.InsertCOW([]string{"org", "hotnets"}, 1)
+	tr, _ = tr.InsertCOW([]string{"org", "hotnets", "papers"}, 2)
+	tr, _ = tr.InsertCOW([]string{"com"}, 3)
 
 	v, n, ok := tr.Lookup([]string{"org", "hotnets", "papers", "dip"})
 	if !ok || v != 2 || n != 3 {
@@ -275,7 +281,7 @@ func TestNameTrieBasic(t *testing.T) {
 
 func TestNameTrieRootDefault(t *testing.T) {
 	tr := NewNameTrie[string]()
-	tr.Insert(nil, "default")
+	tr, _ = tr.InsertCOW(nil, "default")
 	v, n, ok := tr.Lookup([]string{"anything"})
 	if !ok || v != "default" || n != 0 {
 		t.Errorf("got (%q,%d,%v)", v, n, ok)
@@ -284,21 +290,22 @@ func TestNameTrieRootDefault(t *testing.T) {
 
 func TestNameTrieGetDelete(t *testing.T) {
 	tr := NewNameTrie[int]()
-	tr.Insert([]string{"a", "b"}, 1)
-	tr.Insert([]string{"a", "b", "c"}, 2)
+	tr, _ = tr.InsertCOW([]string{"a", "b"}, 1)
+	tr, _ = tr.InsertCOW([]string{"a", "b", "c"}, 2)
 	if v, ok := tr.Get([]string{"a", "b"}); !ok || v != 1 {
 		t.Errorf("Get = (%d,%v)", v, ok)
 	}
 	if _, ok := tr.Get([]string{"a"}); ok {
 		t.Error("interior node should not Get")
 	}
-	if !tr.Delete([]string{"a", "b", "c"}) {
+	tr, removed := tr.DeleteCOW([]string{"a", "b", "c"})
+	if !removed {
 		t.Fatal("delete failed")
 	}
-	if tr.Delete([]string{"a", "b", "c"}) {
+	if _, removed = tr.DeleteCOW([]string{"a", "b", "c"}); removed {
 		t.Error("double delete")
 	}
-	if tr.Delete([]string{"z"}) {
+	if _, removed = tr.DeleteCOW([]string{"z"}); removed {
 		t.Error("deleting absent prefix succeeded")
 	}
 	v, n, ok := tr.Lookup([]string{"a", "b", "c", "d"})
@@ -312,10 +319,11 @@ func TestNameTrieGetDelete(t *testing.T) {
 
 func TestNameTrieReplace(t *testing.T) {
 	tr := NewNameTrie[int]()
-	if created := tr.Insert([]string{"a"}, 1); !created {
+	tr, created := tr.InsertCOW([]string{"a"}, 1)
+	if !created {
 		t.Error("first insert not created")
 	}
-	if created := tr.Insert([]string{"a"}, 2); created {
+	if tr, created = tr.InsertCOW([]string{"a"}, 2); created {
 		t.Error("replace reported created")
 	}
 	if v, _ := tr.Get([]string{"a"}); v != 2 {
@@ -325,8 +333,8 @@ func TestNameTrieReplace(t *testing.T) {
 
 func TestNameTrieWalk(t *testing.T) {
 	tr := NewNameTrie[int]()
-	tr.Insert([]string{"a"}, 1)
-	tr.Insert([]string{"a", "b"}, 2)
+	tr, _ = tr.InsertCOW([]string{"a"}, 1)
+	tr, _ = tr.InsertCOW([]string{"a", "b"}, 2)
 	seen := map[int]int{}
 	tr.Walk(func(c []string, v int) bool {
 		seen[v] = len(c)
@@ -348,7 +356,7 @@ func benchLookup(b *testing.B, routes int) {
 		binary.BigEndian.PutUint32(k[:], rng.Uint32())
 		plen := 8 + rng.Intn(25)
 		maskKey(k[:], plen)
-		tr.Insert(k[:], plen, uint32(i))
+		tr, _, _ = tr.InsertCOW(k[:], plen, uint32(i))
 	}
 	keys := make([][4]byte, 1024)
 	for i := range keys {

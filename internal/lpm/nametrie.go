@@ -36,31 +36,6 @@ func (n *nameNode[V]) clone() *nameNode[V] {
 // Len returns the number of stored name prefixes.
 func (t *NameTrie[V]) Len() int { return t.size }
 
-// Insert stores v under the component prefix and reports whether the prefix
-// was newly created. The empty prefix (root) is allowed and acts as a
-// default route.
-func (t *NameTrie[V]) Insert(components []string, v V) (created bool) {
-	n := t.root
-	for _, c := range components {
-		if n.children == nil {
-			n.children = make(map[string]*nameNode[V])
-		}
-		next, ok := n.children[c]
-		if !ok {
-			next = &nameNode[V]{}
-			n.children[c] = next
-		}
-		n = next
-	}
-	if !n.has {
-		t.size++
-		created = true
-	}
-	n.has = true
-	n.val = v
-	return created
-}
-
 // Lookup returns the value of the longest stored prefix of components and
 // the number of components it matched.
 func (t *NameTrie[V]) Lookup(components []string) (v V, matched int, ok bool) {
@@ -99,14 +74,10 @@ func (t *NameTrie[V]) Get(components []string) (v V, ok bool) {
 	return n.val, true
 }
 
-// Delete removes the exact component prefix and reports whether it existed.
-// Empty interior nodes are pruned.
-func (t *NameTrie[V]) Delete(components []string) bool {
-	return t.delete(t.root, components)
-}
-
-// InsertCOW is Insert under the copy-on-write discipline: the receiver is
-// never modified; the returned trie shares every untouched subtree with it.
+// InsertCOW stores v under the component prefix in a successor trie and
+// reports whether the prefix was newly created. The empty prefix (root) is
+// allowed and acts as a default route. The receiver is never modified; the
+// returned trie shares every untouched subtree with it.
 func (t *NameTrie[V]) InsertCOW(components []string, v V) (nt *NameTrie[V], created bool) {
 	nt = &NameTrie[V]{root: t.root.clone(), size: t.size}
 	n := nt.root
@@ -132,8 +103,9 @@ func (t *NameTrie[V]) InsertCOW(components []string, v V) (nt *NameTrie[V], crea
 	return nt, created
 }
 
-// DeleteCOW is Delete under the copy-on-write discipline. When the prefix is
-// absent it returns the receiver itself (no allocation).
+// DeleteCOW removes the exact component prefix in a successor trie and
+// reports whether it existed; empty interior nodes are pruned. When the
+// prefix is absent it returns the receiver itself (no allocation).
 func (t *NameTrie[V]) DeleteCOW(components []string) (*NameTrie[V], bool) {
 	if _, ok := t.Get(components); !ok {
 		return t, false
@@ -148,8 +120,7 @@ func (t *NameTrie[V]) DeleteCOW(components []string) (*NameTrie[V], bool) {
 	var zero V
 	n.has = false
 	n.val = zero
-	// Prune now-empty tail nodes so COW deletes stay as tidy as in-place
-	// ones. Walk the cloned path again from the root.
+	// Prune now-empty tail nodes: walk the cloned path again from the root.
 	nt.prune(nt.root, components)
 	return nt, true
 }
@@ -164,28 +135,6 @@ func (t *NameTrie[V]) prune(n *nameNode[V], rest []string) bool {
 		delete(n.children, rest[0])
 	}
 	return !n.has && len(n.children) == 0
-}
-
-func (t *NameTrie[V]) delete(n *nameNode[V], rest []string) bool {
-	if len(rest) == 0 {
-		if !n.has {
-			return false
-		}
-		var zero V
-		n.has = false
-		n.val = zero
-		t.size--
-		return true
-	}
-	child, ok := n.children[rest[0]]
-	if !ok {
-		return false
-	}
-	deleted := t.delete(child, rest[1:])
-	if deleted && !child.has && len(child.children) == 0 {
-		delete(n.children, rest[0])
-	}
-	return deleted
 }
 
 // Walk visits every stored prefix in unspecified order; returning false

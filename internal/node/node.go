@@ -95,7 +95,7 @@ func SimEnv(sim *netsim.Simulator) Env {
 // asked for already wired together, and its PIT swept on the Env's timer.
 // The exported fields are read-only after Build.
 type Node struct {
-	Spec    Spec               // as given, with derived defaults (HopID, IntSlots) filled in
+	Spec    Spec               // as given, with derived defaults (PITTTL, HopID, IntSlots) filled in
 	State   *State             // forwarding tables
 	Router  *router.Router     // the pipeline
 	Ingress *router.Ingress    // guard layer; nil when packets are handled inline
@@ -139,7 +139,13 @@ func Build(s Spec, env Env) (*Node, error) {
 		}
 	}
 	// PIT time is the Env's: under SimEnv entries age in virtual time.
-	popts := []pit.Option[uint32]{pit.WithClock[uint32](func() time.Time { return time.Time{}.Add(env.Clock()) })}
+	if n.Spec.PITTTL == 0 {
+		n.Spec.PITTTL = pit.DefaultTTL
+	}
+	popts := []pit.Option[uint32]{
+		pit.WithTTL[uint32](n.Spec.PITTTL),
+		pit.WithClock[uint32](func() time.Time { return time.Time{}.Add(env.Clock()) }),
+	}
 	if s.PITPerPort > 0 {
 		popts = append(popts, pit.WithPerPortCap[uint32](s.PITPerPort))
 	}
@@ -147,7 +153,7 @@ func Build(s Spec, env Env) (*Node, error) {
 		popts = append(popts, pit.WithShards[uint32](s.PITShards))
 	}
 	st.PIT = pit.New[uint32](popts...)
-	n.stopSweep = st.PIT.SweepEvery(sweepTimer{n}, pit.DefaultTTL, func(removed int) {
+	n.stopSweep = st.PIT.SweepEvery(sweepTimer{n}, n.Spec.PITTTL, func(removed int) {
 		for range removed {
 			n.Metrics.RecordEvent(telemetry.EventPITExpired)
 		}
@@ -287,8 +293,8 @@ func (n *Node) Handle(pkt []byte, inPort int) {
 }
 
 // sweepTimer is the PIT sweep's scheduler: the Env's, except that a tick
-// finding the table empty parks, and the next Handle arms it one TTL out — a
-// sweep re-armed forever would keep a simulation from ever draining.
+// finding the table empty parks, and the next Handle arms it one PITTTL
+// out — a sweep re-armed forever would keep a simulation from draining.
 type sweepTimer struct{ n *Node }
 
 func (t sweepTimer) Schedule(_ time.Duration, fn func()) {
@@ -300,7 +306,7 @@ func (t sweepTimer) Schedule(_ time.Duration, fn func()) {
 
 func (n *Node) unparkSweep() {
 	if p := n.parked.Load(); p != nil && n.parked.CompareAndSwap(p, nil) {
-		n.env.Schedule(pit.DefaultTTL, *p)
+		n.env.Schedule(n.Spec.PITTTL, *p)
 	}
 }
 

@@ -10,141 +10,15 @@ import (
 	"time"
 
 	"dip/internal/core"
-	"dip/internal/drkey"
 	"dip/internal/extops"
 	"dip/internal/guard"
 	"dip/internal/host"
 	"dip/internal/netsim"
-	"dip/internal/opt"
 	"dip/internal/pit"
 	"dip/internal/profiles"
 	"dip/internal/router"
 	"dip/internal/telemetry"
-	"dip/internal/workload"
 )
-
-// outcome is what one packet did to a node: which verdict/drop counters
-// moved and which ports it left on.
-type outcome struct {
-	verdict string
-	egress  string
-}
-
-// probe builds spec under env with four recording ports and returns a
-// function feeding one packet and reporting its outcome. settle drains
-// whatever the environment deferred (and nothing later: a simulation run
-// to the end would age the PIT by sweeping it).
-func probe(t *testing.T, spec Spec, env Env, settle func()) func(pkt []byte, inPort int) outcome {
-	t.Helper()
-	n, err := Build(spec, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	var egress []int
-	for p := 0; p < 4; p++ {
-		p := p
-		n.AttachPort(router.PortFunc(func([]byte) { egress = append(egress, p) }), false)
-	}
-	prev := n.Metrics.Snapshot()
-	return func(pkt []byte, inPort int) outcome {
-		egress = egress[:0]
-		n.Handle(append([]byte(nil), pkt...), inPort)
-		settle()
-		cur := n.Metrics.Snapshot()
-		o := outcome{verdict: verdictDelta(prev, cur)}
-		prev = cur
-		sort.Ints(egress)
-		o.egress = fmt.Sprint(egress)
-		return o
-	}
-}
-
-func verdictDelta(a, b telemetry.Snapshot) string {
-	var parts []string
-	for _, c := range []struct {
-		name string
-		d    int64
-	}{
-		{"forward", b.Forwarded - a.Forwarded}, {"deliver", b.Delivered - a.Delivered},
-		{"absorb", b.Absorbed - a.Absorbed}, {"no-action", b.NoAction - a.NoAction},
-		{"drop", b.Dropped - a.Dropped},
-	} {
-		if c.d != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", c.name, c.d))
-		}
-	}
-	for reason, n := range b.Drops {
-		if d := n - a.Drops[reason]; d != 0 {
-			parts = append(parts, fmt.Sprintf("%v=%d", reason, d))
-		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
-}
-
-// TestOneWayToBuild is the oracle the package exists for: one Spec built
-// under the wall Env and under the netsim Env must treat the five-protocol
-// trace identically, packet for packet. The Spec turns on everything that
-// does not depend on goroutine timing — pump-mode guard, cache, sharded PIT,
-// OPT, trace + journey + INT recorders. (The cold tier is left out: its
-// wall-Env reads complete on reader goroutines, at no fixed point in the
-// packet sequence.)
-func TestOneWayToBuild(t *testing.T) {
-	secret := bytes.Repeat([]byte{0x42}, 16)
-	sv, err := drkey.NewSecretValue("oracle", secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := drkey.NewSecretValue("dst", bytes.Repeat([]byte{0xD0}, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := opt.NewSession(opt.Kind2EM, []opt.HopConfig{{Secret: sv}}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.Generate(workload.Spec{
-		Weights: map[workload.Protocol]float64{
-			workload.ProtoIPv4: 4, workload.ProtoIPv6: 2, workload.ProtoNDN: 2,
-			workload.ProtoOPT: 1, workload.ProtoNDNOPT: 1,
-		},
-		Names: 256, ZipfS: 1.1, Ports: 4, Session: sess, Seed: 13,
-	}, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p6 := make([]byte, 16)
-	p6[0] = workload.Addr6PrefixByte
-	spec := Spec{
-		Name:      "oracle",
-		Secret:    secret,
-		Routes32:  []Route{{Prefix: []byte{workload.AddrPrefixByte, 0, 0, 0}, Len: 8, Port: 1}},
-		Routes128: []Route{{Prefix: p6, Len: 8, Port: 2}},
-		Names:     []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 3}},
-		Cache:     64, PITShards: 4, Batch: 8, Queue: 32,
-		TraceEvery: 4, JourneyEvery: 4, IntEvery: 1,
-	}
-	sim := netsim.New()
-	wall := probe(t, spec, WallEnv(nil), func() {})
-	virt := probe(t, spec, SimEnv(sim), func() { sim.RunUntil(sim.Now()) })
-	seen := map[string]int{}
-	for i, p := range tr.Packets {
-		w, v := wall(p.Buf, p.InPort), virt(p.Buf, p.InPort)
-		if w != v {
-			t.Fatalf("packet %d (%v): wall %+v, netsim %+v", i, p.Proto, w, v)
-		}
-		seen[w.verdict]++
-	}
-	// The comparison must not be vacuous: the trace forwards, absorbs
-	// (interests answered from cache), drops (their now-unsolicited data)
-	// and ends the pure-OPT packets with no forwarding action.
-	for _, want := range []string{"forward=1", "absorb=1", "drop=1,pit-miss=1", "no-action=1"} {
-		if seen[want] == 0 {
-			t.Errorf("no packet with verdict %q in %v", want, seen)
-		}
-	}
-}
 
 var familyRE = regexp.MustCompile(`(?m)^dip_[a-zA-Z0-9_]*`)
 
@@ -282,66 +156,88 @@ func TestColdReinjectPath(t *testing.T) {
 	}
 }
 
-// TestPITAgesInEnvTime: the PIT runs on the Env's clock, so a re-request for
-// a name one TTL after an unanswered interest finds the entry expired and is
-// forwarded again, instead of aggregating onto it as wall time would have it.
+// pitTTLs are the Spec lifetimes the PIT tests run under: the default, and
+// the chaos rigs' short one.
+var pitTTLs = []struct{ spec, want time.Duration }{{0, pit.DefaultTTL}, {40 * time.Millisecond, 40 * time.Millisecond}}
+
+// TestPITAgesInEnvTime: the PIT runs on the Env's clock with the Spec's
+// TTL, so a re-request for a name inside the TTL aggregates onto the
+// unanswered interest's entry, and one past it (in virtual time; no wall
+// time passes) finds the entry expired and is forwarded again.
 func TestPITAgesInEnvTime(t *testing.T) {
-	sim := netsim.New()
-	n, err := Build(Spec{Name: "aging", Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.AttachPort(router.PortFunc(func([]byte) {}), false)
-	n.AttachPort(router.PortFunc(func([]byte) {}), false)
-	interest, err := host.BuildPacket(profiles.NDNInterest(0xAA000001), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Schedule(0, func() { n.Handle(append([]byte(nil), interest...), 0) })
-	sim.Schedule(10*time.Second, func() { n.Handle(append([]byte(nil), interest...), 0) })
-	sim.Run()
-	if snap := n.Metrics.Snapshot(); snap.Forwarded != 2 || snap.Absorbed != 0 {
-		t.Fatalf("forwarded=%d absorbed=%d, want the re-request forwarded", snap.Forwarded, snap.Absorbed)
+	for _, ttl := range pitTTLs {
+		t.Run(fmt.Sprint(ttl.spec), func(t *testing.T) {
+			sim := netsim.New()
+			n, err := Build(Spec{Name: "aging", PITTTL: ttl.spec, Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if n.Spec.PITTTL != ttl.want {
+				t.Fatalf("Spec.PITTTL = %v after Build, want %v", n.Spec.PITTTL, ttl.want)
+			}
+			n.AttachPort(router.PortFunc(func([]byte) {}), false)
+			n.AttachPort(router.PortFunc(func([]byte) {}), false)
+			interest, err := host.BuildPacket(profiles.NDNInterest(0xAA000001), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range []time.Duration{0, ttl.want / 2, 2 * ttl.want} {
+				sim.Schedule(at, func() { n.Handle(append([]byte(nil), interest...), 0) })
+			}
+			sim.Run()
+			if snap := n.Metrics.Snapshot(); snap.Forwarded != 2 || snap.Absorbed != 1 {
+				t.Fatalf("forwarded=%d absorbed=%d, want the re-request inside the TTL absorbed and the one past it forwarded",
+					snap.Forwarded, snap.Absorbed)
+			}
+		})
 	}
 }
 
 // TestPITSweptOnEnvTimer: unanswered interests are swept on the Env's timer
-// one TTL after they expire, and every removal is counted in the metrics and
-// on the scrape.
+// every Spec TTL, within one TTL of their expiry, and every removal is
+// counted in the metrics and on the scrape.
 func TestPITSweptOnEnvTimer(t *testing.T) {
-	const unanswered = 5
-	sim := netsim.New()
-	n, err := Build(Spec{Name: "sweep", Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.AttachPort(router.PortFunc(func([]byte) {}), false)
-	n.AttachPort(router.PortFunc(func([]byte) {}), false)
-	for i := uint32(0); i < unanswered; i++ {
-		pkt, err := host.BuildPacket(profiles.NDNInterest(0xAA000001+i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Handle(pkt, 0)
-	}
-	if got := n.State.PIT.Len(); got != unanswered {
-		t.Fatalf("PIT holds %d entries before the TTL, want %d", got, unanswered)
-	}
-	sim.RunUntil(2 * pit.DefaultTTL) // the TTL, then one sweep past it
-	if got, expired := n.State.PIT.Len(), n.State.PIT.ExpiredTotal(); got != 0 || expired != unanswered {
-		t.Fatalf("after the sweep: Len=%d ExpiredTotal=%d, want 0 and %d", got, expired, unanswered)
-	}
-	if got := n.Metrics.Event(telemetry.EventPITExpired); got != unanswered {
-		t.Errorf("pit-expired events = %d, want %d", got, unanswered)
-	}
-	var buf bytes.Buffer
-	n.MetricsSource().WriteMetrics(&buf)
-	if want := fmt.Sprintf("dip_pit_expired_total{node=\"sweep\"} %d\n", unanswered); !strings.Contains(buf.String(), want) {
-		t.Errorf("scrape lacks %q", want)
-	}
-	if sim.Run(); sim.Pending() != 0 {
-		t.Error("the sweep keeps the simulation from draining")
+	for _, ttl := range pitTTLs {
+		t.Run(fmt.Sprint(ttl.spec), func(t *testing.T) {
+			const unanswered = 5
+			sim := netsim.New()
+			n, err := Build(Spec{Name: "sweep", PITTTL: ttl.spec, Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}}}, SimEnv(sim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			n.AttachPort(router.PortFunc(func([]byte) {}), false)
+			n.AttachPort(router.PortFunc(func([]byte) {}), false)
+			for i := uint32(0); i < unanswered; i++ {
+				pkt, err := host.BuildPacket(profiles.NDNInterest(0xAA000001+i), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Handle(pkt, 0)
+			}
+			if got := n.State.PIT.Len(); got != unanswered {
+				t.Fatalf("PIT holds %d entries before the TTL, want %d", got, unanswered)
+			}
+			sim.RunUntil(ttl.want - time.Nanosecond)
+			if got := n.State.PIT.Len(); got != unanswered {
+				t.Fatalf("PIT holds %d entries just before the TTL, want %d", got, unanswered)
+			}
+			sim.RunUntil(2 * ttl.want) // the TTL, then one sweep past it
+			if got, expired := n.State.PIT.Len(), n.State.PIT.ExpiredTotal(); got != 0 || expired != unanswered {
+				t.Fatalf("after the sweep: Len=%d ExpiredTotal=%d, want 0 and %d", got, expired, unanswered)
+			}
+			if got := n.Metrics.Event(telemetry.EventPITExpired); got != unanswered {
+				t.Errorf("pit-expired events = %d, want %d", got, unanswered)
+			}
+			var buf bytes.Buffer
+			n.MetricsSource().WriteMetrics(&buf)
+			if want := fmt.Sprintf("dip_pit_expired_total{node=\"sweep\"} %d\n", unanswered); !strings.Contains(buf.String(), want) {
+				t.Errorf("scrape lacks %q", want)
+			}
+			if sim.Run(); sim.Pending() != 0 {
+				t.Error("the sweep keeps the simulation from draining")
+			}
+		})
 	}
 }

@@ -60,6 +60,12 @@ type Spec struct {
 
 	PITPerPort int // -pitperport; pitperport=: per-inport pending-interest cap
 	PITShards  int // -pitshards; pitshards=: PIT lock shards
+	// PITTTL is the pending-interest lifetime, and so also the interval of
+	// the PIT sweep on the Env's timer (0 = pit.DefaultTTL, 4s). It has no
+	// flag or DSL key: no deployment or scenario sets one. Simulations that
+	// model short retransmission timers (the consumer fleet, the chaos
+	// rigs) set it so a retransmitted interest outlives the stale entry.
+	PITTTL time.Duration
 
 	// Workers, Queue and Batch size the guarded ingress, which exists when
 	// Workers or Batch is set. Workers 0 with Batch > 0 is pump mode: no
@@ -144,6 +150,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Speaker && s.SpeakerRefresh <= 0 {
 		return fmt.Errorf("speaker refresh must be positive, got %v", s.SpeakerRefresh)
+	}
+	if s.PITTTL < 0 {
+		return fmt.Errorf("pit ttl must not be negative, got %v", s.PITTTL)
 	}
 	if s.SpeakerHold < 0 {
 		return fmt.Errorf("speaker hold must not be negative, got %v", s.SpeakerHold)

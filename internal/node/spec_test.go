@@ -45,6 +45,7 @@ func TestValidate(t *testing.T) {
 		{"int-slots range", Spec{IntEvery: 1, IntSlots: 128}, "int-slots wants 1..127"},
 		{"short secret", Spec{Secret: []byte{1, 2}}, "secret must be 16 bytes"},
 		{"negative", Spec{Cache: -1}, "cache must not be negative"},
+		{"negative pit ttl", Spec{PITTTL: -1}, "pit ttl must not be negative"},
 		{"route width", Spec{Routes32: []Route{{Prefix: []byte{10}, Len: 8}}}, "route32"},
 		{"route length", Spec{Names: []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 33}}}, "name"},
 		{"route port", Spec{Routes128: []Route{{Prefix: make([]byte, 16), Len: 8, Port: -1}}}, "bad port"},

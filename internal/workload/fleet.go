@@ -19,16 +19,28 @@ import (
 
 	"dip/internal/cc"
 	"dip/internal/core"
-	"dip/internal/cs"
 	"dip/internal/host"
 	"dip/internal/netsim"
-	"dip/internal/ops"
-	"dip/internal/pit"
-	"dip/internal/router"
-	"dip/internal/telemetry"
-
-	"dip/internal/fib"
+	"dip/internal/node"
 	"dip/internal/profiles"
+	"dip/internal/telemetry"
+)
+
+// The fleet's fixed shape: what no experiment varies.
+const (
+	// fleetPITTTL is the router's PIT entry lifetime: short enough that a
+	// backed-off retransmission (MinRTO doubling: 20, 40, 80, 160ms…) finds
+	// the stale entry expired and re-forwards; long enough to aggregate a
+	// flash crowd's duplicate interests.
+	fleetPITTTL = 120 * time.Millisecond
+	// thinkTime is the mean exponential pause between a consumer's fetches.
+	thinkTime = 50 * time.Millisecond
+	// accessDelay and backboneDelay are the propagation delays of the
+	// consumer access links and of the shared router↔producer link.
+	accessDelay   = 200 * time.Microsecond
+	backboneDelay = 2 * time.Millisecond
+	// ipPacket is the background IP packet size in bytes.
+	ipPacket = 600
 )
 
 // FleetConfig sizes and shapes a fleet run. Zero values select the
@@ -56,9 +68,6 @@ type FleetConfig struct {
 	// ObjectsPerConsumer is the closed-loop fetch count per steady-state
 	// consumer (default 4; flash consumers fetch one object each).
 	ObjectsPerConsumer int
-	// ThinkTime is the mean exponential pause between a consumer's
-	// fetches (default 50ms).
-	ThinkTime time.Duration
 
 	// CC configures every consumer's congestion controller (default: AIMD
 	// with a path-scaled adaptive RTO). MaxRetx bounds per-segment
@@ -68,12 +77,9 @@ type FleetConfig struct {
 
 	// BottleneckBPS is the shared producer↔router link rate in bits/s
 	// (default 20 Mbit/s); BottleneckQueue is its tail-drop queue limit
-	// (default 20ms). AccessDelay and BackboneDelay are propagation
-	// delays (defaults 200µs and 2ms).
+	// (default 20ms).
 	BottleneckBPS   int64
 	BottleneckQueue time.Duration
-	AccessDelay     time.Duration
-	BackboneDelay   time.Duration
 	// LossProb adds seeded random loss on the bottleneck's data
 	// direction; DownFrom/DownTo schedule a loss window on it (both
 	// optional).
@@ -85,23 +91,18 @@ type FleetConfig struct {
 	// the default, use -1 for no cache). Zipf popularity makes the cache
 	// absorb the hot head of the catalog.
 	CacheEntries int
-	// PITTTL is the router PIT entry lifetime (default 120ms — see fill).
-	PITTTL time.Duration
 
 	// IPLoad offers IP background traffic on the data direction of the
-	// bottleneck as a fraction of its bandwidth (default 0); IPPacket is
-	// the background packet size (default 600 bytes). The IP flows cross
-	// the same router and the same queue — mixed NDN+IP on one fabric.
-	IPLoad   float64
-	IPPacket int
+	// bottleneck as a fraction of its bandwidth (default 0), in
+	// ipPacket-byte packets. The IP flows cross the same router and the
+	// same queue — mixed NDN+IP on one fabric.
+	IPLoad float64
 
 	// Horizon caps virtual time (default 60s).
 	Horizon time.Duration
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// Metrics, when set, receives router verdicts and fetch events.
-	Metrics *telemetry.Metrics
 	// FetcherObserver, when set, taps every consumer's fetch lifecycle
 	// (journey tracing); it receives the consumer id.
 	FetcherObserver func(id int) host.FetchObserver
@@ -135,9 +136,6 @@ func (c *FleetConfig) fill() {
 	if c.ObjectsPerConsumer == 0 {
 		c.ObjectsPerConsumer = 4
 	}
-	if c.ThinkTime == 0 {
-		c.ThinkTime = 50 * time.Millisecond
-	}
 	if c.MaxRetx == 0 {
 		// Higher than SegConfig's own default: a retransmitted interest that
 		// aggregates onto a stale PIT entry (its data was lost upstream)
@@ -152,23 +150,8 @@ func (c *FleetConfig) fill() {
 	if c.BottleneckQueue == 0 {
 		c.BottleneckQueue = 20 * time.Millisecond
 	}
-	if c.AccessDelay == 0 {
-		c.AccessDelay = 200 * time.Microsecond
-	}
-	if c.BackboneDelay == 0 {
-		c.BackboneDelay = 2 * time.Millisecond
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 512
-	}
-	if c.PITTTL == 0 {
-		// Short enough that a backed-off retransmission (MinRTO doubling:
-		// 20, 40, 80, 160ms…) finds the stale entry expired and re-forwards;
-		// long enough to aggregate a flash crowd's duplicate interests.
-		c.PITTTL = 120 * time.Millisecond
-	}
-	if c.IPPacket == 0 {
-		c.IPPacket = 600
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 60 * time.Second
@@ -239,10 +222,12 @@ type FleetResult struct {
 type Fleet struct {
 	cfg FleetConfig
 
-	Sim     *netsim.Simulator
-	Router  *router.Router
-	PIT     *pit.Table[uint32]
-	CS      *cs.Store[uint32]
+	Sim *netsim.Simulator
+	// Node is the router, built by node.Build on the simulator's Env: its
+	// PIT ages and is swept in virtual time.
+	Node *node.Node
+	// Metrics is the router's: verdicts, PIT expiries and every
+	// consumer's fetch events.
 	Metrics *telemetry.Metrics
 	// Bottleneck is the producer→router (data) direction; Uplink the
 	// router→producer (interest) direction.
@@ -280,40 +265,33 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("workload: catalog %d×%d overflows the name prefix",
 			cfg.Objects, cfg.SegsPerObject)
 	}
-	fl := &Fleet{cfg: cfg, Sim: netsim.New(), Metrics: cfg.Metrics}
-	if fl.Metrics == nil {
-		fl.Metrics = &telemetry.Metrics{}
-	}
+	fl := &Fleet{cfg: cfg, Sim: netsim.New()}
 	fl.rng = rand.New(rand.NewSource(cfg.Seed))
 	if cfg.ZipfS > 1 {
 		fl.zipf = rand.NewZipf(fl.rng, cfg.ZipfS, 1, uint64(cfg.Objects-1))
 	}
 
 	sim := fl.Sim
-	fl.PIT = pit.New[uint32](
-		pit.WithTTL[uint32](cfg.PITTTL),
-		pit.WithClock[uint32](func() time.Time { return time.Unix(0, 0).Add(sim.Now()) }),
-	)
-	state := ops.Config{
-		FIB32:   fib.New(),
-		FIB128:  fib.New(),
-		NameFIB: fib.New(),
-		PIT:     fl.PIT,
-	}
-	if cfg.CacheEntries > 0 {
-		fl.CS = cs.New[uint32](cfg.CacheEntries)
-		state.ContentStore = fl.CS
-	}
 	// Port plan: 0 = producer (and IP origin) behind the bottleneck,
 	// 1 = IP sink, 2.. = consumers.
-	state.NameFIB.AddUint32(NamePrefix, 8, fib.NextHop{Port: 0})
-	state.FIB32.AddUint32(uint32(AddrPrefixByte)<<24, 8, fib.NextHop{Port: 0})
-	state.FIB32.AddUint32(uint32(ipSinkPrefix)<<24, 8, fib.NextHop{Port: 1})
-	fl.Router = router.New(ops.NewRouterRegistry(state), router.Config{
-		Name:    "R",
-		Metrics: fl.Metrics,
-	})
-	routerRx := netsim.ReceiverFunc(func(pkt []byte, port int) { fl.Router.HandlePacket(pkt, port) })
+	spec := node.Spec{
+		Name:  "R",
+		Names: []node.Route{{Prefix: []byte{byte(NamePrefix >> 24), 0, 0, 0}, Len: 8, Port: 0}},
+		Routes32: []node.Route{
+			{Prefix: []byte{AddrPrefixByte, 0, 0, 0}, Len: 8, Port: 0},
+			{Prefix: []byte{ipSinkPrefix, 0, 0, 0}, Len: 8, Port: 1},
+		},
+		PITTTL: fleetPITTTL,
+	}
+	if cfg.CacheEntries > 0 {
+		spec.Cache = cfg.CacheEntries
+	}
+	var err error
+	if fl.Node, err = node.Build(spec, node.SimEnv(sim)); err != nil {
+		return nil, err
+	}
+	fl.Metrics = fl.Node.Metrics
+	routerRx := netsim.ReceiverFunc(fl.Node.Handle)
 
 	// Producer: answers segment interests with SegSize-byte payloads,
 	// sending data back over the shared bottleneck.
@@ -348,12 +326,12 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.BottleneckObserver != nil {
 		opts = append(opts, netsim.WithTransitObserver(cfg.BottleneckObserver))
 	}
-	fl.Bottleneck = sim.Pipe(routerRx, 0, cfg.BackboneDelay, cfg.BottleneckBPS, opts...)
-	fl.Uplink = sim.Pipe(producerRx, 0, cfg.BackboneDelay, cfg.BottleneckBPS,
+	fl.Bottleneck = sim.Pipe(routerRx, 0, backboneDelay, cfg.BottleneckBPS, opts...)
+	fl.Uplink = sim.Pipe(producerRx, 0, backboneDelay, cfg.BottleneckBPS,
 		netsim.WithQueueLimit(cfg.BottleneckQueue))
-	fl.Router.AttachPort(fl.Uplink) // port 0
-	fl.Router.AttachPort(sim.Pipe(netsim.ReceiverFunc(func([]byte, int) { fl.ipSunk++ }),
-		0, cfg.AccessDelay, 0)) // port 1: IP sink
+	fl.Node.AttachPort(fl.Uplink, false) // port 0
+	fl.Node.AttachPort(sim.Pipe(netsim.ReceiverFunc(func([]byte, int) { fl.ipSunk++ }),
+		0, accessDelay, 0), false) // port 1: IP sink
 
 	// Consumers.
 	total := cfg.Consumers + cfg.FlashConsumers
@@ -366,10 +344,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			c.left = 1
 		}
 		port := 2 + i
-		fl.Router.AttachPort(sim.Pipe(netsim.ReceiverFunc(func(pkt []byte, _ int) {
+		fl.Node.AttachPort(sim.Pipe(netsim.ReceiverFunc(func(pkt []byte, _ int) {
 			c.fetcher.HandleData(pkt)
-		}), 0, cfg.AccessDelay, 0))
-		c.toRouter = sim.Pipe(routerRx, port, cfg.AccessDelay, 0)
+		}), 0, accessDelay, 0), false)
+		c.toRouter = sim.Pipe(routerRx, port, accessDelay, 0)
 		segCfg := host.SegConfig{CC: cfg.CC, MaxRetx: cfg.MaxRetx, Metrics: fl.Metrics}
 		if cfg.FetcherObserver != nil {
 			segCfg.Observer = cfg.FetcherObserver(i)
@@ -453,12 +431,13 @@ func (c *fleetConsumer) scheduleNext() {
 	if c.left <= 0 {
 		return
 	}
-	think := time.Duration(c.fl.rng.ExpFloat64() * float64(c.fl.cfg.ThinkTime))
+	think := time.Duration(c.fl.rng.ExpFloat64() * float64(thinkTime))
 	c.fl.Sim.Schedule(think, c.next)
 }
 
-// Run schedules arrivals, background traffic, and PIT sweeping, then
-// drives virtual time to the horizon and aggregates the outcome.
+// Run schedules arrivals and background traffic, then drives virtual time
+// to the horizon and aggregates the outcome. The router sweeps its own PIT
+// on the simulator.
 func (fl *Fleet) Run() *FleetResult {
 	cfg := fl.cfg
 	sim := fl.Sim
@@ -478,7 +457,7 @@ func (fl *Fleet) Run() *FleetResult {
 
 	// IP background load on the data direction of the bottleneck.
 	if cfg.IPLoad > 0 {
-		interval := time.Duration(float64(cfg.IPPacket*8) / (cfg.IPLoad * float64(cfg.BottleneckBPS)) *
+		interval := time.Duration(float64(ipPacket*8) / (cfg.IPLoad * float64(cfg.BottleneckBPS)) *
 			float64(time.Second))
 		if interval <= 0 {
 			interval = time.Microsecond
@@ -489,21 +468,13 @@ func (fl *Fleet) Run() *FleetResult {
 			fl.rng.Read(src[:])
 			fl.rng.Read(dst[:])
 			dst[0] = ipSinkPrefix
-			if pkt, err := host.BuildPacket(profiles.IPv4(src, dst), make([]byte, cfg.IPPacket)); err == nil {
+			if pkt, err := host.BuildPacket(profiles.IPv4(src, dst), make([]byte, ipPacket)); err == nil {
 				fl.Bottleneck.Send(pkt)
 			}
 			sim.Schedule(interval, pump)
 		}
 		sim.Schedule(0, pump)
 	}
-
-	// PIT sweeping keeps abandoned entries from pinning router state.
-	cancel := fl.PIT.SweepEvery(sim, cfg.PITTTL, func(n int) {
-		for j := 0; j < n; j++ {
-			fl.Metrics.RecordEvent(telemetry.EventPITExpired)
-		}
-	})
-	defer cancel()
 
 	sim.RunUntil(cfg.Horizon)
 	return fl.result()
@@ -549,8 +520,8 @@ func (fl *Fleet) result() *FleetResult {
 		res.BottleneckDrops += fl.impair.Drops + fl.impair.DownDrops
 	}
 	res.BottleneckBytes = fl.Bottleneck.Bytes
-	if fl.CS != nil {
-		res.CacheEntriesEnd = fl.CS.Len()
+	if store := fl.Node.State.ContentStore; store != nil {
+		res.CacheEntriesEnd = store.Len()
 	}
 	return res
 }

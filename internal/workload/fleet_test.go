@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dip/internal/cc"
-	"dip/internal/telemetry"
 )
 
 // TestFleetCCSmoke is the `make ccsmoke` gate: a moderate-load fleet run
@@ -14,7 +13,6 @@ import (
 // bottleneck fairly (Jain ≥ 0.9) — the congestion controller keeping tens
 // of consumers out of each other's way.
 func TestFleetCCSmoke(t *testing.T) {
-	met := &telemetry.Metrics{}
 	fl, err := NewFleet(FleetConfig{
 		Consumers:          48,
 		ObjectsPerConsumer: 3,
@@ -24,7 +22,6 @@ func TestFleetCCSmoke(t *testing.T) {
 		BottleneckBPS:      50_000_000,
 		Horizon:            30 * time.Second,
 		Seed:               42,
-		Metrics:            met,
 	})
 	if err != nil {
 		t.Fatal(err)

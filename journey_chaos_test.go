@@ -9,9 +9,9 @@ import (
 	"dip/internal/host"
 	"dip/internal/journey"
 	"dip/internal/netsim"
+	"dip/internal/node"
 	"dip/internal/profiles"
 	"dip/internal/router"
-	"dip/internal/telemetry"
 	"dip/internal/tunnel"
 )
 
@@ -35,15 +35,10 @@ func buildChaosNet(t *testing.T) *chaosNet {
 	col := journey.NewCollector(journey.Config{})
 	vnow := func() int64 { return int64(sim.Now()) }
 
-	newRouter := func(name string) *router.Router {
-		state := NewNodeState()
-		state.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
-		r := router.New(NewRouterRegistry(state.OpsConfig()), router.Config{
-			Name: name, Metrics: &telemetry.Metrics{},
-		})
-		r.SetRecorder(journey.NewRouterTap(name, col, &telemetry.Metrics{}, 1, vnow))
-		return r
-	}
+	// Every router spans every packet into the shared collector.
+	env := node.SimEnv(sim)
+	env.Journeys = col
+	newRouter := func(name string) *Node { return chaosNode(t, env, NodeSpec{Name: name, JourneyEvery: 1}) }
 	r1, r2, r3 := newRouter("R1"), newRouter("R2"), newRouter("R3")
 
 	// pipe builds one observed link direction delivering into *rx (a
@@ -71,9 +66,9 @@ func buildChaosNet(t *testing.T) *chaosNet {
 		}
 		return int64(len(pkt))
 	}()
-	cToR1 := pipe("C->R1", time.Millisecond, pktLen*8*1000, rxOf(func(pkt []byte) { r1.HandlePacket(pkt, 0) }), netsim.WithImpairment(im))
-	r1ToR2 := pipe("R1->R2", time.Millisecond, 0, rxOf(func(pkt []byte) { r2.HandlePacket(pkt, 0) }))
-	r2ToR1 := pipe("R2->R1", time.Millisecond, 0, rxOf(func(pkt []byte) { r1.HandlePacket(pkt, 1) }))
+	cToR1 := pipe("C->R1", time.Millisecond, pktLen*8*1000, rxOf(func(pkt []byte) { r1.Handle(pkt, 0) }), netsim.WithImpairment(im))
+	r1ToR2 := pipe("R1->R2", time.Millisecond, 0, rxOf(func(pkt []byte) { r2.Handle(pkt, 0) }))
+	r2ToR1 := pipe("R2->R1", time.Millisecond, 0, rxOf(func(pkt []byte) { r1.Handle(pkt, 1) }))
 
 	// The tunnel between R2 and R3: endpoints encap into IPv4 and hand to
 	// carrier pipes modeling the legacy domain.
@@ -93,21 +88,21 @@ func buildChaosNet(t *testing.T) *chaosNet {
 	}))
 	epA.Carrier = carrierAB
 	epB.Carrier = carrierBA
-	epA.Deliver = func(inner []byte) { r2.HandlePacket(inner, 1) }
-	epB.Deliver = func(inner []byte) { r3.HandlePacket(inner, 0) }
+	epA.Deliver = func(inner []byte) { r2.Handle(inner, 1) }
+	epB.Deliver = func(inner []byte) { r3.Handle(inner, 0) }
 
 	var produceRx, consumeRx func([]byte)
 	r3ToP := pipe("R3->P", time.Millisecond, 0, &produceRx)
-	pToR3 := pipe("P->R3", time.Millisecond, 0, rxOf(func(pkt []byte) { r3.HandlePacket(pkt, 1) }))
+	pToR3 := pipe("P->R3", time.Millisecond, 0, rxOf(func(pkt []byte) { r3.Handle(pkt, 1) }))
 	r1ToC := pipe("R1->C", time.Millisecond, 0, &consumeRx)
 
 	// Port maps (port 0 toward the consumer, port 1 toward the producer).
-	r1.AttachPort(router.PortFunc(r1ToC.Send))
-	r1.AttachPort(router.PortFunc(r1ToR2.Send))
-	r2.AttachPort(router.PortFunc(r2ToR1.Send))
-	r2.AttachPort(router.PortFunc(epA.Send))
-	r3.AttachPort(router.PortFunc(epB.Send))
-	r3.AttachPort(router.PortFunc(r3ToP.Send))
+	r1.AttachPort(router.PortFunc(r1ToC.Send), false)
+	r1.AttachPort(router.PortFunc(r1ToR2.Send), false)
+	r2.AttachPort(router.PortFunc(r2ToR1.Send), false)
+	r2.AttachPort(router.PortFunc(epA.Send), false)
+	r3.AttachPort(router.PortFunc(epB.Send), false)
+	r3.AttachPort(router.PortFunc(r3ToP.Send), false)
 
 	// Producer P: answer every interest with same-name data. Its host-side
 	// spans terminate interest journeys and originate data journeys.

@@ -12,21 +12,14 @@ import (
 
 	"dip/internal/host"
 	"dip/internal/netsim"
-	"dip/internal/pit"
+	"dip/internal/node"
 	"dip/internal/telemetry"
 )
 
 func TestRetransmitRateDecaysAfterLinkHeals(t *testing.T) {
 	sim := netsim.New()
-	m := &Metrics{}
-
-	st := NewNodeState().EnableCache(64)
-	st.PIT = pit.New[uint32](
-		pit.WithTTL[uint32](40*time.Millisecond),
-		pit.WithClock[uint32](func() time.Time { return time.Unix(0, 0).Add(sim.Now()) }),
-	)
-	st.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: 1})
-	r := NewRouter(st.OpsConfig(), RouterOptions{Name: "R", Metrics: m})
+	r := chaosNode(t, node.SimEnv(sim), NodeSpec{Name: "R", Cache: 64})
+	m := r.Metrics
 
 	// The consumer→router link is down for a 100ms window; everything else
 	// is clean, so every retransmission is attributable to that outage.
@@ -47,10 +40,10 @@ func TestRetransmitRateDecaysAfterLinkHeals(t *testing.T) {
 			}
 		}
 	})
-	rRecv := netsim.ReceiverFunc(func(pkt []byte, port int) { r.HandlePacket(pkt, port) })
+	rRecv := netsim.ReceiverFunc(r.Handle)
 	toRDown := sim.Pipe(rRecv, 0, time.Millisecond, 0, netsim.WithImpairment(im))
-	r.AttachPort(sim.Pipe(consumerRx, 0, time.Millisecond, 0))
-	r.AttachPort(sim.Pipe(producerRx, 0, time.Millisecond, 0))
+	r.AttachPort(sim.Pipe(consumerRx, 0, time.Millisecond, 0), false)
+	r.AttachPort(sim.Pipe(producerRx, 0, time.Millisecond, 0), false)
 	toR = sim.Pipe(rRecv, 1, time.Millisecond, 0)
 
 	// The five names share one flow, and so one backoff: their first five
