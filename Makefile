@@ -34,7 +34,12 @@ vet:
 # And one way to build a router: outside internal/pit, internal/node and the
 # dip.go constructors no program code sets a PIT lifetime, arms a PIT sweep
 # or builds a router itself (set node.Spec.PITTTL and call node.Build). And
-# one way to change a trie: copy-on-write only, no in-place mutators.
+# one way to change a trie: copy-on-write only, no in-place mutators. And
+# one packet sampler per router: trace.Recorder, built with its clock, hands
+# its sealed records to the journey sink, so the separate journey tap, its
+# Spec fields and the recorder's clock setter stay deleted, internal/router
+# stays independent of internal/journey, and the hooks and single-value
+# knobs nothing set stay deleted or constant.
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -69,6 +74,18 @@ seamcheck:
 	fi
 	@if grep -rnE 'func \(t \*(BitTrie|NameTrie)\[V\]\) (Inser[t]|Delet[e])\(' --include=*.go internal/lpm; then \
 		echo "seamcheck: an in-place trie mutator is back (InsertCOW/DeleteCOW only: DESIGN.md §8)"; exit 1; \
+	fi
+	@if grep -rnE 'RouterTa[p]|JourneyEver[y]|JourneyRin[g]' --include=*.go . | grep -v _test.go; then \
+		echo "seamcheck: a second per-packet sampler is back (one trace.Recorder with a journey sink: DESIGN.md §9)"; exit 1; \
+	fi
+	@if grep -rn 'SetClock(' --include=*.go internal/trace; then \
+		echo "seamcheck: the trace recorder's clock is set after construction again (pass it to NewRecorder)"; exit 1; \
+	fi
+	@if grep -rnE 'OnQuarantin[e]|FreezeTrac[e]|JourneyStats fun[c]|DisableSignallin[g]|DispatchShard[s]' --include=*.go .; then \
+		echo "seamcheck: an unwired hook or a one-value knob is back (DESIGN.md §10, §11)"; exit 1; \
+	fi
+	@if $(GO) list -deps ./internal/router | grep -x 'dip/internal/journe[y]'; then \
+		echo "seamcheck: internal/router depends on internal/journey (the sampler hands records to a sink)"; exit 1; \
 	fi
 
 race:
@@ -116,7 +133,8 @@ fuzz:
 # Metrics-endpoint smoke: boot a real diprouter with the observability
 # listener, push traffic through it with diphost (one routable packet, one
 # no-route drop), scrape /metrics, validate the Prometheus text grammar,
-# check the key series exist, and make sure pprof answers. Then run a
+# check the key series exist, check -trace-every alone serves spans on
+# /journeys, and make sure pprof answers. Then run a
 # congestion-controlled fetch against the router (whose interests have no
 # NDN route, so they retransmit and dead-letter) and assert the fetcher's
 # own dip_fetch_* series are present and counting.
@@ -142,10 +160,12 @@ metricssmoke:
 		{ print "bad exposition line: " $$0; bad=1 } END { exit bad }' $$tmp/scrape; \
 	for s in 'dip_packets_received_total' 'dip_packets_total{.*verdict="forward"' \
 		'dip_drops_total{.*reason="no-route"' 'dip_op_latency_ns_bucket{.*op="F_32_match".*le=' \
-		'dip_pit_entries' 'dip_cs_entries' 'dip_trace_sampled_total'; do \
+		'dip_pit_entries' 'dip_cs_entries' 'dip_trace_sampled_total' 'dip_journey_spans_total'; do \
 		grep -q "^$$s" $$tmp/scrape || { echo "missing series $$s"; cat $$tmp/scrape; exit 1; }; \
 	done; \
 	curl -sf http://127.0.0.1:$(METRICS_PORT)/trace >/dev/null; \
+	curl -sf http://127.0.0.1:$(METRICS_PORT)/journeys | grep -q '^# span ' \
+		|| { echo "-trace-every served no spans on /journeys"; exit 1; }; \
 	curl -sf http://127.0.0.1:$(METRICS_PORT)/debug/pprof/ >/dev/null; \
 	$$tmp/diphost -mode fetch -name 0xAA000001 -segs 2 -maxretx 2 -init-rto 100ms \
 		-to 127.0.0.1:17400 -listen 127.0.0.1:17402 \

@@ -690,12 +690,12 @@ func BenchmarkTelStamp(b *testing.B) {
 
 // What observation costs, as a within-run ratio: the five-protocol mix
 // through Router.HandlePacket with no recorder (off), with the Metrics every
-// diprouter installs (metrics), and with trace recorder and journey tap over
-// it at 1-in-1024 as -trace-every/-journey-every build them (full). Counts
-// are exact and latencies sampled (DESIGN.md §9), so what metrics/off and
-// full/off show is the bracket calls and the shared counters; this
-// packet-at-a-time path also charges each sampler's seen-counter per packet,
-// which a ServeGuarded burst pays once.
+// diprouter installs (metrics), and with the one sampler -trace-every 1024
+// adds over it — a trace recorder that also emits journey spans (full).
+// Counts are exact and latencies sampled (DESIGN.md §9), so what
+// metrics/off and full/off show is the bracket calls and the shared
+// counters; this packet-at-a-time path also charges the sampler's
+// seen-counter per packet, which a ServeGuarded burst pays once.
 func BenchmarkObserved(b *testing.B) {
 	secret := benchSecret(b)
 	tr := benchMix(b, secret)
@@ -706,12 +706,9 @@ func BenchmarkObserved(b *testing.B) {
 				opts.Metrics = &Metrics{}
 			}
 			if level == "full" {
-				opts.Trace = NewTraceRecorder(opts.Metrics, 1024, 0)
+				opts.Trace = NewRouterJourneyTap("bench", NewJourneyEmitter(0), opts.Metrics, 1024, nil)
 			}
 			r := NewRouter(mixState(secret, 512).OpsConfig(), opts)
-			if level == "full" {
-				r.SetRecorder(NewRouterJourneyTap("bench", NewJourneyEmitter(0), opts.Trace, 1024, nil))
-			}
 			for p := 0; p < 4; p++ {
 				r.AttachPort(PortFunc(func([]byte) {}))
 			}

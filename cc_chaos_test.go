@@ -86,8 +86,8 @@ func runCCChaos(t *testing.T, seed int64, algo cc.Algo, initCwnd int) ccChaosOut
 	}
 	fl = fleet
 	// Sample every packet through the router so each journey carries its
-	// Algorithm 1 bracket; the tap forwards to the fleet's metrics recorder.
-	fl.Node.Router.SetRecorder(journey.NewRouterTap("R", col, fl.Metrics, 1, simNow))
+	// Algorithm 1 bracket; the sampler forwards to the fleet's metrics.
+	fl.Node.Router.SetRecorder(NewRouterJourneyTap("R", col, fl.Metrics, 1, simNow))
 
 	res := fl.Run()
 	out := ccChaosOutcome{Fleet: *res}

@@ -67,10 +67,8 @@ func main() {
 		speakRef  = flag.Duration("speaker-refresh", 5*time.Second, "route advertisement refresh period")
 		speakHold = flag.Duration("speaker-hold", 0, "soft-state hold time (0 = 3x refresh)")
 		metricsAt = flag.String("metrics-addr", "", "HTTP address for /metrics, /trace and /debug/pprof (empty = off)")
-		traceN    = flag.Int("trace-every", 0, "trace every Nth packet's FN journey (0 = off)")
+		traceN    = flag.Int("trace-every", 0, "sample every Nth packet into /trace and, as a journey span, /journeys (0 = off)")
 		traceRing = flag.Int("trace-ring", 0, "trace ring capacity in records (0 = default)")
-		journeyN  = flag.Int("journey-every", 0, "emit a journey span for every Nth packet (0 = off)")
-		journeyRg = flag.Int("journey-ring", 0, "journey span ring capacity (0 = default)")
 		intEvery  = flag.Int("int-every", 0, "stamp F_tel and collect every Nth delivered telemetry postcard (0 = off)")
 		intSlots  = flag.Int("int-slots", 0, "telemetry slot capacity for locally originated packets (0 = default 8)")
 		peers     stringList
@@ -93,7 +91,7 @@ func main() {
 		Cache: *cacheSize, CSShards: *csShards, CSCold: *csCold, CSSlot: *csSlot, CSReaders: *csReaders, CSColdFile: *csFile,
 		PITPerPort: *pitCap, PITShards: *pitShards,
 		Workers: *workers, Queue: *queueLen, Batch: *batchSize,
-		TraceEvery: *traceN, TraceRing: *traceRing, JourneyEvery: *journeyN, JourneyRing: *journeyRg,
+		TraceEvery: *traceN, TraceRing: *traceRing,
 		IntEvery: *intEvery, IntSlots: *intSlots,
 		Speaker: *speaker, SpeakerRefresh: *speakRef, SpeakerHold: *speakHold,
 	}

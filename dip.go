@@ -157,17 +157,18 @@ type (
 	RxKind = host.RxKind
 	// Metrics collects forwarding telemetry: exact verdict and per-FN counts,
 	// and per-FN latency histograms over the packets the engine timed (1 in
-	// 64, plus every packet a trace or journey sampler took).
+	// 64, plus every packet a trace sampler took).
 	Metrics = telemetry.Metrics
 	// MetricsSnapshot is a point-in-time copy of a node's counters.
 	MetricsSnapshot = telemetry.Snapshot
 	// Recorder is the engine's one observer interface: a BeginPacket/
 	// EndPacket bracket around each packet, whose executed FNs the engine
 	// has written into the context's observation record by EndPacket.
-	// Metrics, TraceRecorder and journey taps all satisfy it; the latter
-	// two wrap an inner Recorder.
+	// Metrics and TraceRecorder satisfy it; a TraceRecorder wraps an inner
+	// Recorder.
 	Recorder = core.Recorder
-	// TraceRecorder samples per-packet FN journeys into a lock-free ring.
+	// TraceRecorder samples per-packet FN journeys into a lock-free ring
+	// (and, built by NewRouterJourneyTap, emits each as a journey span).
 	TraceRecorder = trace.Recorder
 	// TraceRecord is one sampled packet's journey.
 	TraceRecord = trace.Record
@@ -177,8 +178,6 @@ type (
 	Journey = journey.Journey
 	// JourneyEmitter buffers spans for /journeys export from live processes.
 	JourneyEmitter = journey.Emitter
-	// JourneyStats is a collector aggregate snapshot.
-	JourneyStats = journey.Stats
 	// FlightRecorder is the bounded ring of frozen anomalous journeys.
 	FlightRecorder = journey.FlightRecorder
 	// FrozenJourney is one flight-recorder entry.
@@ -222,8 +221,8 @@ type (
 	ConsumerStats = workload.ConsumerStats
 	// Ingress is a router's guarded queue-and-workers front end.
 	Ingress = router.Ingress
-	// ServeConfig tunes the ingress guard layer (admission control,
-	// priority queues, quarantine, watchdog).
+	// ServeConfig tunes the ingress guard layer (workers, priority queue
+	// depths, burst size, admission control, classification, clock).
 	ServeConfig = router.ServeConfig
 	// Health is a point-in-time ingress guard snapshot.
 	Health = router.Health
@@ -368,22 +367,29 @@ func NewHost() *Host { return host.NewStack() }
 // observing every packet underneath. Install it via RouterOptions.Trace.
 func NewTraceRecorder(inner *Metrics, every, ring int) *TraceRecorder {
 	if inner == nil {
-		return trace.NewRecorder(nil, every, ring)
+		return trace.NewRecorder(nil, every, ring, nil, nil)
 	}
-	return trace.NewRecorder(inner, every, ring)
+	return trace.NewRecorder(inner, every, ring, nil, nil)
 }
 
 // NewJourneyEmitter builds a span ring for live-process /journeys export
 // (size < 1 selects the default 4096).
 func NewJourneyEmitter(size int) *JourneyEmitter { return journey.NewEmitter(size) }
 
-// NewRouterJourneyTap wraps a router's recorder so every every-th packet
-// emits a journey span to sink; install via Router.SetRecorder before
-// ServeGuarded. inner keeps observing every packet (pass the node's
-// *Metrics or a *TraceRecorder); now is the span clock (nil = wall time).
-func NewRouterJourneyTap(node string, sink journey.SpanSink, inner core.Recorder, every int, now func() int64) *journey.RouterTap {
-	return journey.NewRouterTap(node, sink, inner, every, now)
+// NewRouterJourneyTap builds a trace recorder whose samples (every every-th
+// packet, 1 = all) also become journey spans on sink — the one sampler a
+// traced node runs, over any inner recorder (the node's *Metrics, or a
+// *TraceRecorder sampling at its own rate). now stamps records and spans
+// (nil = wall time). Its own ring is tapRing records: they matter as spans,
+// and the ring only has to outnumber the packets sampled at once. Install
+// via RouterOptions.Trace, or Router.SetRecorder before ServeGuarded.
+func NewRouterJourneyTap(node string, sink journey.SpanSink, inner core.Recorder, every int, now func() int64) *TraceRecorder {
+	return trace.NewRecorder(inner, max(every, 1), tapRing, now, journey.RouterSpans(node, sink))
 }
+
+// tapRing sizes NewRouterJourneyTap's record ring: at least one slot per
+// concurrently sampling forwarder, without the default ring's ≈ 0.7 MiB.
+const tapRing = 64
 
 // ServeMetrics binds addr and serves src's observability surface (/metrics
 // in Prometheus text format, /trace in dipdump-ready form, /debug/pprof)

@@ -105,8 +105,10 @@ type Step struct {
 	Ns  int64
 }
 
-// maxClaims bounds how many observers can hold a per-packet claim at once
-// (the deepest stack anything builds is journey tap over trace recorder).
+// maxClaims bounds how many observers can hold a per-packet claim at once.
+// A router's one sampler takes one; the deepest stack anything builds takes
+// two (the facade's journey tap — a span-emitting trace recorder — over a
+// second trace recorder, as the benchmark stacks them).
 const maxClaims = 4
 
 // claim is one observer's note to itself from BeginPacket to EndPacket: two

@@ -70,9 +70,6 @@ type Source struct {
 	// Journeys supplies the journey span ring for the /journeys dump (a
 	// live process exports spans; a central collector stitches them).
 	Journeys *journey.Emitter
-	// JourneyStats, when set, supplies stitched-journey aggregates for the
-	// dip_journey_* series (set on the process hosting the Collector).
-	JourneyStats func() journey.Stats
 	// Fetch supplies host fetcher counters for the dip_fetch_* series
 	// (SegFetcher.Stats; the series count segments).
 	Fetch func() host.SegStats
@@ -352,50 +349,6 @@ func (s Source) WriteMetrics(w io.Writer) {
 		writeHeader(w, "dip_journey_spans_dropped_total", "counter", "Journey spans lost to emitter ring wrap-around.")
 		writeSample(w, "dip_journey_spans_dropped_total", label, float64(s.Journeys.Dropped()))
 	}
-	if s.JourneyStats != nil {
-		st := s.JourneyStats()
-		writeHeader(w, "dip_journey_stitched_spans_total", "counter", "Spans ingested by the journey collector.")
-		writeSample(w, "dip_journey_stitched_spans_total", label, float64(st.Spans))
-		writeHeader(w, "dip_journey_journeys_total", "counter", "Stitched journeys by completion state.")
-		writeSample(w, "dip_journey_journeys_total", join(label, `state="complete"`), float64(st.Complete))
-		writeSample(w, "dip_journey_journeys_total", join(label, `state="incomplete"`), float64(st.Incomplete))
-		writeHeader(w, "dip_journey_frozen_total", "counter", "Journeys frozen into the anomaly flight recorder.")
-		writeSample(w, "dip_journey_frozen_total", label, float64(st.Frozen))
-		writeHeader(w, "dip_journey_duplicates_total", "counter", "Duplicate packet instances detected while stitching.")
-		writeSample(w, "dip_journey_duplicates_total", label, float64(st.Duplicates))
-		if len(st.Paths) > 0 {
-			writeHeader(w, "dip_journey_path_latency_ns", "histogram", "End-to-end journey latency per path and protocol (log2 buckets).")
-			for _, ps := range st.Paths {
-				pl := join(label, `path=`+quote(ps.Path), `proto=`+quote(ps.Proto))
-				var cum, sum int64
-				for b := 0; b < telemetry.HistBuckets; b++ {
-					if ps.TotalHist[b] == 0 {
-						continue
-					}
-					cum += ps.TotalHist[b]
-					sum += ps.TotalHist[b] * int64(telemetry.BucketUpper(b))
-					le := fmt.Sprintf("%d", int64(telemetry.BucketUpper(b)))
-					writeSample(w, "dip_journey_path_latency_ns_bucket", join(pl, `le=`+quote(le)), float64(cum))
-				}
-				writeSample(w, "dip_journey_path_latency_ns_bucket", join(pl, `le="+Inf"`), float64(ps.Count))
-				writeSample(w, "dip_journey_path_latency_ns_sum", pl, float64(sum))
-				writeSample(w, "dip_journey_path_latency_ns_count", pl, float64(ps.Count))
-			}
-			writeHeader(w, "dip_journey_component_ns_total", "counter", "Cumulative journey time per path by component (fn/queue/wire/pitwait/cpu).")
-			for _, ps := range st.Paths {
-				pl := join(label, `path=`+quote(ps.Path), `proto=`+quote(ps.Proto))
-				for _, comp := range []struct {
-					name string
-					ns   int64
-				}{
-					{"fn", ps.FNNs}, {"queue", ps.QueueNs}, {"wire", ps.WireNs},
-					{"pitwait", ps.PITWaitNs}, {"cpu", ps.CPUNs},
-				} {
-					writeSample(w, "dip_journey_component_ns_total", join(pl, `component=`+quote(comp.name)), float64(comp.ns))
-				}
-			}
-		}
-	}
 }
 
 // Handler returns the node's observability mux: /metrics, /trace, and the
@@ -417,7 +370,7 @@ func (s Source) Handler() http.Handler {
 	mux.HandleFunc("/journeys", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if s.Journeys == nil {
-			fmt.Fprintln(w, "# journey tracing disabled (run with -journey-every N)")
+			fmt.Fprintln(w, "# journey tracing disabled (run with -trace-every N)")
 			return
 		}
 		s.Journeys.Dump(w)

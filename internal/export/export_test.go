@@ -25,7 +25,7 @@ import (
 func scrapeSource(t *testing.T) (Source, *telemetry.Metrics, *trace.Recorder) {
 	t.Helper()
 	m := &telemetry.Metrics{}
-	tr := trace.NewRecorder(m, 1, 8)
+	tr := trace.NewRecorder(m, 1, 8, nil, nil)
 	m.RecordOp(core.KeyFIB, 300*time.Nanosecond)
 	m.RecordOp(core.KeyFIB, 5*time.Microsecond)
 	m.RecordOp(core.KeyPIT, time.Microsecond)

@@ -226,7 +226,7 @@ type PathStat struct {
 	// TotalHist is the log2 end-to-end latency histogram (telemetry bucket
 	// edges: BucketUpper).
 	TotalHist [telemetry.HistBuckets]int64
-	// Component sums, for the time-decomposition series.
+	// Component sums, for diptopo's per-path summary.
 	FNNs, QueueNs, WireNs, PITWaitNs, CPUNs int64
 }
 
@@ -244,9 +244,9 @@ type Stats struct {
 	Paths        []PathStat
 }
 
-// Collector stitches spans into journeys. Safe for concurrent use; in topo
-// simulations all spans arrive on the simulator goroutine, in live
-// deployments each process's Emitter feeds it over /journeys export.
+// Collector stitches spans into journeys. Safe for concurrent use; every
+// span arrives in-process (in topo simulations, on the simulator
+// goroutine). A live router's spans go to its Emitter instead.
 type Collector struct {
 	cfg Config
 
@@ -464,17 +464,6 @@ func (c *Collector) freezeByNameLocked(name uint32, reason FreezeReason, at int6
 				break
 			}
 		}
-	}
-}
-
-// FreezeTrace freezes all instances of a trace into the flight recorder —
-// the hook router guard quarantine uses when a packet's processing
-// panicked (FreezeQuarantine).
-func (c *Collector) FreezeTrace(id TraceID, reason FreezeReason, at int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, j := range c.byTrace[id] {
-		c.freezeLocked(j, reason, at)
 	}
 }
 

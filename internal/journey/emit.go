@@ -1,9 +1,7 @@
 package journey
 
 import (
-	"bufio"
 	"io"
-	"strings"
 	"sync"
 )
 
@@ -12,9 +10,10 @@ const DefaultEmitRing = 4096
 
 // Emitter is the live-deployment half of journey collection: it implements
 // SpanSink by buffering spans in a bounded ring that Dump renders as
-// '# span' text lines — the /journeys endpoint's body. A central Collector
-// (or dipdump) re-ingests the lines from every process and stitches across
-// them, the same split /trace uses for records.
+// '# span' text lines — the /journeys endpoint's body, which dipdump
+// renders line by line (ParseSpan inverts the format). Nothing stitches
+// spans from several live processes; stitching is the in-process
+// Collector's, as in the simulations.
 type Emitter struct {
 	mu      sync.Mutex
 	ring    []Span
@@ -47,8 +46,7 @@ func (e *Emitter) AddSpan(sp Span) {
 }
 
 // Added returns how many spans the emitter has seen; Dropped how many were
-// lost to ring wrap (spans a remote collector will flag as incomplete
-// journeys rather than mis-stitch).
+// lost to ring wrap (spans a reader of /journeys will never see).
 func (e *Emitter) Added() uint64   { e.mu.Lock(); defer e.mu.Unlock(); return e.added }
 func (e *Emitter) Dropped() uint64 { e.mu.Lock(); defer e.mu.Unlock(); return e.dropped }
 
@@ -74,26 +72,4 @@ func (e *Emitter) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Ingest feeds '# span' lines from r into the collector, skipping
-// everything else (so a whole dipdump-style mixed stream can be piped in).
-// Returns the number of spans ingested.
-func (c *Collector) Ingest(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	n := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(strings.TrimSpace(line), "# span ") {
-			continue
-		}
-		sp, err := ParseSpan(line)
-		if err != nil {
-			continue
-		}
-		c.AddSpan(sp)
-		n++
-	}
-	return n, sc.Err()
 }

@@ -17,8 +17,6 @@ const (
 	// FreezeRetx: the consumer retransmitted (or dead-lettered) — the
 	// frozen journey is the stalled transmission being given up on.
 	FreezeRetx
-	// FreezeQuarantine: router guard quarantined the packet (panic).
-	FreezeQuarantine
 	// FreezeLatency: the journey's total latency exceeded the running
 	// p99.9 of its collector.
 	FreezeLatency
@@ -29,7 +27,7 @@ const (
 	numFreezeReasons
 )
 
-var freezeNames = [numFreezeReasons]string{"drop", "retx", "quarantine", "latency", "cwnd-cut"}
+var freezeNames = [numFreezeReasons]string{"drop", "retx", "latency", "cwnd-cut"}
 
 // String names the freeze reason.
 func (r FreezeReason) String() string {

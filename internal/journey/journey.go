@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"dip/internal/core"
+	"dip/internal/trace"
 	"dip/internal/tunnel"
 )
 
@@ -39,10 +40,10 @@ import (
 // "unknown" (spans carrying it attach by content name or are discarded).
 type TraceID uint64
 
-// CaptureBytes is the packet prefix a fingerprint covers — the same prefix
-// internal/trace captures, so a fingerprint is reproducible offline from a
-// trace record's captured bytes.
-const CaptureBytes = 96
+// CaptureBytes is the packet prefix a fingerprint covers — the prefix a
+// trace record captures, so a router span's fingerprint is taken from its
+// record (RouterSpans) and is reproducible offline from /trace.
+const CaptureBytes = trace.CaptureBytes
 
 // hopLimitByte is the offset of the mutable hop-limit field in the basic
 // header (masked out of fingerprints: every hop decrements it).
@@ -75,30 +76,27 @@ func Fingerprint(pkt []byte) TraceID {
 	return TraceID(h)
 }
 
-// TraceOfView extracts the packet's trace ID from an already-parsed view:
-// an explicit TraceCtx FN operand when the packet carries one, else the
-// fingerprint of the underlying bytes.
-func TraceOfView(v core.View) TraceID {
+// TraceOf extracts the trace ID from raw bytes — an explicit TraceCtx FN
+// operand when the packet carries one, else the fingerprint — for a DIP
+// packet directly, a DIP-in-IPv4 tunnel packet by its inner payload (so
+// carrier-link spans join the inner packet's journey), and 0 for anything
+// else (probe control traffic, foreign packets) — callers skip zero-trace
+// spans.
+func TraceOf(pkt []byte) TraceID {
+	v, err := core.ParseView(pkt)
+	if err != nil {
+		inner, derr := tunnel.Decap(pkt)
+		if derr != nil {
+			return 0
+		}
+		if v, err = core.ParseView(inner); err != nil {
+			return 0
+		}
+	}
 	if id, ok := traceCtx(v); ok {
 		return id
 	}
 	return Fingerprint(v.Packet())
-}
-
-// TraceOf extracts the trace ID from raw bytes: a DIP packet directly, a
-// DIP-in-IPv4 tunnel packet by its inner payload (so carrier-link spans
-// join the inner packet's journey), and 0 for anything else (probe control
-// traffic, foreign packets) — callers skip zero-trace spans.
-func TraceOf(pkt []byte) TraceID {
-	if v, err := core.ParseView(pkt); err == nil {
-		return TraceOfView(v)
-	}
-	if inner, err := tunnel.Decap(pkt); err == nil {
-		if v, err := core.ParseView(inner); err == nil {
-			return TraceOfView(v)
-		}
-	}
-	return 0
 }
 
 // traceCtx scans the FN list for a host-tagged F_trace FN with a 64-bit
@@ -172,10 +170,9 @@ func nameOfView(v core.View) (uint32, bool) {
 	return 0, false
 }
 
-// MaxSteps bounds the per-FN step detail retained in a router span
-// (matching internal/trace's bound, so a frozen journey carries the same
-// detail a trace record would).
-const MaxSteps = 32
+// MaxSteps bounds the per-FN step detail retained in a router span: the
+// steps of the trace record it is built from.
+const MaxSteps = trace.MaxSteps
 
 // Step is one executed FN inside a router span.
 type Step = core.Step

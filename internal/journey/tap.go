@@ -1,86 +1,45 @@
 package journey
 
 import (
-	"sync/atomic"
 	"time"
 
 	"dip/internal/core"
 	"dip/internal/host"
 	"dip/internal/netsim"
+	"dip/internal/trace"
 	"dip/internal/tunnel"
 )
 
-// RouterTap wraps a router's installed recorder (metrics or trace recorder)
-// and additionally emits one SpanRouter per sampled packet, bracketing
-// Algorithm 1 from ingress to verdict. It implements core.Recorder; install
-// with Router.SetRecorder. The unsampled path is the sampling decision plus
-// the wrapped recorder's own cost — zero allocations (pinned by
-// zeroalloc_test.go).
-type RouterTap struct {
-	node  string
-	sink  SpanSink
-	inner core.Recorder
-	every core.Every
-	now   func() int64
-	seen  atomic.Uint64
-}
-
-// NewRouterTap builds a span-emitting recorder for the named router. Every
-// every-th packet gets a span (1 = all); inner (may be nil) observes every
-// packet unchanged; now is the journey clock (nil = wall time).
-func NewRouterTap(node string, sink SpanSink, inner core.Recorder, every int, now func() int64) *RouterTap {
-	if every < 1 {
-		every = 1
-	}
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
-	return &RouterTap{node: node, sink: sink, inner: inner, every: core.NewEvery(uint64(every)), now: now}
-}
-
-// BeginPacket implements core.Recorder: forward the bracket, then decide
-// sampling and, on a hit, claim the two things only this moment can tell —
-// the trace ID while the packet is still as it arrived (the fingerprint
-// must match what the upstream link saw) and the journey-clock start.
-func (t *RouterTap) BeginPacket(ctx *core.ExecContext) {
-	if t.inner != nil {
-		t.inner.BeginPacket(ctx)
-	}
-	if ctx.SampleEvery(t.every, &t.seen) {
-		ctx.Obs.Claim(t, uint64(TraceOfView(ctx.View)), uint64(t.now()))
-	}
-}
-
-// EndPacket implements core.Recorder: build the sampled packet's span from
-// its claim and observation record and emit it, then forward the bracket.
-func (t *RouterTap) EndPacket(ctx *core.ExecContext) {
-	if id, start, ok := ctx.Obs.Release(t); ok {
-		o, v := &ctx.Obs, ctx.View
+// RouterSpans is the span half of a router's one sampler: the trace.Sink
+// that turns every record the router's trace.Recorder seals into a
+// SpanRouter for the named node on sink. The record supplies the packet as
+// it arrived (its first CaptureBytes, exactly what Fingerprint covers), the
+// start stamp, steps, verdict and engine time; the view supplies what no FN
+// rewrites — the TraceCtx operand, the protocol and the content name. The
+// path is allocation-free (pinned by zeroalloc_test.go).
+func RouterSpans(node string, sink SpanSink) trace.Sink {
+	return func(rec *trace.Record, end int64, v core.View) {
+		id, ok := traceCtx(v)
+		if !ok {
+			id = Fingerprint(rec.Pkt[:rec.PktLen])
+		}
 		sp := Span{
-			Trace:   TraceID(id),
+			Trace:   id,
 			Kind:    SpanRouter,
-			Node:    t.node,
-			Start:   int64(start),
-			End:     max(t.now(), int64(start)),
-			CPUNs:   int64(time.Since(core.MonoBase()) - o.Begin),
+			Node:    node,
+			Start:   rec.At,
+			End:     max(end, rec.At),
+			CPUNs:   rec.TotalNs,
 			Proto:   ProtoOf(v),
-			Verdict: ctx.Verdict,
-			Reason:  ctx.Reason,
-			Dropped: ctx.Verdict == core.VerdictDrop,
+			Verdict: rec.Verdict,
+			Reason:  rec.Reason,
+			Dropped: rec.Verdict == core.VerdictDrop,
 		}
 		sp.Name, sp.HasName = nameOfView(v)
-		sp.NSteps = uint8(copy(sp.Steps[:], o.Steps[:o.N]))
-		if t.sink != nil {
-			t.sink.AddSpan(sp)
-		}
-	}
-	if t.inner != nil {
-		t.inner.EndPacket(ctx)
+		sp.NSteps = uint8(copy(sp.Steps[:], rec.Steps[:rec.NSteps]))
+		sink.AddSpan(sp)
 	}
 }
-
-// Seen returns how many packets passed the tap's sampling decision.
-func (t *RouterTap) Seen() uint64 { return t.seen.Load() }
 
 // NewLinkTap adapts a SpanSink into a netsim.TransitObserver for the link
 // labeled node ("R1->R2"): every observed transit becomes one SpanLink with

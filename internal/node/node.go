@@ -56,9 +56,10 @@ type Env struct {
 	// SyncCold makes cold-tier reads synchronous (no reader goroutines), so
 	// a simulation stays single-goroutine deterministic.
 	SyncCold bool
-	// Journeys receives the node's journey spans. A simulation passes one
-	// collector shared by every node; nil gives the node its own emitter
-	// ring, exported on /journeys.
+	// Journeys receives a traced node's journey spans (one per packet its
+	// TraceEvery sampler takes, plus cold-read spans). A simulation passes
+	// one collector shared by every node; nil gives the node its own
+	// emitter ring, exported on /journeys.
 	Journeys journey.SpanSink
 	// Log receives a line per notable event; nil discards.
 	Log func(format string, args ...any)
@@ -105,7 +106,7 @@ type Node struct {
 	env      Env
 	tracer   *trace.Recorder
 	journeys *journey.Emitter // nil when Env.Journeys collects instead
-	spans    journey.SpanSink // nil when journeys are off
+	spans    journey.SpanSink // nil when the node is not traced
 	intc     *inband.Collector
 	intSeen  atomic.Int64
 	// pumpMu serializes pump-mode bursts: Ingress.Pump must not run
@@ -184,12 +185,16 @@ func Build(s Spec, env Env) (*Node, error) {
 		st.ContentStore.SetReinject(n.reinject)
 	}
 
-	// Recorder stack, innermost first: metrics always count; the trace
-	// sampler wraps them; the journey tap wraps whichever of the two the
-	// router got and forwards everything, so /metrics and /trace are
-	// unchanged while spans flow.
+	// Recorder stack, innermost first: metrics always count; with TraceEvery
+	// the node's one sampler wraps them. It stamps records on the Env's
+	// clock and hands each one it seals to the journey sink as this router's
+	// span, so /trace and /journeys show the same packets at the same times.
 	if s.TraceEvery > 0 {
-		n.tracer = trace.NewRecorder(n.Metrics, s.TraceEvery, s.TraceRing)
+		if n.spans = env.Journeys; n.spans == nil {
+			n.journeys = journey.NewEmitter(0)
+			n.spans = n.journeys
+		}
+		n.tracer = trace.NewRecorder(n.Metrics, s.TraceEvery, s.TraceRing, env.Stamp, journey.RouterSpans(s.Name, n.spans))
 	}
 	n.Router = router.New(ops.NewRouterRegistry(st.OpsConfig()), router.Config{
 		Name:          s.Name,
@@ -198,17 +203,6 @@ func Build(s Spec, env Env) (*Node, error) {
 		Trace:         n.tracer,
 		LocalDelivery: n.deliver,
 	})
-	if s.JourneyEvery > 0 {
-		if n.spans = env.Journeys; n.spans == nil {
-			n.journeys = journey.NewEmitter(s.JourneyRing)
-			n.spans = n.journeys
-		}
-		var inner core.Recorder = n.Metrics
-		if n.tracer != nil {
-			inner = n.tracer
-		}
-		n.Router.SetRecorder(journey.NewRouterTap(s.Name, n.spans, inner, s.JourneyEvery, env.Stamp))
-	}
 
 	if s.IntEvery > 0 {
 		if n.Spec.HopID == 0 {

@@ -13,6 +13,7 @@ import (
 	"dip/internal/extops"
 	"dip/internal/guard"
 	"dip/internal/host"
+	"dip/internal/journey"
 	"dip/internal/netsim"
 	"dip/internal/pit"
 	"dip/internal/profiles"
@@ -42,7 +43,8 @@ func families(n *Node) []string {
 // whose series families must be exactly what diprouter exported for the
 // same flags before node.Build existed (an idle scrape of PR 12's binary
 // with -cache -cscold -csshards -pitperport -pitshards -workers -admit-port
-// -speaker -int-every -trace-every -journey-every -secret).
+// -speaker -int-every -trace-every -journey-every -secret; -trace-every
+// alone now also feeds /journeys).
 func TestMetricsSource(t *testing.T) {
 	min, err := Build(Spec{Name: "min"}, WallEnv(nil))
 	if err != nil {
@@ -61,7 +63,7 @@ func TestMetricsSource(t *testing.T) {
 		Cache:    16, CSCold: 32, CSShards: 2, PITPerPort: 64, PITShards: 4,
 		Workers: 2, AdmitPort: guard.Rate{PerSec: 1e5, Burst: 1e3},
 		Speaker: true, SpeakerRefresh: 5 * time.Second,
-		IntEvery: 1, TraceEvery: 1, JourneyEvery: 1,
+		IntEvery: 1, TraceEvery: 1,
 	}, WallEnv(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -239,5 +241,61 @@ func TestPITSweptOnEnvTimer(t *testing.T) {
 				t.Error("the sweep keeps the simulation from draining")
 			}
 		})
+	}
+}
+
+type spanLog []journey.Span
+
+func (l *spanLog) AddSpan(sp journey.Span) { *l = append(*l, sp) }
+
+// TestTracedNodeSamplesOnce: a traced node runs one sampler. Under SimEnv
+// one sampled packet yields exactly one trace record and one journey span,
+// both stamped on the virtual clock (the record's At used to be wall time
+// beside a virtual-time span), with the same steps; the span's trace ID is
+// the packet's as it arrived, and the seen-counter is charged once.
+func TestTracedNodeSamplesOnce(t *testing.T) {
+	sim := netsim.New()
+	sim.RunUntil(5 * time.Millisecond) // a virtual instant no wall clock reads
+	env := SimEnv(sim)
+	var spans spanLog
+	env.Journeys = &spans
+	n, err := Build(Spec{
+		Name:       "once",
+		Routes32:   []Route{{Prefix: []byte{10, 0, 0, 0}, Len: 8, Port: 0}},
+		TraceEvery: 1,
+	}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.AttachPort(router.PortFunc(func([]byte) {}), false)
+	pkt, err := host.BuildPacket(profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{10, 0, 0, 9}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := journey.TraceOf(pkt)
+	n.Handle(pkt, 0)
+
+	recs := n.tracer.Snapshot()
+	if len(recs) != 1 || len(spans) != 1 {
+		t.Fatalf("%d records and %d spans from one sampled packet, want 1 and 1", len(recs), len(spans))
+	}
+	rec, sp := recs[0], spans[0]
+	if now := int64(sim.Now()); rec.At != now || sp.Start != now {
+		t.Errorf("record At %d, span Start %d, virtual now %d: want all equal", rec.At, sp.Start, now)
+	}
+	if rec.NSteps == 0 || sp.NSteps != rec.NSteps {
+		t.Fatalf("record has %d steps, span %d", rec.NSteps, sp.NSteps)
+	}
+	for i := range rec.NSteps {
+		if rec.Steps[i].Key != sp.Steps[i].Key {
+			t.Errorf("step %d: record %v, span %v", i, rec.Steps[i].Key, sp.Steps[i].Key)
+		}
+	}
+	if sp.Trace != want {
+		t.Errorf("span trace %016x, want %016x (the packet as it arrived)", uint64(sp.Trace), uint64(want))
+	}
+	if seen := n.tracer.Seen(); seen != 1 {
+		t.Errorf("seen %d for one packet", seen)
 	}
 }

@@ -83,7 +83,7 @@ func verdictDelta(a, b telemetry.Snapshot) string {
 // under the wall Env and under the netsim Env must treat the five-protocol
 // trace identically, packet for packet. The Spec turns on everything that
 // does not depend on goroutine timing — pump-mode guard, cache, sharded PIT,
-// OPT, trace + journey + INT recorders. (The cold tier is left out: its
+// OPT, the trace sampler (feeding the journey emitter) and INT. (The cold tier is left out: its
 // wall-Env reads complete on reader goroutines, at no fixed point in the
 // packet sequence.)
 func TestOneWayToBuild(t *testing.T) {
@@ -119,7 +119,7 @@ func TestOneWayToBuild(t *testing.T) {
 		Routes128: []node.Route{{Prefix: p6, Len: 8, Port: 2}},
 		Names:     []node.Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 3}},
 		Cache:     64, PITShards: 4, Batch: 8, Queue: 32,
-		TraceEvery: 4, JourneyEvery: 4, IntEvery: 1,
+		TraceEvery: 4, IntEvery: 1,
 	}
 	sim := netsim.New()
 	wall := probe(t, spec, node.WallEnv(nil), func() {})

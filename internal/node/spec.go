@@ -77,10 +77,11 @@ type Spec struct {
 	AdmitPort guard.Rate // -admit-port: per-inport token bucket
 	AdmitBulk guard.Rate // -admit-bulk: bulk-class token bucket
 
-	TraceEvery   int // -trace-every: sample every Nth packet into the trace ring
-	TraceRing    int // -trace-ring: trace ring records (0 = default)
-	JourneyEvery int // -journey-every; diptopo -journey-every: span every Nth packet
-	JourneyRing  int // -journey-ring: span ring capacity (0 = default)
+	// TraceEvery samples every Nth packet into the trace ring and, as a
+	// router span, into the journey sink (-trace-every; diptopo -journeys
+	// with -journey-every).
+	TraceEvery int
+	TraceRing  int // -trace-ring: trace ring records (0 = default)
 
 	// IntEvery registers the F_tel stamping op and, at this node's
 	// delivering edge, strips every IntEvery-th telemetry-carrying packet
@@ -112,9 +113,8 @@ func (s *Spec) Validate() error {
 		{"maxfns", s.MaxFNs}, {"cache", s.Cache}, {"csshards", s.CSShards}, {"cscold", s.CSCold},
 		{"csslot", s.CSSlot}, {"csreaders", s.CSReaders}, {"pitperport", s.PITPerPort},
 		{"pitshards", s.PITShards}, {"workers", s.Workers}, {"queue", s.Queue}, {"batch", s.Batch},
-		{"trace-every", s.TraceEvery}, {"trace-ring", s.TraceRing}, {"journey-every", s.JourneyEvery},
-		{"journey-ring", s.JourneyRing}, {"int-every", s.IntEvery}, {"int-slots", s.IntSlots},
-		{"maxmetric", s.SpeakerMaxMetric},
+		{"trace-every", s.TraceEvery}, {"trace-ring", s.TraceRing}, {"int-every", s.IntEvery},
+		{"int-slots", s.IntSlots}, {"maxmetric", s.SpeakerMaxMetric},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("%s must not be negative, got %d", c.key, c.v)
@@ -135,7 +135,6 @@ func (s *Spec) Validate() error {
 		{s.AdmitPort != guard.Rate{}, "admit-port", s.guarded(), "the guarded ingress; add batch or workers"},
 		{s.AdmitBulk != guard.Rate{}, "admit-bulk", s.guarded(), "the guarded ingress; add batch or workers"},
 		{s.TraceRing > 0, "trace-ring", s.TraceEvery > 0, "trace-every"},
-		{s.JourneyRing > 0, "journey-ring", s.JourneyEvery > 0, "journey-every"},
 		{s.IntSlots > 0, "int-slots", s.IntEvery > 0, "int-every"},
 	} {
 		if c.set && !c.have {

@@ -22,7 +22,7 @@ func TestValidate(t *testing.T) {
 		{"full", Spec{
 			Cache: 16, CSShards: 2, CSCold: 8, CSSlot: 256, CSReaders: 1, CSColdFile: "/tmp/arena",
 			Workers: 2, Queue: 64, Batch: 8, AdmitPort: rate, AdmitBulk: rate,
-			TraceEvery: 1, TraceRing: 64, JourneyEvery: 1, JourneyRing: 64, IntEvery: 1, IntSlots: 8,
+			TraceEvery: 1, TraceRing: 64, IntEvery: 1, IntSlots: 8,
 			Speaker: true, SpeakerRefresh: time.Second, Secret: make([]byte, 16),
 		}, ""},
 		{"pump mode admits queue", Spec{Batch: 8, Queue: 64}, ""},
@@ -36,7 +36,6 @@ func TestValidate(t *testing.T) {
 		{"admit-port without ingress", Spec{AdmitPort: rate}, "admit-port needs the guarded ingress"},
 		{"admit-bulk without ingress", Spec{AdmitBulk: rate}, "admit-bulk needs the guarded ingress"},
 		{"trace-ring without trace-every", Spec{TraceRing: 8}, "trace-ring needs trace-every"},
-		{"journey-ring without journey-every", Spec{JourneyRing: 8}, "journey-ring needs journey-every"},
 
 		// Already rejected by one parser or the other.
 		{"cscold without cache", Spec{CSCold: 8}, "cscold needs a hot tier"},

@@ -175,11 +175,10 @@ func TestBurstSubmitCloseStress(t *testing.T) {
 		cfg.FIB32.AddUint32(0, 0, fib.Local)
 		r := New(ops.NewRouterRegistry(cfg), Config{LocalDelivery: func([]byte, int) {}})
 		in := r.ServeGuarded(ServeConfig{
-			Workers:        4,
-			Batch:          16,
-			HighDepth:      32,
-			LowDepth:       32,
-			DispatchShards: 64,
+			Workers:   4,
+			Batch:     16,
+			HighDepth: 32,
+			LowDepth:  32,
 		})
 		var accepted atomic.Int64
 		start := make(chan struct{})

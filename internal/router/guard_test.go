@@ -207,8 +207,8 @@ func TestHealthDetectsStalledWorker(t *testing.T) {
 		},
 	})
 	in := r.ServeGuarded(ServeConfig{
-		Workers: 1, StallAfter: 10 * time.Millisecond,
-		Clock: func() time.Duration { return time.Duration(clk.Load()) },
+		Workers: 1,
+		Clock:   func() time.Duration { return time.Duration(clk.Load()) },
 	})
 	if !in.Submit(localPkt(t, 0x55), 0) {
 		t.Fatal("submit refused")
@@ -217,7 +217,7 @@ func TestHealthDetectsStalledWorker(t *testing.T) {
 	if h := in.Health(); h.Stalled != 0 {
 		t.Errorf("stalled before threshold: %+v", h)
 	}
-	clk.Store(int64(time.Second))
+	clk.Store(int64(2 * time.Second)) // past the one-second stall threshold
 	if h := in.Health(); h.Stalled != 1 {
 		t.Errorf("stall not detected: %+v", h)
 	}

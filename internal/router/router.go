@@ -39,16 +39,13 @@ type Config struct {
 	// Trace, when set, is installed as the engine's recorder instead of
 	// Metrics directly: it samples per-packet FN journeys into its ring and
 	// forwards the per-packet bracket to its inner recorder. Construct it
-	// with trace.NewRecorder(cfg.Metrics, every, ring) so the counters keep
-	// flowing; Metrics stays the verdict-counting sink either way.
+	// with trace.NewRecorder(cfg.Metrics, …) so the counters keep flowing;
+	// Metrics stays the verdict-counting sink either way.
 	Trace *trace.Recorder
 	// LocalDelivery receives packets whose verdict is Deliver (this node
 	// is the destination or the local producer). The buffer is only valid
 	// during the call.
 	LocalDelivery func(pkt []byte, inPort int)
-	// DisableSignalling suppresses FN-unsupported notifications even when
-	// an operation's policy requests them.
-	DisableSignalling bool
 }
 
 // Router is one DIP-capable node.
@@ -73,9 +70,10 @@ func New(reg *core.Registry, cfg Config) *Router {
 }
 
 // SetRecorder replaces the engine's recorder. Call before packets flow (and
-// before ServeGuarded) — it is how journey taps wrap the recorder Config
-// installed (the tap forwards to the wrapped recorder, so metrics and
-// traces keep working underneath).
+// before ServeGuarded) — it installs a stack other than the one Config
+// built, such as a span-emitting trace recorder wrapping Config's (it
+// forwards to the wrapped recorder, so metrics and traces keep working
+// underneath).
 func (r *Router) SetRecorder(rec core.Recorder) { r.engine.SetRecorder(rec) }
 
 // Registry exposes the router's current operation catalog (bootstrap
@@ -153,7 +151,7 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
 			r.replyFromCache(ctx, inPort)
 		}
 	case core.VerdictDrop:
-		if ctx.SignalUnsupported && !r.cfg.DisableSignalling {
+		if ctx.SignalUnsupported {
 			r.signalUnsupported(ctx, inPort)
 		}
 	}

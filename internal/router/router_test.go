@@ -275,17 +275,12 @@ func TestCacheReplyNarrowAndUnalignedNames(t *testing.T) {
 	}
 }
 
+// TestFNUnsupportedSignalling: the registry's per-key policy is the one
+// switch for FN-unsupported signalling. A router without OPT state receives
+// an OPT packet carrying F_source: under PolicySignal its F_parm is dropped
+// and answered toward the source; under PolicyIgnore the FN is skipped and
+// nothing is sent.
 func TestFNUnsupportedSignalling(t *testing.T) {
-	// A router without OPT state receives an OPT packet whose F_parm demands
-	// signalling.
-	cfg := ops.Config{FIB32: fib.New()}
-	reg := ops.NewRouterRegistry(cfg)
-	reg.SetPolicy(core.KeyParm, core.PolicySignal)
-	m := &telemetry.Metrics{}
-	r := New(reg, Config{Metrics: m})
-	in := &capturePort{}
-	r.AttachPort(in)
-
 	// An OPT-ish packet that carries F_source so the reply is addressable.
 	h := &core.Header{
 		HopLimit: 9,
@@ -295,26 +290,47 @@ func TestFNUnsupportedSignalling(t *testing.T) {
 		},
 		Locations: append([]byte{9, 9, 9, 9}, make([]byte, 16)...),
 	}
-	r.HandlePacket(pkt(t, h, nil), 0)
-	if len(in.pkts) != 1 {
-		t.Fatal("no FN-unsupported reply")
+	route := func(t *testing.T, policy core.UnknownPolicy) (*capturePort, *telemetry.Metrics) {
+		reg := ops.NewRouterRegistry(ops.Config{FIB32: fib.New()})
+		reg.SetPolicy(core.KeyParm, policy)
+		m := &telemetry.Metrics{}
+		r := New(reg, Config{Metrics: m})
+		in := &capturePort{}
+		r.AttachPort(in)
+		r.HandlePacket(pkt(t, h, nil), 0)
+		return in, m
 	}
-	v, err := core.ParseView(in.pkts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, ok := profiles.ParseFNUnsupported(v)
-	if !ok || key != core.KeyParm {
-		t.Errorf("parsed %v %v", key, ok)
-	}
-	// The reply routes to the original source via DIP-32.
-	locs := v.Locations()
-	if !bytes.Equal(locs[0:4], []byte{9, 9, 9, 9}) {
-		t.Errorf("reply dst %v", locs[0:4])
-	}
-	if m.Snapshot().Drops[core.DropUnsupportedFN] != 1 {
-		t.Error("drop not counted")
-	}
+	t.Run("signal", func(t *testing.T) {
+		in, m := route(t, core.PolicySignal)
+		if len(in.pkts) != 1 {
+			t.Fatal("no FN-unsupported reply")
+		}
+		v, err := core.ParseView(in.pkts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok := profiles.ParseFNUnsupported(v)
+		if !ok || key != core.KeyParm {
+			t.Errorf("parsed %v %v", key, ok)
+		}
+		// The reply routes to the original source via DIP-32.
+		locs := v.Locations()
+		if !bytes.Equal(locs[0:4], []byte{9, 9, 9, 9}) {
+			t.Errorf("reply dst %v", locs[0:4])
+		}
+		if m.Snapshot().Drops[core.DropUnsupportedFN] != 1 {
+			t.Error("drop not counted")
+		}
+	})
+	t.Run("ignore", func(t *testing.T) {
+		in, m := route(t, core.PolicyIgnore)
+		if len(in.pkts) != 0 {
+			t.Errorf("%d packets sent for an ignored FN", len(in.pkts))
+		}
+		if n := m.Snapshot().Drops[core.DropUnsupportedFN]; n != 0 {
+			t.Errorf("ignored FN counted %d unsupported drops", n)
+		}
+	})
 }
 
 func TestFNUnsupportedWithoutSourceSilent(t *testing.T) {
@@ -331,26 +347,6 @@ func TestFNUnsupportedWithoutSourceSilent(t *testing.T) {
 	r.HandlePacket(pkt(t, h, nil), 0)
 	if len(in.pkts) != 0 {
 		t.Error("unaddressable reply sent anyway")
-	}
-}
-
-func TestSignallingDisabled(t *testing.T) {
-	reg := ops.NewRouterRegistry(ops.Config{})
-	reg.SetPolicy(core.KeyParm, core.PolicySignal)
-	r := New(reg, Config{DisableSignalling: true})
-	in := &capturePort{}
-	r.AttachPort(in)
-	h := &core.Header{
-		HopLimit: 9,
-		FNs: []core.FN{
-			core.RouterFN(0, 32, core.KeySource),
-			core.RouterFN(32, 128, core.KeyParm),
-		},
-		Locations: make([]byte, 20),
-	}
-	r.HandlePacket(pkt(t, h, nil), 0)
-	if len(in.pkts) != 0 {
-		t.Error("signalling not disabled")
 	}
 }
 

@@ -19,9 +19,17 @@ import (
 // enough to amortize queue locking and sampling, small enough to keep
 // control-class preemption latency at one burst.
 const (
-	DefaultBatch          = 64
-	DefaultDispatchShards = 256
-	maxBatch              = 1024
+	DefaultBatch = 64
+	maxBatch     = 1024
+	// dispatchShards sizes the flow-dispatch table (a power of two, doubled
+	// until every forwarder has a shard). Flows hash — NDT-style, over the
+	// FN locations region — into shards, and each shard is pinned to
+	// exactly one forwarder, so all packets of one flow are processed by one
+	// goroutine in submission order with no cross-core locks on the way.
+	dispatchShards = 256
+	// stallAfter is how long a worker may chew on one burst before Health
+	// counts it stalled.
+	stallAfter = time.Second
 	// maxSubmitBurst bounds one SubmitBurst chunk so its per-packet
 	// scratch (class, destination, outcome) fits in fixed stack arrays;
 	// larger bursts are split transparently.
@@ -29,9 +37,10 @@ const (
 )
 
 // ServeConfig tunes the guarded ingress. The zero value (normalized by
-// ServeGuarded) gives one worker, 64-deep queues, 64-packet bursts, no
-// admission control, a default quarantine ring, and byte-level
-// classification.
+// ServeGuarded) gives pump mode, 64-deep queues, 64-packet bursts, no
+// admission control and byte-level classification. Every Ingress keeps a
+// default-sized quarantine ring and counts a worker stalled after a second
+// on one burst.
 type ServeConfig struct {
 	// Workers is the forwarding pool size. 0 selects pump mode: no
 	// goroutines are started and the caller drains the queues with Pump —
@@ -50,29 +59,12 @@ type ServeConfig struct {
 	// charges. 0 selects DefaultBatch; 1 degenerates to the packet-at-a-time
 	// pipeline.
 	Batch int
-	// DispatchShards sizes the flow-dispatch table (rounded to a power of
-	// two, default 256). Flows hash — NDT-style, over the FN locations
-	// region — into shards, and each shard is pinned to exactly one
-	// forwarder, so all packets of one flow are processed by one goroutine
-	// in submission order with no cross-core locks on the way.
-	DispatchShards int
 	// Admission, when set, polices packets before they enter a queue
 	// (per-inport and per-class token buckets). Nil admits everything.
 	Admission *guard.Admission
 	// Classify maps raw packet bytes to an admission class. Nil uses
 	// guard.Classify (DIP control next-headers → ClassControl).
 	Classify func(pkt []byte) guard.Class
-	// Quarantine receives poison-packet captures from recovered worker
-	// panics. Nil allocates a default-sized ring.
-	Quarantine *guard.Quarantine
-	// OnQuarantine, when set, is called with the poison packet's bytes
-	// after a recovered panic is captured — the hook journey tracing uses
-	// to freeze the packet's journey. Runs on the worker goroutine; must
-	// not block and must not retain the slice.
-	OnQuarantine func(pkt []byte)
-	// StallAfter is how long a worker may chew on one packet before Health
-	// counts it stalled (default 1s).
-	StallAfter time.Duration
 	// Clock supplies elapsed time for heartbeats and stall detection (the
 	// netsim Simulator's Now, or nil for wall time).
 	Clock func() time.Duration
@@ -91,6 +83,8 @@ type ServeConfig struct {
 type Ingress struct {
 	r   *Router
 	cfg ServeConfig
+	// quarantine holds poison-packet captures from recovered panics.
+	quarantine *guard.Quarantine
 
 	// queues holds one burst queue per forwarder (exactly one in pump
 	// mode). Each queue is consumed only by its pinned forwarder.
@@ -219,12 +213,6 @@ func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
 	if cfg.Classify == nil {
 		cfg.Classify = guard.Classify
 	}
-	if cfg.Quarantine == nil {
-		cfg.Quarantine = guard.NewQuarantine(0)
-	}
-	if cfg.StallAfter <= 0 {
-		cfg.StallAfter = time.Second
-	}
 	if cfg.Clock == nil {
 		start := time.Now()
 		cfg.Clock = func() time.Duration { return time.Since(start) }
@@ -233,15 +221,11 @@ func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
 	if nq < 1 {
 		nq = 1 // pump mode: one queue, drained by the caller
 	}
-	shards := cfg.DispatchShards
-	if shards < 1 {
-		shards = DefaultDispatchShards
-	}
-	shards = nhash.Pow2(shards)
+	shards := dispatchShards
 	for shards < nq {
 		shards *= 2 // at least one shard per forwarder
 	}
-	in := &Ingress{r: r, cfg: cfg}
+	in := &Ingress{r: r, cfg: cfg, quarantine: guard.NewQuarantine(0)}
 	in.queues = make([]*burstQueue, nq)
 	for i := range in.queues {
 		q := &burstQueue{
@@ -351,16 +335,13 @@ func (in *Ingress) safeRun(ctx *core.ExecContext, burst []queuedPacket, i int) (
 			in.panics.Add(1)
 			cp := make([]byte, len(q.pkt))
 			copy(cp, q.pkt)
-			in.cfg.Quarantine.Add(guard.Capture{
+			in.quarantine.Add(guard.Capture{
 				InPort: q.inPort,
 				Packet: cp,
 				Panic:  fmt.Sprint(p),
 				Stack:  string(debug.Stack()),
 			})
 			in.event(telemetry.EventQuarantine)
-			if in.cfg.OnQuarantine != nil {
-				in.cfg.OnQuarantine(cp)
-			}
 		}
 	}()
 	for next = i; next < len(burst); next++ {
@@ -546,7 +527,7 @@ func (in *Ingress) Dropped() int64 { return in.dropped.Load() }
 func (in *Ingress) Processed() int64 { return in.processed.Load() }
 
 // Quarantine returns the poison-packet ring for inspection.
-func (in *Ingress) Quarantine() *guard.Quarantine { return in.cfg.Quarantine }
+func (in *Ingress) Quarantine() *guard.Quarantine { return in.quarantine }
 
 // Close stops accepting packets, drains the queues, and waits for the
 // forwarders to finish in-flight bursts. Safe to call multiple times and
@@ -626,7 +607,7 @@ func (in *Ingress) Health() Health {
 	now := in.cfg.Clock()
 	for i := range in.workers {
 		w := &in.workers[i]
-		if w.busy.Load() && now-time.Duration(w.beat.Load()) > in.cfg.StallAfter {
+		if w.busy.Load() && now-time.Duration(w.beat.Load()) > stallAfter {
 			h.Stalled++
 		}
 	}

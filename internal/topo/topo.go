@@ -71,7 +71,8 @@ type Topology struct {
 	speak      *speakOptions
 	journeys   *journey.Collector
 	Deliveries []Delivery
-	// journeyEvery is the per-router span sampling period (EnableJourneys).
+	// journeyEvery is the per-router sampling period EnableJourneys set:
+	// every router's TraceEvery, its spans going to the collector.
 	journeyEvery int
 	// built is set once Build has assembled every router's node.
 	built bool
@@ -708,7 +709,6 @@ func (t *Topology) Build() error {
 	for _, name := range names {
 		rn := t.routers[name]
 		spec := rn.spec
-		spec.JourneyEvery = t.journeyEvery
 		if t.intEvery > 0 {
 			spec.IntEvery, spec.IntSlots, spec.HopID = t.intEvery, t.intSlots, t.intIDs[name]
 		}
@@ -729,7 +729,7 @@ func (t *Topology) Build() error {
 			return d
 		}
 		if t.journeys != nil {
-			env.Journeys = t.journeys
+			spec.TraceEvery, env.Journeys = t.journeyEvery, t.journeys
 		}
 		n, err := node.Build(spec, env)
 		if err != nil {

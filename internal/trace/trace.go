@@ -23,6 +23,11 @@
 //     slot a writer lapped by a whole ring has not sealed yet: the newcomer is
 //     dropped. Overwritten counts both (dip_trace_overwritten_total).
 //
+// A Recorder is a router's one per-packet sampler. It stamps records on the
+// clock it is built with and hands every record it seals to its Sink, when
+// it has one — internal/journey turns them into router spans — so a packet
+// that is both traced and spanned is sampled, claimed and timed once.
+//
 // The ring must be comfortably larger than the number of concurrently
 // sampled packets (workers / N per tick); with the default 1024 slots and
 // 1-in-N sampling this holds by orders of magnitude.
@@ -65,11 +70,12 @@ type Record struct {
 	// this recorder's monotonic capture sequence: records from one router
 	// always sort correctly by Seq regardless of clock quality.
 	Seq uint64
-	// At is the capture timestamp on the recorder's clock: wall nanoseconds
-	// by default, or the shared virtual clock when SetClock installs one.
-	// Stitching records from several routers sorts by (At, Seq); with a
-	// shared clock that order is exact even when the routers' wall clocks
-	// diverge, which per-router wall stamps cannot guarantee.
+	// At is the capture timestamp on the recorder's clock: wall nanoseconds,
+	// or the clock NewRecorder was given (node.Build passes the Env's Stamp,
+	// so under a simulation it is virtual time). Stitching records from
+	// several routers sorts by (At, Seq); with a shared clock that order is
+	// exact even when the routers' wall clocks diverge, which per-router wall
+	// stamps cannot guarantee.
 	At int64
 	// InPort is the ingress port the packet arrived on.
 	InPort int32
@@ -88,12 +94,19 @@ type Record struct {
 	NEgr   uint8
 	// TotalNs is the wall-clock begin→end bracket around Algorithm 1.
 	TotalNs int64
-	// Pkt[:PktLen] is the captured packet prefix; PktTotal is the full
-	// packet length on the wire.
+	// Pkt[:PktLen] is the captured packet prefix, as the packet arrived
+	// (before any FN ran); PktTotal is the full packet length on the wire.
 	Pkt      [CaptureBytes]byte
 	PktLen   uint8
 	PktTotal uint16
 }
+
+// Sink receives each sampled packet's record as EndPacket completes it,
+// before the slot is released: the record, the recorder's clock read at
+// that moment, and the packet's view as processed. It runs on the
+// forwarding goroutine, so it must not block, and it must not keep rec —
+// the ring reuses the slot.
+type Sink func(rec *Record, end int64, v core.View)
 
 // slot is one ring entry: a record plus its sequence lock.
 type slot struct {
@@ -113,16 +126,20 @@ type Recorder struct {
 	seq   atomic.Uint64 // next sample sequence number
 	seen  atomic.Uint64 // packets that passed the sampling decision
 	lost  atomic.Uint64 // samples dropped at a slot still owned by a lapped writer
-	// clock stamps Record.At; nil means wall time. Set before traffic flows
-	// (SetClock), so the hot path reads it without synchronization.
-	clock func() int64
+	clock func() int64  // stamps Record.At and the sink's end
+	sink  Sink          // nil: records only go to the ring
 }
 
 // NewRecorder builds a sampling trace recorder: every-th packet is traced
 // (1 traces everything), ring is the record capacity (rounded up to a power
 // of two; < 1 uses DefaultRing). inner, when non-nil, observes every packet
-// exactly as if it were installed directly.
-func NewRecorder(inner core.Recorder, every int, ring int) *Recorder {
+// exactly as if it were installed directly. clock stamps the records in
+// nanoseconds on any monotonic scale (nil is wall time; a simulation passes
+// its virtual clock, so records from every router in one run share one time
+// base); TotalNs stays a wall-clock measurement either way: At orders
+// records, TotalNs meters the engine. sink, when non-nil, receives every
+// record the recorder seals.
+func NewRecorder(inner core.Recorder, every, ring int, clock func() int64, sink Sink) *Recorder {
 	if every < 1 {
 		every = DefaultEvery
 	}
@@ -133,27 +150,20 @@ func NewRecorder(inner core.Recorder, every int, ring int) *Recorder {
 	for size < ring {
 		size <<= 1
 	}
+	if clock == nil {
+		clock = wallNanos
+	}
 	return &Recorder{
 		inner: inner,
 		every: core.NewEvery(uint64(every)),
 		mask:  uint64(size - 1),
 		slots: make([]slot, size),
+		clock: clock,
+		sink:  sink,
 	}
 }
 
-// SetClock installs the capture-timestamp source (nanoseconds on any
-// monotonic scale — a netsim Simulator's virtual clock in simulations, so
-// records from every router in one run share one time base). Must be called
-// before packets flow; nil restores wall time. TotalNs stays a wall-clock
-// measurement either way: At orders records, TotalNs meters the engine.
-func (r *Recorder) SetClock(clock func() int64) { r.clock = clock }
-
-func (r *Recorder) nowStamp() int64 {
-	if r.clock != nil {
-		return r.clock()
-	}
-	return time.Now().UnixNano()
-}
+func wallNanos() int64 { return time.Now().UnixNano() }
 
 // BeginPacket implements core.Recorder: it decides whether this packet is
 // sampled and, if so, claims a ring slot and captures the packet prefix
@@ -173,14 +183,15 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 		return
 	}
 	ctx.Obs.Claim(r, seq, 0)
-	sl.rec = Record{Seq: seq, At: r.nowStamp(), InPort: int32(ctx.InPort)}
+	sl.rec = Record{Seq: seq, At: r.clock(), InPort: int32(ctx.InPort)}
 	pkt := ctx.View.Packet()
 	sl.rec.PktTotal = uint16(min(len(pkt), 1<<16-1))
 	sl.rec.PktLen = uint8(copy(sl.rec.Pkt[:], pkt))
 }
 
 // EndPacket implements core.Recorder: it seals the sampled record from the
-// packet's observation record (a no-op for unsampled packets).
+// packet's observation record and hands it to the sink (a no-op for
+// unsampled packets).
 func (r *Recorder) EndPacket(ctx *core.ExecContext) {
 	if seq, _, ok := ctx.Obs.Release(r); ok {
 		o, sl := &ctx.Obs, &r.slots[seq&r.mask]
@@ -194,6 +205,9 @@ func (r *Recorder) EndPacket(ctx *core.ExecContext) {
 		sl.rec.NEgr = uint8(len(ports))
 		for i, p := range ports {
 			sl.rec.Egress[i] = int32(p)
+		}
+		if r.sink != nil {
+			r.sink(&sl.rec, r.clock(), ctx.View)
 		}
 		sl.ver.Add(1) // even: stable
 	}

@@ -48,7 +48,7 @@ func process(t *testing.T, e *core.Engine, pkt []byte) core.ExecContext {
 
 func TestEveryPacketSampled(t *testing.T) {
 	m := &telemetry.Metrics{}
-	r := NewRecorder(m, 1, 8)
+	r := NewRecorder(m, 1, 8, nil, nil)
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	for i := 0; i < 5; i++ {
@@ -91,7 +91,7 @@ func TestEveryPacketSampled(t *testing.T) {
 }
 
 func TestSamplingDivisor(t *testing.T) {
-	r := NewRecorder(nil, 10, 64)
+	r := NewRecorder(nil, 10, 64, nil, nil)
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	const n = 200
@@ -117,7 +117,7 @@ func TestSamplingDivisor(t *testing.T) {
 }
 
 func TestRingOverwrite(t *testing.T) {
-	r := NewRecorder(nil, 1, 4)
+	r := NewRecorder(nil, 1, 4, nil, nil)
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	for i := 0; i < 10; i++ {
@@ -143,7 +143,7 @@ func TestRingOverwrite(t *testing.T) {
 // stalled writer then seals a record that is entirely its own, and the slot
 // serves the next lap as usual.
 func TestLappedWriterKeepsItsSlot(t *testing.T) {
-	r := NewRecorder(nil, 1, 4)
+	r := NewRecorder(nil, 1, 4, nil, nil)
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	v, err := core.ParseView(pkt)
@@ -177,7 +177,7 @@ func TestLappedWriterKeepsItsSlot(t *testing.T) {
 }
 
 func TestDropReasonTraced(t *testing.T) {
-	r := NewRecorder(nil, 1, 8)
+	r := NewRecorder(nil, 1, 8, nil, nil)
 	// No route for the destination → no-route drop.
 	cfg := ops.Config{FIB32: emptyFIB(t)}
 	e := core.NewEngine(ops.NewRouterRegistry(cfg), core.Limits{})
@@ -194,7 +194,7 @@ func TestDropReasonTraced(t *testing.T) {
 }
 
 func TestRecordStringDumpFormat(t *testing.T) {
-	r := NewRecorder(nil, 1, 8)
+	r := NewRecorder(nil, 1, 8, nil, nil)
 	e := routerEngine(t, r)
 	process(t, e, buildIPv4(t))
 	var b strings.Builder
@@ -217,7 +217,7 @@ func TestRecordStringDumpFormat(t *testing.T) {
 }
 
 func TestConcurrentSampling(t *testing.T) {
-	r := NewRecorder(&telemetry.Metrics{}, 2, 256)
+	r := NewRecorder(&telemetry.Metrics{}, 2, 256, nil, nil)
 	e := routerEngine(t, r)
 	var wg sync.WaitGroup
 	const workers, per = 8, 500
@@ -261,7 +261,7 @@ func TestConcurrentSampling(t *testing.T) {
 // nothing. (The sampled path is also allocation-free; the root
 // zeroalloc_test covers the mixed case end to end.)
 func TestUnsampledZeroAlloc(t *testing.T) {
-	r := NewRecorder(&telemetry.Metrics{}, 1<<30, 8) // effectively never samples
+	r := NewRecorder(&telemetry.Metrics{}, 1<<30, 8, nil, nil) // effectively never samples
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	v, err := core.ParseView(pkt)
@@ -281,7 +281,7 @@ func TestUnsampledZeroAlloc(t *testing.T) {
 }
 
 func TestSampledZeroAlloc(t *testing.T) {
-	r := NewRecorder(&telemetry.Metrics{}, 1, 64) // sample every packet
+	r := NewRecorder(&telemetry.Metrics{}, 1, 64, nil, nil) // sample every packet
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	v, err := core.ParseView(pkt)
@@ -317,10 +317,16 @@ func emptyFIB(t *testing.T) *fib.Table {
 // TestCaptureStampOrdering pins the export-ordering contract: every record
 // carries a dense Seq and an At stamp from the recorder's clock, so rings
 // from several routers merge into one correctly ordered stream by (At, Seq).
+// The sink sees each record once, complete, with an end stamp read from the
+// same clock.
 func TestCaptureStampOrdering(t *testing.T) {
 	var vclock int64
-	r := NewRecorder(nil, 1, 8)
-	r.SetClock(func() int64 { vclock += 100; return vclock })
+	var sealed []Record
+	var ends []int64
+	r := NewRecorder(nil, 1, 8, func() int64 { vclock += 100; return vclock }, func(rec *Record, end int64, _ core.View) {
+		sealed = append(sealed, *rec)
+		ends = append(ends, end)
+	})
 	e := routerEngine(t, r)
 	pkt := buildIPv4(t)
 	for i := 0; i < 4; i++ {
@@ -341,6 +347,14 @@ func TestCaptureStampOrdering(t *testing.T) {
 	}
 	if !strings.Contains(recs[0].String(), " at=") {
 		t.Fatalf("Record.String missing the at= stamp: %s", recs[0].String())
+	}
+	if len(sealed) != len(recs) {
+		t.Fatalf("sink saw %d records, ring holds %d", len(sealed), len(recs))
+	}
+	for i := range recs {
+		if sealed[i] != recs[i] || ends[i] != recs[i].At+100 {
+			t.Fatalf("sink record %d: %+v ending at %d, ring has %+v", i, sealed[i], ends[i], recs[i])
+		}
 	}
 }
 
@@ -381,7 +395,7 @@ func TestParallelWaveStepOrder(t *testing.T) {
 		stagedOp{key: core.KeyPIT, stage: 2},
 	)
 	m := &telemetry.Metrics{}
-	r := NewRecorder(m, 1, 8)
+	r := NewRecorder(m, 1, 8, nil, nil)
 	e := core.NewEngine(reg, core.Limits{})
 	e.SetRecorder(r)
 	h := &core.Header{
@@ -423,7 +437,7 @@ func TestStepTruncation(t *testing.T) {
 	reg := core.NewRegistry()
 	reg.MustRegister(stagedOp{key: core.KeyFIB}, stagedOp{key: core.KeyPIT})
 	m := &telemetry.Metrics{}
-	r := NewRecorder(m, 1, 8)
+	r := NewRecorder(m, 1, 8, nil, nil)
 	e := core.NewEngine(reg, core.Limits{})
 	e.SetRecorder(r)
 	h := &core.Header{Locations: make([]byte, 1)}

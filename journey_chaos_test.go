@@ -38,7 +38,7 @@ func buildChaosNet(t *testing.T) *chaosNet {
 	// Every router spans every packet into the shared collector.
 	env := node.SimEnv(sim)
 	env.Journeys = col
-	newRouter := func(name string) *Node { return chaosNode(t, env, NodeSpec{Name: name, JourneyEvery: 1}) }
+	newRouter := func(name string) *Node { return chaosNode(t, env, NodeSpec{Name: name, TraceEvery: 1}) }
 	r1, r2, r3 := newRouter("R1"), newRouter("R2"), newRouter("R3")
 
 	// pipe builds one observed link direction delivering into *rx (a

@@ -92,7 +92,8 @@ const metricsEvery = 64
 
 // TestObserverStackTransparent pins "counts exact, latency sampled" and that
 // wrapping changes nothing an inner observer sees: Metrics alone, under a
-// trace recorder, and under a journey tap over that count the same ops and
+// trace recorder, and under a journey tap (a second, span-emitting trace
+// recorder) over that count the same ops and
 // drops — each equal to an independent count of dispatched FNs — at
 // sampling 1 and 1024; per op, Σhist == Timed == the ops dispatched on the
 // packets whose ordinal some installed observer's rate divides (all of them
@@ -239,11 +240,12 @@ func stepKeys(t *testing.T, steps []core.Step) []core.Key {
 	return keys
 }
 
-// TestZeroAllocFullStackBurstPath pins the burst dataplane under the whole
-// observer stack diprouter builds — journey tap outermost over trace over
-// metrics — in pump mode and with one forwarder: no allocation per burst,
-// and both samplers take exactly 1-in-N however they nest, each charging
-// its seen-counter from the burst stamp.
+// TestZeroAllocFullStackBurstPath pins the burst dataplane under the
+// deepest observer stack anything builds — a journey tap (span-emitting
+// trace recorder) over a trace recorder over metrics, as the benchmark
+// stacks them — in pump mode and with one forwarder: no allocation per
+// burst, and both samplers take exactly 1-in-N however they nest, each
+// charging its seen-counter from the burst stamp.
 func TestZeroAllocFullStackBurstPath(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		state := NewNodeState()

@@ -66,9 +66,9 @@ func TestZeroAllocTracedEngineProcess(t *testing.T) {
 	}
 }
 
-// TestZeroAllocJourneyTapUnsampled pins the journeys-off cost of a
-// journey.RouterTap on the forwarding path: with a sampling rate so sparse
-// no packet in the run is spanned, the tap must add only its sampling
+// TestZeroAllocJourneyTapUnsampled pins the unsampled cost of the
+// span-emitting trace recorder on the forwarding path: with a sampling rate
+// so sparse no packet in the run is spanned, it must add only its sampling
 // decision — no heap traffic.
 func TestZeroAllocJourneyTapUnsampled(t *testing.T) {
 	state := NewNodeState()
