@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test benchmodule check seamcheck race vet fuzz soak bench benchrace metricssmoke journeysmoke intsmoke benchguard clean
+.PHONY: build test benchmodule check seamcheck reachcheck race vet fuzz soak bench benchrace metricssmoke journeysmoke intsmoke benchguard clean
 
 build:
 	$(GO) build ./...
@@ -72,7 +72,7 @@ seamcheck:
 		| grep -v _test.go | grep -vE '^\./(internal/(pit|node)/|dip\.go:)'; then \
 		echo "seamcheck: a router is wired outside node.Build (set node.Spec.PITTTL: DESIGN.md §16)"; exit 1; \
 	fi
-	@if grep -rnE 'func \(t \*(BitTrie|NameTrie)\[V\]\) (Inser[t]|Delet[e])\(' --include=*.go internal/lpm; then \
+	@if grep -rnE 'func \(t \*BitTrie\[V\]\) (Inser[t]|Delet[e])\(' --include=*.go internal/lpm; then \
 		echo "seamcheck: an in-place trie mutator is back (InsertCOW/DeleteCOW only: DESIGN.md §8)"; exit 1; \
 	fi
 	@if grep -rnE 'RouterTa[p]|JourneyEver[y]|JourneyRin[g]' --include=*.go . | grep -v _test.go; then \
@@ -88,16 +88,24 @@ seamcheck:
 		echo "seamcheck: internal/router depends on internal/journey (the sampler hands records to a sink)"; exit 1; \
 	fi
 
+# Every function outside the main packages is linked into a program (the
+# cmd/ and examples/ mains and the bench module, built without inlining) or
+# named in scripts/reachcheck/allow.txt with the E-row or paper section it
+# serves; an allowlist line that keeps nothing fails too.
+reachcheck:
+	$(GO) run ./scripts/reachcheck
+
 race:
 	$(GO) test -race ./...
 
-# Full pre-merge gate: static analysis, the race detector (which runs every
-# test, E19's fleet and E21's churn oracle included), the nested bench
+# Full pre-merge gate: static analysis, the reachability gate, the race
+# detector (which runs every test, E19's fleet and E21's churn oracle
+# included), the nested bench
 # module, a race-mode smoke of the parallel hot-path benchmarks, a fuzz
 # smoke sweep over every fuzz target, a live scrape of the metrics endpoint,
 # the journey and in-band telemetry smokes (diptopo digest summary + live
 # dip_int_* scrape), and the within-run benchmark gate.
-check: vet seamcheck race benchmodule benchrace fuzz metricssmoke journeysmoke intsmoke benchguard
+check: vet seamcheck reachcheck race benchmodule benchrace fuzz metricssmoke journeysmoke intsmoke benchguard
 
 # Short benchstat-friendly run of the forwarding hot-path benchmarks
 # (compare runs with: make bench > old.txt; ...; make bench > new.txt;

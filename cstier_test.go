@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dip/internal/core"
+	"dip/internal/host"
 )
 
 const (
@@ -49,7 +50,11 @@ func newTieredRig(t *testing.T, readers int, gate func()) *tieredRig {
 	rig.tiered = tiered
 	rig.r = NewRouter(st.OpsConfig(), RouterOptions{Name: "edge"})
 	rig.r.AttachPort(PortFunc(func(pkt []byte) {
-		if name, ok := DataName(pkt); ok {
+		v, err := core.ParseView(pkt)
+		if err != nil {
+			return
+		}
+		if name, ok := host.DataName(v); ok {
 			rig.mu.Lock()
 			rig.replies = append(rig.replies, name)
 			rig.mu.Unlock()

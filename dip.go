@@ -36,7 +36,6 @@ package dip
 
 import (
 	"net"
-	"time"
 
 	"dip/internal/bootstrap"
 	"dip/internal/cc"
@@ -278,27 +277,15 @@ const (
 	ClassControl = guard.ClassControl
 )
 
-// NewAdmission builds ingress admission-control state over a policy. clock
-// supplies elapsed time (a netsim Simulator's Now for deterministic
-// simulations, nil for wall time).
-func NewAdmission(policy AdmissionPolicy, clock func() time.Duration) *Admission {
-	return guard.NewAdmission(policy, clock)
-}
-
 // NewSpeaker builds a route-exchange agent for one router. Peer it with
-// AddNeighbor (the send func typically wraps BuildPacket(RouteExchange(), msg)
-// toward that neighbor), feed received control payloads to Handle, and call
-// Refresh periodically to re-advertise and expire stale routes. A NodeSpec
-// with Speaker set does all of that.
+// AddNeighbor (the send func typically wraps the message in a
+// route-exchange packet toward that neighbor), feed received control
+// payloads to Handle, and call Refresh periodically to re-advertise and
+// expire stale routes. A NodeSpec with Speaker set does all of that.
 var NewSpeaker = bootstrap.NewSpeaker
 
 // CatalogOf derives the advertised FN catalog from a router registry.
 func CatalogOf(reg *Registry) Catalog { return bootstrap.CatalogOf(reg) }
-
-// RouteExchange is the header profile of an in-fabric route-exchange packet:
-// a single F_ctl FN delivering the payload to the receiving router's control
-// stack (its Speaker) instead of forwarding it.
-func RouteExchange() *Header { return profiles.RouteExchange() }
 
 // NHRouteExchange is the next-header value of an in-fabric route-exchange
 // packet; a local-delivery sink demultiplexes on it to feed the Speaker.
@@ -429,26 +416,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) { return workload.NewFleet(cfg) }
 // are equal, →1/n under starvation.
 func JainIndex(xs []float64) float64 { return workload.JainIndex(xs) }
 
-// InterestName extracts the 32-bit content name from a wire-format NDN
-// interest (F_FIB), reporting ok=false for any other or malformed packet.
-// Producers use it to decide what data a received interest is asking for.
-func InterestName(pkt []byte) (uint32, bool) {
-	v, err := core.ParseView(pkt)
-	if err != nil {
-		return 0, false
-	}
-	return host.InterestName(v)
-}
-
-// DataName is InterestName's counterpart for NDN data packets (F_PIT).
-func DataName(pkt []byte) (uint32, bool) {
-	v, err := core.ParseView(pkt)
-	if err != nil {
-		return 0, false
-	}
-	return host.DataName(v)
-}
-
 // NewSecret wraps a 16-byte DRKey secret for a named node.
 func NewSecret(nodeID string, secret []byte) (*SecretValue, error) {
 	return drkey.NewSecretValue(nodeID, secret)
@@ -479,13 +446,8 @@ var (
 	OPTProfile = profiles.OPT
 	// NDNOPTDataProfile builds the derived NDN+OPT data header (108 B).
 	NDNOPTDataProfile = profiles.NDNOPTData
-	// NDNOPTInterestProfile is its interest-side twin.
-	NDNOPTInterestProfile = profiles.NDNOPTInterest
 	// XIAProfile builds the F_DAG + F_intent header over an XIA address.
 	XIAProfile = profiles.XIA
-	// XIAOPTProfile builds the XIA+OPT derived protocol (secure DAG
-	// routing) — a composition beyond the paper's own NDN+OPT.
-	XIAOPTProfile = profiles.XIAOPT
 	// WithTelemetry appends an F_tel hop-record region (N slots) to any
 	// profile, making the packet's fabric path observable in band.
 	WithTelemetry = profiles.WithTelemetry

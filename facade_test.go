@@ -12,6 +12,7 @@ import (
 	"dip/internal/bootstrap"
 	"dip/internal/extops"
 	"dip/internal/pisa"
+	"dip/internal/profiles"
 )
 
 func TestCompilePISAThroughFacade(t *testing.T) {
@@ -156,7 +157,7 @@ func TestRouteExchangeThroughFacade(t *testing.T) {
 	// them into the learner's pipeline as port-0 arrivals.
 	origin := NewSpeaker(SpeakerConfig{Name: "origin", Now: now})
 	origin.AddNeighbor(0, func(msg []byte) {
-		pkt, err := BuildPacket(RouteExchange(), msg)
+		pkt, err := BuildPacket(profiles.RouteExchange(), msg)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"dip/internal/guard"
 	"dip/internal/host"
 	"dip/internal/netsim"
 	"dip/internal/pit"
@@ -63,7 +64,7 @@ func runGuardChaos(t *testing.T, nFetch, batch int) guardChaosOutcome {
 		},
 	})
 
-	adm := NewAdmission(AdmissionPolicy{
+	adm := guard.NewAdmission(AdmissionPolicy{
 		PerPort: AdmissionRate{PerSec: 500, Burst: 8},
 	}, sim.Now)
 	in := r.ServeGuarded(ServeConfig{

@@ -1,4 +1,4 @@
-// Package bitfield provides bit-granular reads and writes over byte slices.
+// Package bitfield provides bit-granular reads over byte slices.
 //
 // DIP field operations address their operands as (location, length) pairs
 // measured in bits within the packet's FN-locations region (paper §2.2), so
@@ -75,35 +75,6 @@ func uint64Bits(b []byte, off, n uint) uint64 {
 	return v
 }
 
-// PutUint64 writes v as an n-bit big-endian unsigned integer at bit offset
-// off. Bits of v above n are discarded. n must be ≤ 64 and the range must lie
-// within b.
-func PutUint64(b []byte, off, n uint, v uint64) error {
-	if n > 64 {
-		return ErrTooWide
-	}
-	if err := Check(len(b), off, n); err != nil {
-		return err
-	}
-	// Write from the least-significant end backwards.
-	end := off + n
-	for n > 0 {
-		byteIdx := (end - 1) >> 3
-		bitInByte := (end-1)&7 + 1 // number of bits of this byte used, from MSB
-		take := bitInByte
-		if uint(take) > n {
-			take = uint(n)
-		}
-		shift := uint(8) - bitInByte
-		mask := byte((1<<take)-1) << shift
-		b[byteIdx] = b[byteIdx]&^mask | byte(v<<shift)&mask
-		v >>= take
-		end -= take
-		n -= take
-	}
-	return nil
-}
-
 // Bytes extracts the n-bit range at off into dst, MSB-aligned: the first bit
 // of the range becomes the MSB of dst[0]. dst must hold at least (n+7)/8
 // bytes; trailing pad bits in the final byte are zeroed. It returns the
@@ -136,35 +107,6 @@ func Bytes(dst, b []byte, off, n uint) (int, error) {
 	return outLen, nil
 }
 
-// PutBytes writes the n-bit MSB-aligned value in src into b at bit offset
-// off. src must hold at least (n+7)/8 bytes; pad bits in its final byte are
-// ignored.
-func PutBytes(b, src []byte, off, n uint) error {
-	if err := Check(len(b), off, n); err != nil {
-		return err
-	}
-	need := int((n + 7) / 8)
-	if len(src) < need {
-		return fmt.Errorf("%w: src %d bytes, need %d", ErrOutOfRange, len(src), need)
-	}
-	// Whole-byte fast path.
-	if off&7 == 0 && n&7 == 0 {
-		copy(b[off>>3:(off>>3)+n>>3], src)
-		return nil
-	}
-	for i := uint(0); i < n; i += 8 {
-		take := n - i
-		if take > 8 {
-			take = 8
-		}
-		v := uint64(src[i>>3] >> (8 - take))
-		if err := PutUint64(b, off+i, take, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // View returns the byte-aligned sub-slice covering [off, off+n) when both
 // endpoints are byte-aligned, letting callers operate in place with zero
 // copies. ok is false for unaligned ranges.
@@ -176,29 +118,6 @@ func View(b []byte, off, n uint) (view []byte, ok bool) {
 		return nil, false
 	}
 	return b[off>>3 : (off+n)>>3], true
-}
-
-// XOR xors the n-bit ranges at dstOff and srcOff (which may overlap exactly
-// but must not partially overlap) writing the result over the dst range.
-func XOR(b []byte, dstOff, srcOff, n uint) error {
-	if err := Check(len(b), dstOff, n); err != nil {
-		return err
-	}
-	if err := Check(len(b), srcOff, n); err != nil {
-		return err
-	}
-	for i := uint(0); i < n; i += 64 {
-		take := n - i
-		if take > 64 {
-			take = 64
-		}
-		d, _ := Uint64(b, dstOff+i, take)
-		s, _ := Uint64(b, srcOff+i, take)
-		if err := PutUint64(b, dstOff+i, take, d^s); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func clearTail(dst []byte, n uint, outLen int) {

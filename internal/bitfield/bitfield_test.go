@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestUint64Basic(t *testing.T) {
@@ -95,98 +94,6 @@ func TestUint64MatchesBitLoop(t *testing.T) {
 	}
 }
 
-func TestPutUint64Basic(t *testing.T) {
-	b := make([]byte, 4)
-	if err := PutUint64(b, 4, 8, 0xFF); err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 0x0F || b[1] != 0xF0 {
-		t.Errorf("got % x, want 0f f0 00 00", b)
-	}
-	// Writing must not disturb neighbours.
-	b = []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if err := PutUint64(b, 10, 12, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := Uint64(b, 10, 12)
-	if got != 0 {
-		t.Errorf("cleared field reads %#x", got)
-	}
-	if pre, _ := Uint64(b, 0, 10); pre != 0x3FF {
-		t.Errorf("prefix disturbed: %#x", pre)
-	}
-	if post, _ := Uint64(b, 22, 10); post != 0x3FF {
-		t.Errorf("suffix disturbed: %#x", post)
-	}
-}
-
-func TestPutUint64Truncates(t *testing.T) {
-	b := make([]byte, 2)
-	if err := PutUint64(b, 0, 4, 0xAB); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := Uint64(b, 0, 4)
-	if got != 0xB {
-		t.Errorf("got %#x, want 0xb (high bits discarded)", got)
-	}
-}
-
-// Property: PutUint64 then Uint64 round-trips for any in-range field.
-func TestRoundTripQuick(t *testing.T) {
-	f := func(raw []byte, off16 uint16, n8 uint8, v uint64) bool {
-		b := make([]byte, len(raw)%64+9)
-		copy(b, raw)
-		n := uint(n8 % 65)
-		total := uint(len(b)) * 8
-		off := uint(off16) % (total - n + 1)
-		if err := PutUint64(b, off, n, v); err != nil {
-			return false
-		}
-		got, err := Uint64(b, off, n)
-		if err != nil {
-			return false
-		}
-		want := v
-		if n < 64 {
-			want &= 1<<n - 1
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: writes never disturb bits outside the target range.
-func TestWriteIsolationQuick(t *testing.T) {
-	f := func(seed int64, off16 uint16, n8 uint8, v uint64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := make([]byte, 24)
-		rng.Read(b)
-		orig := append([]byte(nil), b...)
-		n := uint(n8 % 65)
-		total := uint(len(b)) * 8
-		off := uint(off16) % (total - n + 1)
-		if err := PutUint64(b, off, n, v); err != nil {
-			return false
-		}
-		for i := uint(0); i < total; i++ {
-			if i >= off && i < off+n {
-				continue
-			}
-			gb, _ := Uint64(b, i, 1)
-			ob, _ := Uint64(orig, i, 1)
-			if gb != ob {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBytesAligned(t *testing.T) {
 	b := []byte{1, 2, 3, 4, 5}
 	dst := make([]byte, 3)
@@ -218,31 +125,6 @@ func TestBytesDstTooSmall(t *testing.T) {
 	}
 }
 
-func TestPutBytesRoundTripQuick(t *testing.T) {
-	f := func(seed int64, off16 uint16, n16 uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := make([]byte, 40)
-		rng.Read(b)
-		total := uint(len(b)) * 8
-		n := uint(n16) % 129
-		off := uint(off16) % (total - n + 1)
-		src := make([]byte, (n+7)/8)
-		rng.Read(src)
-		clearTail(src, n, len(src))
-		if err := PutBytes(b, src, off, n); err != nil {
-			return false
-		}
-		dst := make([]byte, (n+7)/8)
-		if _, err := Bytes(dst, b, off, n); err != nil {
-			return false
-		}
-		return bytes.Equal(dst, src)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestView(t *testing.T) {
 	b := []byte{1, 2, 3, 4}
 	v, ok := View(b, 8, 16)
@@ -261,22 +143,6 @@ func TestView(t *testing.T) {
 	}
 	if _, ok := View(b, 24, 16); ok {
 		t.Error("out-of-range view must fail")
-	}
-}
-
-func TestXOR(t *testing.T) {
-	b := []byte{0xFF, 0x00, 0x0F, 0xF0}
-	if err := XOR(b, 0, 16, 16); err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 0xF0 || b[1] != 0xF0 {
-		t.Errorf("got % x", b[:2])
-	}
-	if b[2] != 0x0F || b[3] != 0xF0 {
-		t.Error("source range must be unchanged")
-	}
-	if err := XOR(b, 0, 40, 8); err == nil {
-		t.Error("want range error")
 	}
 }
 
@@ -302,14 +168,5 @@ func BenchmarkUint64Unaligned(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = Uint64(buf, 131, 32)
-	}
-}
-
-func BenchmarkPutBytesAligned(b *testing.B) {
-	buf := make([]byte, 64)
-	src := make([]byte, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = PutBytes(buf, src, 128, 128)
 	}
 }

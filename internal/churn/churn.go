@@ -1,9 +1,8 @@
-// Package churn is the control-plane scale harness: it installs a
-// million-plus routes (IPv4-style 32-bit, IPv6-style 128-bit, and
-// component names) through batched FIB transactions, then replays seeded
-// add/withdraw storms against the live tables while lookup samplers — and
-// optionally a full burst dataplane — hammer the same snapshots at full
-// rate. It measures what the RCU design promises to keep flat:
+// Package churn is the control-plane scale harness: it installs 850 000
+// routes (IPv4-style 32-bit and IPv6-style 128-bit) through batched FIB
+// transactions, then replays seeded add/withdraw storms against the live
+// tables while lookup samplers — and optionally a full burst dataplane —
+// hammer the same snapshots at full rate. It measures what the RCU design promises to keep flat:
 //
 //   - lookup latency during churn vs at quiescence (the jitter a reader
 //     pays for a writer publishing snapshots under it),
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"dip/internal/fib"
-	"dip/internal/names"
 	"dip/internal/node"
 	"dip/internal/profiles"
 	"dip/internal/router"
@@ -39,9 +37,9 @@ import (
 
 // Config sizes a harness run. Zero fields take the defaults noted.
 type Config struct {
-	// Routes32/Routes128/RoutesName are how many distinct prefixes to
-	// install per table (defaults 550_000 / 300_000 / 200_000 — 1.05M).
-	Routes32, Routes128, RoutesName int
+	// Routes32/Routes128 are how many distinct prefixes to install per
+	// table (defaults 550_000 / 300_000).
+	Routes32, Routes128 int
 	// Batch is the number of operations per committed transaction
 	// (default 4096): one snapshot publish per Batch routes.
 	Batch int
@@ -70,9 +68,6 @@ func (c *Config) defaults() {
 	}
 	if c.Routes128 == 0 {
 		c.Routes128 = 300_000
-	}
-	if c.RoutesName == 0 {
-		c.RoutesName = 200_000
 	}
 	if c.Batch == 0 {
 		c.Batch = 4096
@@ -161,12 +156,12 @@ func mask128(k [16]byte, plen int) [16]byte {
 	return k
 }
 
-// generate builds the three deterministic, collision-free route sets.
+// generate builds the two deterministic, collision-free route sets.
 // Keys are multiplicative-hashed counters: distinct, hash-shaped, and
 // reproducible from the counter alone; masking to the prefix length plus
 // a dedupe map makes every entry a distinct (prefix, plen) pair, so the
 // storm bookkeeping maps 1:1 onto table contents.
-func generate(cfg *Config) ([]route32, []route128, []names.Name) {
+func generate(cfg *Config) ([]route32, []route128) {
 	r32 := make([]route32, 0, cfg.Routes32)
 	seen32 := make(map[route32]bool, cfg.Routes32)
 	for i := uint32(1); len(r32) < cfg.Routes32; i++ {
@@ -192,15 +187,7 @@ func generate(cfg *Config) ([]route32, []route128, []names.Name) {
 			r128 = append(r128, r)
 		}
 	}
-	rn := make([]names.Name, cfg.RoutesName)
-	for i := range rn {
-		n, err := names.FromComponents("churn", fmt.Sprintf("g%03d", i%512), fmt.Sprintf("p%07d", i))
-		if err != nil {
-			panic("churn: name generation: " + err.Error())
-		}
-		rn[i] = n
-	}
-	return r32, r128, rn
+	return r32, r128
 }
 
 // Run executes the harness.
@@ -222,10 +209,9 @@ func Run(cfg Config) Result {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	routes32, routes128, routeNames := generate(&cfg)
+	routes32, routes128 := generate(&cfg)
 
 	t32, t128 := fib.New(), fib.New()
-	tname := fib.NewNameTable()
 	var dp *node.Node
 	if cfg.Forward {
 		var err error
@@ -248,13 +234,15 @@ func Run(cfg Config) Result {
 	nh := func(i int) fib.NextHop { return fib.NextHop{Port: i & 7} }
 
 	// ---- install phase ----
-	logf("installing %d+%d+%d routes in batches of %d",
-		len(routes32), len(routes128), len(routeNames), cfg.Batch)
+	logf("installing %d+%d routes in batches of %d",
+		len(routes32), len(routes128), cfg.Batch)
 	installStart := time.Now()
+	var k4 [4]byte
 	for off := 0; off < len(routes32); off += cfg.Batch {
 		x := t32.Txn()
 		for i := off; i < off+cfg.Batch && i < len(routes32); i++ {
-			x.AddUint32(routes32[i].key, routes32[i].plen, nh(i))
+			binary.BigEndian.PutUint32(k4[:], routes32[i].key)
+			x.Add(k4[:], routes32[i].plen, nh(i))
 		}
 		commit(x)
 		if (off/cfg.Batch)%16 == 0 {
@@ -271,23 +259,13 @@ func Run(cfg Config) Result {
 			water()
 		}
 	}
-	for off := 0; off < len(routeNames); off += cfg.Batch {
-		x := tname.Txn()
-		for i := off; i < off+cfg.Batch && i < len(routeNames); i++ {
-			x.Add(routeNames[i], nh(i))
-		}
-		commit(x)
-		if (off/cfg.Batch)%16 == 0 {
-			water()
-		}
-	}
 	res.InstallNs = time.Since(installStart).Nanoseconds()
 	water()
-	res.Installed = countTable(t32) + countTable(t128) + tname.Len()
+	res.Installed = countTable(t32) + countTable(t128)
 	logf("installed %d resident routes in %v", res.Installed, time.Duration(res.InstallNs))
 
 	// ---- quiescent lookup baseline ----
-	quiesce := sampleLookups(rng.Int63(), t32, t128, tname, routes32, routes128, routeNames,
+	quiesce := sampleLookups(rng.Int63(), t32, t128, routes32, routes128,
 		cfg.Samplers*cfg.SamplesPerStorm)
 	res.QuiesceP50, res.QuiesceP99 = percentile(quiesce, 50), percentile(quiesce, 99)
 
@@ -296,15 +274,11 @@ func Run(cfg Config) Result {
 	// storms flip entries through batched transactions.
 	live32 := make([]bool, len(routes32))
 	live128 := make([]bool, len(routes128))
-	liveName := make([]bool, len(routeNames))
 	for i := range live32 {
 		live32[i] = true
 	}
 	for i := range live128 {
 		live128[i] = true
-	}
-	for i := range liveName {
-		liveName[i] = true
 	}
 
 	var stop atomic.Bool
@@ -317,8 +291,8 @@ func Run(cfg Config) Result {
 			defer wg.Done()
 			var all []int64
 			for !stop.Load() {
-				all = append(all, sampleLookups(seed, t32, t128, tname,
-					routes32, routes128, routeNames, cfg.SamplesPerStorm)...)
+				all = append(all, sampleLookups(seed, t32, t128,
+					routes32, routes128, cfg.SamplesPerStorm)...)
 				seed++
 			}
 			latCh <- all
@@ -327,12 +301,15 @@ func Run(cfg Config) Result {
 
 	var forwarded atomic.Int64
 	var fwdWG sync.WaitGroup
+	// The storms start once the dataplane has submitted its first burst,
+	// so a short storm phase cannot finish before any packet was served.
+	fwdLive := make(chan struct{})
 	if cfg.Forward {
 		fwdWG.Add(1)
 		go func() {
 			defer fwdWG.Done()
 			frng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-			for !stop.Load() {
+			for first := true; !stop.Load(); first = false {
 				burst := make([][]byte, 0, 64)
 				for i := 0; i < 64; i++ {
 					rt := routes32[frng.Intn(len(routes32))]
@@ -346,19 +323,21 @@ func Run(cfg Config) Result {
 					burst = append(burst, pkt)
 				}
 				forwarded.Add(int64(dp.Ingress.SubmitBurst(burst, 0)))
+				if first {
+					close(fwdLive)
+				}
 			}
 		}()
+		<-fwdLive
 	}
 
 	stormStart := time.Now()
 	srng := rand.New(rand.NewSource(cfg.Seed + 1))
 	opsApplied := 0
-	var k4 [4]byte
 	for storm := 0; storm < cfg.Storms; storm++ {
 		remaining := cfg.StormOps
 		for remaining > 0 {
 			x32, x128 := t32.Txn(), t128.Txn()
-			xn := tname.Txn()
 			n := cfg.Batch
 			if n > remaining {
 				n = remaining
@@ -366,7 +345,7 @@ func Run(cfg Config) Result {
 			for i := 0; i < n; i++ {
 				// Pick a table proportional to its size, then a random
 				// entry in it, and flip its residency.
-				which := srng.Intn(len(routes32) + len(routes128) + len(routeNames))
+				which := srng.Intn(len(routes32) + len(routes128))
 				switch {
 				case which < len(routes32):
 					j := srng.Intn(len(routes32))
@@ -374,10 +353,10 @@ func Run(cfg Config) Result {
 					if live32[j] {
 						x32.Remove(k4[:], routes32[j].plen)
 					} else {
-						x32.AddUint32(routes32[j].key, routes32[j].plen, nh(j))
+						x32.Add(k4[:], routes32[j].plen, nh(j))
 					}
 					live32[j] = !live32[j]
-				case which < len(routes32)+len(routes128):
+				default:
 					j := srng.Intn(len(routes128))
 					if live128[j] {
 						x128.Remove(routes128[j].key[:], routes128[j].plen)
@@ -385,19 +364,10 @@ func Run(cfg Config) Result {
 						x128.Add(routes128[j].key[:], routes128[j].plen, nh(j))
 					}
 					live128[j] = !live128[j]
-				default:
-					j := srng.Intn(len(routeNames))
-					if liveName[j] {
-						xn.Remove(routeNames[j])
-					} else {
-						xn.Add(routeNames[j], nh(j))
-					}
-					liveName[j] = !liveName[j]
 				}
 			}
 			commit(x32)
 			commit(x128)
-			commit(xn)
 			opsApplied += n
 			remaining -= n
 		}
@@ -433,33 +403,27 @@ func Run(cfg Config) Result {
 	res.HeapHighWater = highWater
 
 	// ---- oracle: tables must equal the bookkeeping exactly ----
-	res.OracleOK, res.OracleDiag = verify(t32, t128, tname,
-		routes32, routes128, routeNames, live32, live128, liveName)
+	res.OracleOK, res.OracleDiag = verify(t32, t128,
+		routes32, routes128, live32, live128)
 	return res
 }
 
-// sampleLookups times count lookups spread across the three tables and
+// sampleLookups times count lookups alternating between the two tables and
 // returns the per-lookup nanosecond latencies.
-func sampleLookups(seed int64, t32, t128 *fib.Table, tname *fib.NameTable,
-	r32 []route32, r128 []route128, rn []names.Name, count int) []int64 {
+func sampleLookups(seed int64, t32, t128 *fib.Table,
+	r32 []route32, r128 []route128, count int) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]int64, 0, count)
 	for i := 0; i < count; i++ {
-		switch i % 3 {
-		case 0:
+		if i%2 == 0 {
 			k := r32[rng.Intn(len(r32))].key
 			start := time.Now()
 			t32.LookupUint32(k)
 			out = append(out, time.Since(start).Nanoseconds())
-		case 1:
+		} else {
 			k := r128[rng.Intn(len(r128))].key
 			start := time.Now()
 			t128.Lookup(k[:], 128)
-			out = append(out, time.Since(start).Nanoseconds())
-		default:
-			n := rn[rng.Intn(len(rn))]
-			start := time.Now()
-			tname.Lookup(n)
 			out = append(out, time.Since(start).Nanoseconds())
 		}
 	}
@@ -469,9 +433,9 @@ func sampleLookups(seed int64, t32, t128 *fib.Table, tname *fib.NameTable,
 // verify walks every table both ways against the live bookkeeping: every
 // live entry resident, nothing resident that is not live. Collision-free
 // generation makes this exact.
-func verify(t32, t128 *fib.Table, tname *fib.NameTable,
-	r32 []route32, r128 []route128, rn []names.Name,
-	live32, live128, liveName []bool) (bool, string) {
+func verify(t32, t128 *fib.Table,
+	r32 []route32, r128 []route128,
+	live32, live128 []bool) (bool, string) {
 	want32 := make(map[route32]bool, len(r32))
 	for i, r := range r32 {
 		if live32[i] {
@@ -517,27 +481,6 @@ func verify(t32, t128 *fib.Table, tname *fib.NameTable,
 	}
 	if n128 != len(want128) {
 		return false, fmt.Sprintf("t128 resident=%d want=%d", n128, len(want128))
-	}
-	wantN := make(map[string]bool, len(rn))
-	for i := range rn {
-		if liveName[i] {
-			wantN[rn[i].String()] = true
-		}
-	}
-	nName := 0
-	tname.Walk(func(prefix names.Name, _ fib.NextHop) bool {
-		nName++
-		if !wantN[prefix.String()] {
-			diag = fmt.Sprintf("name table has dead/unknown %v", prefix)
-			return false
-		}
-		return true
-	})
-	if diag != "" {
-		return false, diag
-	}
-	if nName != len(wantN) {
-		return false, fmt.Sprintf("name table resident=%d want=%d", nName, len(wantN))
 	}
 	return true, ""
 }

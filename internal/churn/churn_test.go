@@ -12,7 +12,6 @@ func smallConfig(seed int64) Config {
 	return Config{
 		Routes32:        2000,
 		Routes128:       1000,
-		RoutesName:      1000,
 		Batch:           256,
 		Storms:          2,
 		StormOps:        1500,
@@ -29,7 +28,7 @@ func TestChurnHarnessSmall(t *testing.T) {
 	if !res.OracleOK {
 		t.Fatalf("oracle check failed: %s", res.OracleDiag)
 	}
-	if want := 2000 + 1000 + 1000; res.Installed != want {
+	if want := 2000 + 1000; res.Installed != want {
 		t.Errorf("Installed = %d, want %d", res.Installed, want)
 	}
 	if res.StormOpsApplied != 2*1500 {
@@ -72,12 +71,12 @@ func TestChurnDeterministicContents(t *testing.T) {
 }
 
 // BenchmarkChurnJitter is E21 as a within-run number: the whole harness at
-// 2 % of the 1.05M-route default per iteration (every phase live, the
+// 2 % of the 850k-route default per iteration (every phase live, the
 // burst dataplane included), reporting storm-time p99 lookup latency over
 // quiescent p99. A run whose oracle finds the tables desynchronized fails
 // the benchmark rather than report a ratio.
 func BenchmarkChurnJitter(b *testing.B) {
-	cfg := Config{Routes32: 11_000, Routes128: 6_000, RoutesName: 4_000, StormOps: 400, Seed: 21, Forward: true}
+	cfg := Config{Routes32: 11_000, Routes128: 6_000, StormOps: 400, Seed: 21, Forward: true}
 	ratio := 0.0
 	for i := 0; i < b.N; i++ {
 		res := Run(cfg)
@@ -90,9 +89,9 @@ func BenchmarkChurnJitter(b *testing.B) {
 }
 
 func TestGenerateDistinct(t *testing.T) {
-	cfg := Config{Routes32: 5000, Routes128: 3000, RoutesName: 2000}
+	cfg := Config{Routes32: 5000, Routes128: 3000}
 	cfg.defaults()
-	r32, r128, rn := generate(&cfg)
+	r32, r128 := generate(&cfg)
 	s32 := make(map[route32]bool)
 	for _, r := range r32 {
 		if s32[r] {
@@ -112,13 +111,6 @@ func TestGenerateDistinct(t *testing.T) {
 		if masked := mask128(r.key, r.plen); masked != r.key {
 			t.Fatalf("route %x/%d has bits past its prefix length", r.key, r.plen)
 		}
-	}
-	sn := make(map[string]bool)
-	for _, n := range rn {
-		if sn[n.String()] {
-			t.Fatalf("duplicate name %v", n)
-		}
-		sn[n.String()] = true
 	}
 }
 

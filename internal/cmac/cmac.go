@@ -11,7 +11,6 @@ package cmac
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/subtle"
 	"fmt"
 )
 
@@ -96,16 +95,6 @@ func (m *MAC) SumInto(out, msg []byte) {
 	}
 	tag := m.Sum(out[:0], msg)
 	_ = tag // Sum wrote in place because cap(out[:0]) == BlockSize
-}
-
-// Verify reports whether tag is the CMAC of msg, in constant time.
-func (m *MAC) Verify(msg, tag []byte) bool {
-	if len(tag) != BlockSize {
-		return false
-	}
-	var want [BlockSize]byte
-	m.SumInto(want[:], msg)
-	return subtle.ConstantTimeCompare(want[:], tag) == 1
 }
 
 func xorBlock(x *[BlockSize]byte, b []byte) {

@@ -2,6 +2,7 @@ package cmac
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -141,4 +142,14 @@ func BenchmarkSum52B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.SumInto(out[:], msg)
 	}
+}
+
+// Verify reports whether tag is the CMAC of msg, in constant time.
+func (m *MAC) Verify(msg, tag []byte) bool {
+	if len(tag) != BlockSize {
+		return false
+	}
+	var want [BlockSize]byte
+	m.SumInto(want[:], msg)
+	return subtle.ConstantTimeCompare(want[:], tag) == 1
 }

@@ -55,8 +55,7 @@ func TestWrapUnwrapRoundTrip(t *testing.T) {
 func TestUnwrapSynchronizesHopLimit(t *testing.T) {
 	orig := nativeIPv6(t, 33, nil)
 	wrapped, _ := WrapIPv6(orig)
-	v, _ := core.ParseView(wrapped)
-	v.SetHopLimit(7) // DIP domain consumed hops
+	wrapped[3] = 7 // the DIP header's hop limit: the DIP domain consumed hops
 	unwrapped, err := UnwrapIPv6(wrapped)
 	if err != nil {
 		t.Fatal(err)

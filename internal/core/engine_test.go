@@ -30,7 +30,7 @@ func (o *testOp) Execute(ctx *ExecContext, loc, bits uint) error {
 
 func buildPacket(t *testing.T, h *Header) View {
 	t.Helper()
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestProcessSequentialZeroAlloc(t *testing.T) {
 	b, _ := (&Header{
 		FNs:       []FN{RouterFN(0, 32, KeyMatch32), RouterFN(32, 32, KeySource)},
 		Locations: make([]byte, 8),
-	}).MarshalBinary()
+	}).AppendTo(nil)
 	var ctx ExecContext
 	allocs := testing.AllocsPerRun(1000, func() {
 		v, err := ParseView(b)
@@ -615,7 +615,7 @@ func TestEngineConcurrentForwarding(t *testing.T) {
 			b, _ := (&Header{
 				FNs:       []FN{RouterFN(0, 32, KeyMatch32)},
 				Locations: make([]byte, 4),
-			}).MarshalBinary()
+			}).AppendTo(nil)
 			var ctx ExecContext
 			for i := 0; i < 2000; i++ {
 				v, err := ParseView(b)
@@ -658,7 +658,7 @@ func TestEngineSwapRegistryConcurrent(t *testing.T) {
 	buf, _ := (&Header{
 		FNs:       []FN{RouterFN(0, 32, KeyMatch32)},
 		Locations: make([]byte, 4),
-	}).MarshalBinary()
+	}).AppendTo(nil)
 	var ctx ExecContext
 	for i := 0; i < 2000; i++ {
 		v, _ := ParseView(buf)

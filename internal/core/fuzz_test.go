@@ -17,7 +17,7 @@ func FuzzParseView(f *testing.F) {
 	prior, _ := (&Header{
 		FNs:       []FN{RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB), RouterFN(0, 8, KeyFIB)},
 		Locations: []byte{1},
-	}).MarshalBinary()
+	}).AppendTo(nil)
 	fib := &testOp{key: KeyFIB}
 	reg := NewRegistry()
 	reg.MustRegister(fib)
@@ -30,7 +30,7 @@ func FuzzParseView(f *testing.F) {
 			HostFN(0, 544, KeyVer),
 		},
 		Locations: make([]byte, 68),
-	}).MarshalBinary()
+	}).AppendTo(nil)
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0, 0, 0, 0})
@@ -90,11 +90,7 @@ func FuzzParseView(f *testing.F) {
 			}
 		}
 		// Round trip: decode to builder form and re-encode.
-		var h Header
-		if err := h.UnmarshalBinary(data); err != nil {
-			t.Fatalf("view parsed but builder decode failed: %v", err)
-		}
-		re, err := h.MarshalBinary()
+		re, err := builderOf(v).AppendTo(nil)
 		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)
 		}
@@ -111,7 +107,7 @@ func FuzzEngineProcess(f *testing.F) {
 	seed, _ := (&Header{
 		FNs:       []FN{RouterFN(0, 16, KeyFIB), RouterFN(8, 8, KeyPIT)},
 		Locations: []byte{1, 2, 3},
-	}).MarshalBinary()
+	}).AppendTo(nil)
 	f.Add(seed, false)
 	f.Add(seed, true)
 	f.Fuzz(func(t *testing.T, data []byte, parallel bool) {

@@ -137,27 +137,3 @@ func (h *Header) AppendTo(dst []byte) ([]byte, error) {
 	}
 	return append(dst, h.Locations...), nil
 }
-
-// MarshalBinary encodes the header into a fresh slice.
-func (h *Header) MarshalBinary() ([]byte, error) {
-	return h.AppendTo(make([]byte, 0, h.WireSize()))
-}
-
-// UnmarshalBinary decodes b into h, copying the locations region (the
-// builder form owns its storage; use ParseView for zero-copy access).
-func (h *Header) UnmarshalBinary(b []byte) error {
-	v, err := ParseView(b)
-	if err != nil {
-		return err
-	}
-	h.NextHeader = v.NextHeader()
-	h.HopLimit = v.HopLimit()
-	h.Parallel = v.Parallel()
-	h.Reserved = v.Reserved()
-	h.FNs = make([]FN, v.FNNum())
-	for i := range h.FNs {
-		h.FNs[i] = v.FN(i)
-	}
-	h.Locations = append([]byte(nil), v.Locations()...)
-	return nil
-}

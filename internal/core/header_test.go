@@ -19,17 +19,18 @@ func TestHeaderRoundTrip(t *testing.T) {
 		},
 		Locations: []byte{10, 0, 0, 1, 192, 168, 0, 1},
 	}
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(b) != h.WireSize() {
 		t.Errorf("encoded %d bytes, WireSize says %d", len(b), h.WireSize())
 	}
-	var got Header
-	if err := got.UnmarshalBinary(b); err != nil {
+	v, err := ParseView(b)
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := builderOf(v)
 	if got.NextHeader != 17 || got.HopLimit != 64 || !got.Parallel {
 		t.Errorf("basic fields: %+v", got)
 	}
@@ -39,6 +40,23 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.Locations, h.Locations) {
 		t.Errorf("locations: % x", got.Locations)
 	}
+}
+
+// builderOf decodes a parsed header back into builder form, copying the
+// locations region.
+func builderOf(v View) *Header {
+	h := &Header{
+		NextHeader: v.NextHeader(),
+		HopLimit:   v.HopLimit(),
+		Parallel:   v.Parallel(),
+		Reserved:   v.Reserved(),
+		FNs:        make([]FN, v.FNNum()),
+		Locations:  append([]byte(nil), v.Locations()...),
+	}
+	for i := range h.FNs {
+		h.FNs[i] = v.FN(i)
+	}
+	return h
 }
 
 // Table 2 at the wire-format level: the sizes that make the paper's header
@@ -113,8 +131,8 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		if err := c.h.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted", c.name)
 		}
-		if _, err := c.h.MarshalBinary(); err == nil {
-			t.Errorf("%s: MarshalBinary accepted", c.name)
+		if _, err := c.h.AppendTo(nil); err == nil {
+			t.Errorf("%s: AppendTo accepted", c.name)
 		}
 	}
 	tooMany := Header{FNs: make([]FN, MaxFNs+1)}
@@ -133,7 +151,7 @@ func TestParseViewErrors(t *testing.T) {
 	if _, err := ParseView(make([]byte, 5)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("5 bytes: %v", err)
 	}
-	good, _ := (&Header{FNs: []FN{RouterFN(0, 32, KeyMatch32)}, Locations: make([]byte, 4)}).MarshalBinary()
+	good, _ := (&Header{FNs: []FN{RouterFN(0, 32, KeyMatch32)}, Locations: make([]byte, 4)}).AppendTo(nil)
 	bad := append([]byte(nil), good...)
 	bad[0] = 9
 	if _, err := ParseView(bad); !errors.Is(err, ErrVersion) {
@@ -157,7 +175,7 @@ func TestViewAccessors(t *testing.T) {
 		FNs:        []FN{RouterFN(0, 16, KeyFIB), HostFN(16, 16, KeyVer)},
 		Locations:  []byte{1, 2, 3, 4},
 	}
-	b, _ := h.MarshalBinary()
+	b, _ := h.AppendTo(nil)
 	payload := []byte("data")
 	pkt := append(b, payload...)
 	v, err := ParseView(pkt)
@@ -232,7 +250,7 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 				Host: rng.Intn(2) == 0,
 			})
 		}
-		b, err := h.MarshalBinary()
+		b, err := h.AppendTo(nil)
 		if err != nil {
 			return false
 		}
@@ -269,3 +287,10 @@ func TestFNString(t *testing.T) {
 		t.Errorf("unknown key name: %s", Key(77))
 	}
 }
+
+// Valid reports whether the view was produced by a successful ParseView or
+// ExecContext.Load.
+func (v View) Valid() bool { return v.b != nil }
+
+// SetHopLimit overwrites the hop limit in place.
+func (v View) SetHopLimit(h uint8) { v.b[3] = h }

@@ -77,10 +77,6 @@ func fnAt(b []byte, off int) FN {
 	}
 }
 
-// Valid reports whether the view was produced by a successful ParseView or
-// ExecContext.Load.
-func (v View) Valid() bool { return v.b != nil }
-
 // NextHeader returns the payload protocol number.
 func (v View) NextHeader() uint8 { return v.b[1] }
 
@@ -89,9 +85,6 @@ func (v View) FNNum() int { return int(v.fnNum) }
 
 // HopLimit returns the remaining hop budget.
 func (v View) HopLimit() uint8 { return v.b[3] }
-
-// SetHopLimit overwrites the hop limit in place.
-func (v View) SetHopLimit(h uint8) { v.b[3] = h }
 
 // DecHopLimit decrements the hop limit in place and reports whether the
 // packet may still be forwarded (false when the limit was already zero).

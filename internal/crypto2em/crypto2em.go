@@ -19,7 +19,6 @@
 package crypto2em
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -186,14 +185,4 @@ func (c *Cipher) SumInto(out, msg []byte) {
 		panic("crypto2em: SumInto requires a 16-byte output")
 	}
 	c.Sum(out[:0], msg)
-}
-
-// Verify reports whether tag is the MAC of msg, in constant time.
-func (c *Cipher) Verify(msg, tag []byte) bool {
-	if len(tag) != BlockSize {
-		return false
-	}
-	var want [BlockSize]byte
-	c.SumInto(want[:], msg)
-	return subtle.ConstantTimeCompare(want[:], tag) == 1
 }

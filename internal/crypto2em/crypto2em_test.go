@@ -2,6 +2,7 @@ package crypto2em
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -284,4 +285,14 @@ func FuzzSumMatchesReference(f *testing.F) {
 			t.Fatalf("key %x msg %x: Sum = %x, reference %x", master, msg, got, want)
 		}
 	})
+}
+
+// Verify reports whether tag is the MAC of msg, in constant time.
+func (c *Cipher) Verify(msg, tag []byte) bool {
+	if len(tag) != BlockSize {
+		return false
+	}
+	var want [BlockSize]byte
+	c.SumInto(want[:], msg)
+	return subtle.ConstantTimeCompare(want[:], tag) == 1
 }

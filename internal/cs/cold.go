@@ -317,16 +317,6 @@ func (c *coldTier[K]) remove(k K) bool {
 	return ok
 }
 
-// ColdLen returns the cold-index entry count (0 without a cold tier).
-func (s *Store[K]) ColdLen() int {
-	if s.cold == nil {
-		return 0
-	}
-	s.cold.mu.Lock()
-	defer s.cold.mu.Unlock()
-	return len(s.cold.index)
-}
-
 // Stats snapshots both tiers. Without a cold tier only HotLen and HotBytes
 // are filled: a RAM-only store counts nothing on its hit path.
 func (s *Store[K]) Stats() TierStats {

@@ -187,9 +187,9 @@ func (s *Store[K]) Get(k K) ([]byte, bool) {
 	return sh.touch(i).data, true
 }
 
-// Remove drops k from both tiers, reporting whether either held it. Used by
-// the content-poisoning response path: once F_pass flags a source, its
-// cached objects are purged.
+// Remove drops k from both tiers, reporting whether either held it: the
+// operator's purge of a poisoned object before the F_pass defence is
+// swapped in (§2.4, security_test.go). No program calls it.
 func (s *Store[K]) Remove(k K) bool {
 	sh := s.shardOf(k)
 	sh.mu.Lock()
@@ -204,8 +204,7 @@ func (s *Store[K]) Remove(k K) bool {
 	return ok
 }
 
-// Len returns the number of entries in the RAM tier (cold occupancy is
-// ColdLen).
+// Len returns the number of entries in the RAM tier.
 func (s *Store[K]) Len() int {
 	n := 0
 	for i := range s.shards {

@@ -514,3 +514,13 @@ func BenchmarkStore(b *testing.B) {
 		}
 	})
 }
+
+// ColdLen returns the cold-index entry count (0 without a cold tier).
+func (s *Store[K]) ColdLen() int {
+	if s.cold == nil {
+		return 0
+	}
+	s.cold.mu.Lock()
+	defer s.cold.mu.Unlock()
+	return len(s.cold.index)
+}

@@ -76,7 +76,8 @@ func TestDissectOPTAndDerived(t *testing.T) {
 	if out := render(t, hd, []byte("x")); !strings.Contains(out, "NDN+OPT data") {
 		t.Errorf("got:\n%s", out)
 	}
-	hi, _ := profiles.NDNOPTInterest(sess, 5, 1)
+	hi, _ := profiles.NDNOPTData(sess, 5, nil, 1)
+	hi.FNs[0] = core.RouterFN(0, 32, core.KeyFIB) // the interest twin
 	if out := render(t, hi, nil); !strings.Contains(out, "NDN+OPT interest") {
 		t.Errorf("got:\n%s", out)
 	}
@@ -98,10 +99,16 @@ func TestDissectXIA(t *testing.T) {
 	if !strings.Contains(out, "— XIA") || !strings.Contains(out, "2 nodes, intent CID:") {
 		t.Errorf("got:\n%s", out)
 	}
-	sess := session(t)
-	ho, err := profiles.XIAOPT(dag, sess, nil, 0)
+	// XIA addressing with OPT authentication: the DAG first, the OPT
+	// region after it, every OPT operand shifted past the DAG.
+	o, err := profiles.OPT(session(t), nil, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ho := &core.Header{HopLimit: h.HopLimit, FNs: h.FNs, Locations: append(h.Locations, o.Locations...)}
+	for _, f := range o.FNs {
+		f.Loc += uint16(len(h.Locations) * 8)
+		ho.FNs = append(ho.FNs, f)
 	}
 	if out := render(t, ho, nil); !strings.Contains(out, "XIA+OPT (derived protocol)") {
 		t.Errorf("got:\n%s", out)

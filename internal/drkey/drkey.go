@@ -20,7 +20,6 @@
 package drkey
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"dip/internal/crypto2em"
@@ -48,18 +47,6 @@ func NewSecretValue(routerID string, secret []byte) (*SecretValue, error) {
 	copy(master[:], secret)
 	return &SecretValue{prf: crypto2em.FromMaster(&master), id: routerID}, nil
 }
-
-// RandomSecretValue generates a fresh secret for the named router.
-func RandomSecretValue(routerID string) (*SecretValue, error) {
-	secret := make([]byte, KeySize)
-	if _, err := rand.Read(secret); err != nil {
-		return nil, err
-	}
-	return NewSecretValue(routerID, secret)
-}
-
-// RouterID returns the identifier the secret was created for.
-func (sv *SecretValue) RouterID() string { return sv.id }
 
 // SessionKey writes the 16-byte key for sessionID into out (which must be
 // exactly KeySize long). The derivation is deterministic, so routers need no

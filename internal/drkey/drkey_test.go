@@ -2,6 +2,7 @@ package drkey
 
 import (
 	"bytes"
+	"crypto/rand"
 	"testing"
 )
 
@@ -80,3 +81,15 @@ func BenchmarkSessionKey(b *testing.B) {
 		sv.SessionKey(out[:], sid)
 	}
 }
+
+// RandomSecretValue generates a fresh secret for the named router.
+func RandomSecretValue(routerID string) (*SecretValue, error) {
+	secret := make([]byte, KeySize)
+	if _, err := rand.Read(secret); err != nil {
+		return nil, err
+	}
+	return NewSecretValue(routerID, secret)
+}
+
+// RouterID returns the identifier the secret was created for.
+func (sv *SecretValue) RouterID() string { return sv.id }

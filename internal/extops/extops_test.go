@@ -16,7 +16,7 @@ func ccPacket(t *testing.T, flow uint32) []byte {
 		FNs:       []core.FN{core.RouterFN(0, CCOperandBits, KeyCC)},
 		Locations: NewCCTag(flow),
 	}
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCCOperandValidation(t *testing.T) {
 		FNs:       []core.FN{core.RouterFN(0, 64, KeyCC)},
 		Locations: make([]byte, 8),
 	}
-	b, _ := h.MarshalBinary()
+	b, _ := h.AppendTo(nil)
 	v, _ := core.ParseView(b)
 	var ctx core.ExecContext
 	ctx.Reset(v, 0)
@@ -175,7 +175,7 @@ func telPacket(t *testing.T, slots int) []byte {
 		FNs:       []core.FN{core.RouterFN(0, TelOperandBits(slots), KeyTel)},
 		Locations: NewTelRegion(slots),
 	}
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,4 +433,11 @@ func FuzzDecodeTel(f *testing.F) {
 			t.Fatalf("%d records from capacity-%d region", len(records), capacity)
 		}
 	})
+}
+
+// Flows returns the number of tracked flows (tests, telemetry).
+func (o *CC) Flows() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.flows)
 }

@@ -165,13 +165,6 @@ func (o *CC) observe(flow uint32, bytes int) float64 {
 	return st.rate
 }
 
-// Flows returns the number of tracked flows (tests, telemetry).
-func (o *CC) Flows() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.flows)
-}
-
 // StampCC writes the authentication MAC over the tag's first 16 bytes.
 func StampCC(key *[16]byte, tag []byte) {
 	c := crypto2em.FromMaster(key)

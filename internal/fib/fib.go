@@ -1,7 +1,6 @@
-// Package fib implements forwarding information bases for DIP routers: an
-// address table (longest-prefix match over 32- or 128-bit keys, backing
-// F_32_match, F_128_match and F_FIB on 32-bit content-name IDs) and a name
-// table (component-wise LPM, backing the native NDN forwarder).
+// Package fib implements the forwarding information base for DIP routers:
+// an address table (longest-prefix match over 32- or 128-bit keys, backing
+// F_32_match, F_128_match and F_FIB on 32-bit content-name IDs).
 //
 // Tables follow the RCU snapshot discipline: the live trie hangs off an
 // atomic.Pointer and is immutable once published. Lookups load the pointer
@@ -20,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"dip/internal/lpm"
-	"dip/internal/names"
 )
 
 // NextHop describes where a matched packet leaves the router.
@@ -76,18 +74,6 @@ func (t *Table) AddUint32(key uint32, plen int, nh NextHop) error {
 	return t.Add(k[:], plen, nh)
 }
 
-// Remove withdraws the exact route (prefix, plen).
-func (t *Table) Remove(prefix []byte, plen int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nt, removed := t.trie.Load().DeleteCOW(prefix, plen)
-	if removed {
-		t.trie.Store(nt)
-		t.epoch.Add(1)
-	}
-	return removed
-}
-
 // Epoch returns the table's snapshot epoch: a counter bumped every time a
 // new snapshot is published (and only then — no-op commits leave it
 // untouched). F_tel stamps it into hop records so a postcard pins exactly
@@ -126,9 +112,9 @@ func (t *Table) Walk(fn func(prefix []byte, plen int, nh NextHop) bool) {
 // Txn is a batched update to a Table: any number of Adds and Removes built
 // on a private copy-on-write trie, published to readers atomically by a
 // single Commit. The transaction holds the table's writer lock from Txn()
-// until Commit or Abort, so exactly one is mandatory; lookups are never
-// blocked either way. This is the route-churn API: one BGP-style batch of
-// updates costs one pointer publish instead of one per route.
+// until Commit, so Commit is mandatory; lookups are never blocked. This is
+// the route-churn API: one BGP-style batch of updates costs one pointer
+// publish instead of one per route.
 //
 // No-op transactions publish nothing: Add skips routes that are already
 // installed with the same next hop, Remove of an absent route stages
@@ -143,8 +129,8 @@ type Txn struct {
 	done bool
 }
 
-// Txn opens a batched update. The caller must finish it with Commit or
-// Abort (other writers block until then; readers do not).
+// Txn opens a batched update. The caller must finish it with Commit (other
+// writers block until then; readers do not).
 func (t *Table) Txn() *Txn {
 	t.mu.Lock()
 	cur := t.trie.Load()
@@ -166,16 +152,6 @@ func (x *Txn) Add(prefix []byte, plen int, nh NextHop) error {
 	return nil
 }
 
-// AddUint32 stages a route keyed by the first plen bits of a 32-bit value.
-func (x *Txn) AddUint32(key uint32, plen int, nh NextHop) error {
-	if plen < 0 || plen > 32 {
-		return fmt.Errorf("fib: prefix length %d out of [0,32]", plen)
-	}
-	var k [4]byte
-	k[0], k[1], k[2], k[3] = byte(key>>24), byte(key>>16), byte(key>>8), byte(key)
-	return x.Add(k[:], plen, nh)
-}
-
 // Remove stages a route withdrawal. Removing an absent route stages
 // nothing (DeleteCOW returns the receiver unchanged).
 func (x *Txn) Remove(prefix []byte, plen int) bool {
@@ -185,10 +161,6 @@ func (x *Txn) Remove(prefix []byte, plen int) bool {
 	}
 	return removed
 }
-
-// Len returns the route count as staged (committed routes plus this
-// transaction's own updates).
-func (x *Txn) Len() int { return x.trie.Len() }
 
 // Changed reports whether the transaction has staged any effective update
 // so far (a Commit now would publish a new snapshot).
@@ -208,152 +180,5 @@ func (x *Txn) Commit() {
 		x.t.trie.Store(x.trie)
 		x.t.epoch.Add(1)
 	}
-	x.t.mu.Unlock()
-}
-
-// Abort discards every staged update and releases the writer lock.
-func (x *Txn) Abort() {
-	if x.done {
-		return
-	}
-	x.done = true
-	x.t.mu.Unlock()
-}
-
-// NameTable is an LPM forwarding table over hierarchical content names,
-// following the same RCU snapshot discipline as Table.
-type NameTable struct {
-	mu    sync.Mutex // serializes mutators; lookups never take it
-	trie  atomic.Pointer[lpm.NameTrie[NextHop]]
-	epoch atomic.Uint32
-}
-
-// NewNameTable returns an empty name table.
-func NewNameTable() *NameTable {
-	t := &NameTable{}
-	t.trie.Store(lpm.NewNameTrie[NextHop]())
-	return t
-}
-
-// Add installs (or replaces) a route for the name prefix. Re-adding an
-// identical route publishes nothing.
-func (t *NameTable) Add(prefix names.Name, nh NextHop) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := t.trie.Load()
-	if have, ok := cur.Get(prefix.Components()); ok && have == nh {
-		return
-	}
-	nt, _ := cur.InsertCOW(prefix.Components(), nh)
-	t.trie.Store(nt)
-	t.epoch.Add(1)
-}
-
-// Remove withdraws the exact name prefix.
-func (t *NameTable) Remove(prefix names.Name) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nt, removed := t.trie.Load().DeleteCOW(prefix.Components())
-	if removed {
-		t.trie.Store(nt)
-		t.epoch.Add(1)
-	}
-	return removed
-}
-
-// Epoch returns the name table's snapshot epoch (see Table.Epoch).
-func (t *NameTable) Epoch() uint32 { return t.epoch.Load() }
-
-// Lookup returns the longest-prefix match for name. It is lock-free.
-func (t *NameTable) Lookup(name names.Name) (NextHop, bool) {
-	nh, _, ok := t.trie.Load().Lookup(name.Components())
-	return nh, ok
-}
-
-// Len returns the number of installed name prefixes.
-func (t *NameTable) Len() int {
-	return t.trie.Load().Len()
-}
-
-// Walk visits every name route in the current snapshot. fn sees a
-// consistent point-in-time view; routes added or removed during the walk
-// may or may not appear.
-func (t *NameTable) Walk(fn func(prefix names.Name, nh NextHop) bool) {
-	t.trie.Load().Walk(func(components []string, nh NextHop) bool {
-		n, err := names.FromComponents(components...)
-		if err != nil {
-			return true // cannot happen: stored names were validated at Add
-		}
-		return fn(n, nh)
-	})
-}
-
-// NameTxn is the NameTable's batched-update transaction, the churn API
-// Table.Txn provides for address routes: any number of Adds and Removes,
-// one snapshot publish at Commit, and the same no-op discipline (an
-// ineffective transaction publishes nothing). The transaction holds the
-// table's writer lock from Txn() until Commit or Abort; lookups are never
-// blocked. Without it, a storm of n name-route updates costs n pointer
-// publishes — with it, one.
-type NameTxn struct {
-	t    *NameTable
-	orig *lpm.NameTrie[NextHop]
-	trie *lpm.NameTrie[NextHop]
-	done bool
-}
-
-// Txn opens a batched update. The caller must finish it with Commit or
-// Abort (other writers block until then; readers do not).
-func (t *NameTable) Txn() *NameTxn {
-	t.mu.Lock()
-	cur := t.trie.Load()
-	return &NameTxn{t: t, orig: cur, trie: cur}
-}
-
-// Add stages a name route. Re-adding an identical route stages nothing.
-func (x *NameTxn) Add(prefix names.Name, nh NextHop) {
-	if cur, ok := x.trie.Get(prefix.Components()); ok && cur == nh {
-		return
-	}
-	nt, _ := x.trie.InsertCOW(prefix.Components(), nh)
-	x.trie = nt
-}
-
-// Remove stages a name-route withdrawal; removing an absent route stages
-// nothing.
-func (x *NameTxn) Remove(prefix names.Name) bool {
-	nt, removed := x.trie.DeleteCOW(prefix.Components())
-	if removed {
-		x.trie = nt
-	}
-	return removed
-}
-
-// Len returns the route count as staged.
-func (x *NameTxn) Len() int { return x.trie.Len() }
-
-// Changed reports whether the transaction has staged any effective update.
-func (x *NameTxn) Changed() bool { return x.trie != x.orig }
-
-// Commit publishes every staged update at once and releases the writer
-// lock; an ineffective transaction leaves the snapshot pointer untouched.
-func (x *NameTxn) Commit() {
-	if x.done {
-		return
-	}
-	x.done = true
-	if x.trie != x.orig {
-		x.t.trie.Store(x.trie)
-		x.t.epoch.Add(1)
-	}
-	x.t.mu.Unlock()
-}
-
-// Abort discards every staged update and releases the writer lock.
-func (x *NameTxn) Abort() {
-	if x.done {
-		return
-	}
-	x.done = true
 	x.t.mu.Unlock()
 }

@@ -1,10 +1,9 @@
 package fib
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-
-	"dip/internal/names"
 )
 
 func TestTableAddLookup(t *testing.T) {
@@ -101,28 +100,24 @@ func TestTableConcurrent(t *testing.T) {
 	}
 }
 
-func TestNameTable(t *testing.T) {
-	nt := NewNameTable()
-	nt.Add(names.MustParse("/org/hotnets"), NextHop{Port: 1})
-	nt.Add(names.MustParse("/org"), NextHop{Port: 2})
-	nh, ok := nt.Lookup(names.MustParse("/org/hotnets/papers"))
-	if !ok || nh.Port != 1 {
-		t.Errorf("got %+v %v", nh, ok)
+// Remove withdraws the exact route (prefix, plen).
+func (t *Table) Remove(prefix []byte, plen int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	nt, removed := t.trie.Load().DeleteCOW(prefix, plen)
+	if removed {
+		t.trie.Store(nt)
+		t.epoch.Add(1)
 	}
-	nh, ok = nt.Lookup(names.MustParse("/org/other"))
-	if !ok || nh.Port != 2 {
-		t.Errorf("got %+v %v", nh, ok)
+	return removed
+}
+
+// AddUint32 stages a route keyed by the first plen bits of a 32-bit value.
+func (x *Txn) AddUint32(key uint32, plen int, nh NextHop) error {
+	if plen < 0 || plen > 32 {
+		return fmt.Errorf("fib: prefix length %d out of [0,32]", plen)
 	}
-	if _, ok := nt.Lookup(names.MustParse("/com")); ok {
-		t.Error("spurious match")
-	}
-	if !nt.Remove(names.MustParse("/org")) {
-		t.Error("remove failed")
-	}
-	if _, ok := nt.Lookup(names.MustParse("/org/other")); ok {
-		t.Error("match after remove")
-	}
-	if nt.Len() != 1 {
-		t.Errorf("Len = %d", nt.Len())
-	}
+	var k [4]byte
+	k[0], k[1], k[2], k[3] = byte(key>>24), byte(key>>16), byte(key>>8), byte(key)
+	return x.Add(k[:], plen, nh)
 }

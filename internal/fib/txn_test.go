@@ -1,11 +1,7 @@
 package fib
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
-
-	"dip/internal/names"
 )
 
 // TestTxnNoOpPublishesNothing pins the no-op-transaction contract: a batch
@@ -63,146 +59,5 @@ func TestTableNoOpSinglePublishes(t *testing.T) {
 	}
 	if got := tb.trie.Load(); got != snap {
 		t.Error("no-op Remove published a new snapshot")
-	}
-}
-
-// TestNameTxnNoOpPublishesNothing is the NameTable twin of the no-op pin.
-func TestNameTxnNoOpPublishesNothing(t *testing.T) {
-	nt := NewNameTable()
-	nt.Add(names.MustParse("/org/hotnets"), NextHop{Port: 1})
-	snap := nt.trie.Load()
-
-	x := nt.Txn()
-	if x.Remove(names.MustParse("/com/absent")) {
-		t.Error("removed an absent route")
-	}
-	x.Add(names.MustParse("/org/hotnets"), NextHop{Port: 1}) // identical re-add
-	if x.Changed() {
-		t.Error("no-op transaction reports Changed")
-	}
-	x.Commit()
-	if got := nt.trie.Load(); got != snap {
-		t.Error("no-op Commit published a new snapshot")
-	}
-
-	// Identical single Add publishes nothing either.
-	nt.Add(names.MustParse("/org/hotnets"), NextHop{Port: 1})
-	if got := nt.trie.Load(); got != snap {
-		t.Error("identical Add published a new snapshot")
-	}
-
-	x = nt.Txn()
-	x.Add(names.MustParse("/org/sigcomm"), NextHop{Port: 2})
-	if !x.Changed() {
-		t.Error("effective transaction reports unchanged")
-	}
-	x.Commit()
-	if got := nt.trie.Load(); got == snap {
-		t.Error("effective Commit did not publish")
-	}
-}
-
-// TestNameTxnAbort pins that Abort discards staged updates.
-func TestNameTxnAbort(t *testing.T) {
-	nt := NewNameTable()
-	nt.Add(names.MustParse("/org"), NextHop{Port: 1})
-	x := nt.Txn()
-	x.Add(names.MustParse("/com"), NextHop{Port: 2})
-	x.Remove(names.MustParse("/org"))
-	x.Abort()
-	if nt.Len() != 1 {
-		t.Errorf("Len after abort = %d, want 1", nt.Len())
-	}
-	if _, ok := nt.Lookup(names.MustParse("/com")); ok {
-		t.Error("aborted add visible")
-	}
-}
-
-// TestNameTableTxnChurnOracle drives seeded add/withdraw churn through
-// batched NameTxns and checks, batch by batch, that (a) the table agrees
-// exactly with a sequentially-updated map oracle (both directions, via
-// Walk and per-name Lookup), and (b) each batch costs at most one snapshot
-// publish — the whole point of the transaction API. This is the
-// churn-vs-sequential-oracle pin for the NameTable Txn/Walk parity.
-func TestNameTableTxnChurnOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	nt := NewNameTable()
-	oracle := map[string]NextHop{}
-	mkName := func(i int) names.Name {
-		return names.MustParse(fmt.Sprintf("/churn/a%d/b%d", i%37, i))
-	}
-
-	const batches, opsPerBatch, space = 40, 64, 300
-	for b := 0; b < batches; b++ {
-		before := nt.trie.Load()
-		x := nt.Txn()
-		for o := 0; o < opsPerBatch; o++ {
-			i := rng.Intn(space)
-			n := mkName(i)
-			if rng.Intn(3) == 0 {
-				removed := x.Remove(n)
-				_, had := oracle[n.String()]
-				if removed != had {
-					t.Fatalf("batch %d: Remove(%v) = %v, oracle had %v", b, n, removed, had)
-				}
-				delete(oracle, n.String())
-			} else {
-				nh := NextHop{Port: rng.Intn(8)}
-				x.Add(n, nh)
-				oracle[n.String()] = nh
-			}
-		}
-		if staged := x.Len(); staged != len(oracle) {
-			t.Fatalf("batch %d: staged Len = %d, oracle %d", b, staged, len(oracle))
-		}
-		x.Commit()
-		after := nt.trie.Load()
-		if before != after && nt.Len() == 0 {
-			t.Fatalf("batch %d: published an empty churn result unexpectedly", b)
-		}
-
-		// Table ⊆ oracle, with matching next hops.
-		walked := 0
-		nt.Walk(func(prefix names.Name, nh NextHop) bool {
-			walked++
-			want, ok := oracle[prefix.String()]
-			if !ok {
-				t.Fatalf("batch %d: table has %v, oracle does not", b, prefix)
-			}
-			if want != nh {
-				t.Fatalf("batch %d: %v nexthop %+v, oracle %+v", b, prefix, nh, want)
-			}
-			return true
-		})
-		// Oracle ⊆ table.
-		if walked != len(oracle) || nt.Len() != len(oracle) {
-			t.Fatalf("batch %d: walked %d, Len %d, oracle %d", b, walked, nt.Len(), len(oracle))
-		}
-	}
-}
-
-// TestNameTableChurnOnePublishPerBatch pins the publication-cost claim
-// directly: n updates through one NameTxn cost exactly one pointer publish
-// (or zero when the batch nets out to nothing), never one per Add the way
-// sequential NameTable.Add does.
-func TestNameTableChurnOnePublishPerBatch(t *testing.T) {
-	nt := NewNameTable()
-	before := nt.trie.Load()
-	x := nt.Txn()
-	for i := 0; i < 1000; i++ {
-		x.Add(names.MustParse(fmt.Sprintf("/bulk/n%d", i)), NextHop{Port: i & 3})
-	}
-	x.Commit()
-	after := nt.trie.Load()
-	if before == after {
-		t.Fatal("batch of 1000 adds published nothing")
-	}
-	if nt.Len() != 1000 {
-		t.Fatalf("Len = %d", nt.Len())
-	}
-	// The intermediate snapshots were never observable: a reader holding
-	// the pre-batch snapshot sees none of the adds.
-	if _, _, ok := before.Lookup([]string{"bulk", "n0"}); ok {
-		t.Error("pre-batch snapshot sees staged route")
 	}
 }

@@ -26,8 +26,8 @@ const (
 	// ClassBulk is ordinary data-plane traffic. It fills the low-priority
 	// queue and is the first thing shed under overload.
 	ClassBulk Class = iota
-	// ClassControl is control/probe/signalling traffic (FN-unsupported
-	// notifications, tunnel liveness probes). It fills the high-priority
+	// ClassControl is control/signalling traffic (FN-unsupported
+	// notifications, route exchange, DIP-in-IP). It fills the high-priority
 	// queue and is served before any bulk packet.
 	ClassControl
 	numClasses
@@ -48,7 +48,7 @@ func (c Class) String() string {
 }
 
 // Control next-header / protocol numbers recognized by the default
-// classifier. These mirror profiles.NHFNUnsupported and ip.ProtoDIP*,
+// classifier. These mirror profiles.NHFNUnsupported and ip.ProtoDIP,
 // restated here as raw bytes so classification needs no parsing and no
 // package dependencies.
 const (
@@ -255,21 +255,10 @@ func (a *Admission) portBucket(inPort int) *TokenBucket {
 	return b
 }
 
-// Rejected returns the total number of packets admission turned away.
-func (a *Admission) Rejected() int64 { return a.rejected.Load() }
-
 // RejectedOnPort returns the rejection count charged to one ingress port.
 func (a *Admission) RejectedOnPort(inPort int) int64 {
 	if ctr, ok := a.portRejected.Load(inPort); ok {
 		return ctr.(*atomic.Int64).Load()
 	}
 	return 0
-}
-
-// RejectedInClass returns the rejection count charged to one class.
-func (a *Admission) RejectedInClass(c Class) int64 {
-	if int(c) >= NumClasses {
-		return 0
-	}
-	return a.classRejected[c].Load()
 }

@@ -206,3 +206,14 @@ func TestCaptureDumpIsDipdumpCompatible(t *testing.T) {
 		t.Errorf("metadata missing from dump:\n%s", dump)
 	}
 }
+
+// Rejected returns the total number of packets admission turned away.
+func (a *Admission) Rejected() int64 { return a.rejected.Load() }
+
+// RejectedInClass returns the rejection count charged to one class.
+func (a *Admission) RejectedInClass(c Class) int64 {
+	if int(c) >= NumClasses {
+		return 0
+	}
+	return a.classRejected[c].Load()
+}

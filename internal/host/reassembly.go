@@ -23,17 +23,6 @@ func NewReassembly(total int) *Reassembly {
 	return &Reassembly{segs: make([][]byte, total), have: make([]bool, total)}
 }
 
-// Total returns the segment count the buffer was sized for.
-func (r *Reassembly) Total() int { return len(r.segs) }
-
-// Got returns how many distinct segments have been accepted.
-func (r *Reassembly) Got() int { return r.got }
-
-// Have reports whether segment seg has been accepted.
-func (r *Reassembly) Have(seg int) bool {
-	return seg >= 0 && seg < len(r.have) && r.have[seg]
-}
-
 // Add accepts segment seg's payload (copied), reporting whether it was
 // stored: false for out-of-range indices and duplicates. An empty payload
 // is a valid zero-length segment.

@@ -99,3 +99,14 @@ func FuzzSegmentReassembly(f *testing.F) {
 		}
 	})
 }
+
+// Total returns the segment count the buffer was sized for.
+func (r *Reassembly) Total() int { return len(r.segs) }
+
+// Got returns how many distinct segments have been accepted.
+func (r *Reassembly) Got() int { return r.got }
+
+// Have reports whether segment seg has been accepted.
+func (r *Reassembly) Have(seg int) bool {
+	return seg >= 0 && seg < len(r.have) && r.have[seg]
+}

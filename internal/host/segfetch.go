@@ -393,10 +393,3 @@ func (f *SegFetcher) CC() cc.Snapshot {
 	defer f.mu.Unlock()
 	return f.flow.Snapshot()
 }
-
-// InFlight returns how many interests are currently outstanding.
-func (f *SegFetcher) InFlight() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.inflight)
-}

@@ -513,3 +513,10 @@ func TestSegFetchRejectsOverlappingRange(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// InFlight returns how many interests are currently outstanding.
+func (f *SegFetcher) InFlight() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.inflight)
+}

@@ -414,10 +414,3 @@ func (c *Collector) Stats() Stats {
 	st.Changes = append([]PathChange(nil), c.changes...)
 	return st
 }
-
-// Changes returns the retained path-change ring, oldest first.
-func (c *Collector) Changes() []PathChange {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]PathChange(nil), c.changes...)
-}

@@ -16,9 +16,8 @@ import (
 
 // Protocol numbers used across the repository.
 const (
-	ProtoDIP      = 0xFD // experimental: DIP-in-IP tunneling
-	ProtoDIPProbe = 0xFE // experimental: tunnel endpoint liveness probes
-	ProtoUDP      = 17
+	ProtoDIP = 0xFD // experimental: DIP-in-IP tunneling
+	ProtoUDP = 17
 )
 
 // Header sizes (no IPv4 options: the forwarding prototype never emits them).
@@ -90,14 +89,8 @@ func Build4(dst []byte, src, dstAddr [4]byte, proto uint8, ttl uint8, payloadLen
 
 // Accessors. All alias the underlying buffer.
 
-// TTL returns the remaining hop budget.
-func (h Header4) TTL() uint8 { return h.b[8] }
-
 // Proto returns the payload protocol number.
 func (h Header4) Proto() uint8 { return h.b[9] }
-
-// Src returns the source address view.
-func (h Header4) Src() []byte { return h.b[12:16] }
 
 // Dst returns the destination address view.
 func (h Header4) Dst() []byte { return h.b[16:20] }
@@ -181,9 +174,6 @@ func (h Header6) HopLimit() uint8 { return h.b[7] }
 
 // Next returns the next-header protocol number.
 func (h Header6) Next() uint8 { return h.b[6] }
-
-// Src returns the source address view.
-func (h Header6) Src() []byte { return h.b[8:24] }
 
 // Dst returns the destination address view.
 func (h Header6) Dst() []byte { return h.b[24:40] }

@@ -225,3 +225,12 @@ func TestForwardersZeroAlloc(t *testing.T) {
 		t.Errorf("IPv4 forwarding allocates %.1f", allocs)
 	}
 }
+
+// TTL returns the remaining hop budget.
+func (h Header4) TTL() uint8 { return h.b[8] }
+
+// Src returns the source address view.
+func (h Header4) Src() []byte { return h.b[12:16] }
+
+// Src returns the source address view.
+func (h Header6) Src() []byte { return h.b[8:24] }

@@ -238,10 +238,7 @@ type Stats struct {
 	Incomplete int64
 	Frozen     int64
 	Duplicates int64
-	// TunnelEvents counts zero-trace tunnel health spans (probe misses,
-	// failovers) filed outside any journey.
-	TunnelEvents int64
-	Paths        []PathStat
+	Paths      []PathStat
 }
 
 // Collector stitches spans into journeys. Safe for concurrent use; every
@@ -256,10 +253,9 @@ type Collector struct {
 	order   []*Journey // insertion order, for the memory bound
 	paths   map[string]*PathStat
 
-	complete     int64
-	incomplete   int64
-	duplicates   int64
-	tunnelEvents int64
+	complete   int64
+	incomplete int64
+	duplicates int64
 
 	// latency excursion tracking over complete journeys
 	latHist  [telemetry.HistBuckets]int64
@@ -292,9 +288,6 @@ func (c *Collector) AddSpan(sp Span) {
 	sp.Seq = c.seq
 
 	if sp.Trace == 0 {
-		if sp.Kind == SpanTunnelProbeMiss || sp.Kind == SpanTunnelFailover {
-			c.tunnelEvents++
-		}
 		// Untraceable (dead letters and cwnd cuts carry only a name);
 		// nothing to stitch, but the anomaly is findable by name.
 		if sp.Kind == SpanHostDeadLetter {
@@ -511,13 +504,12 @@ func (c *Collector) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Stats{
-		Spans:        c.seq,
-		Journeys:     len(c.order),
-		Complete:     c.complete,
-		Incomplete:   c.incomplete,
-		Frozen:       c.flight.Frozen(),
-		Duplicates:   c.duplicates,
-		TunnelEvents: c.tunnelEvents,
+		Spans:      c.seq,
+		Journeys:   len(c.order),
+		Complete:   c.complete,
+		Incomplete: c.incomplete,
+		Frozen:     c.flight.Frozen(),
+		Duplicates: c.duplicates,
 	}
 	for _, ps := range c.paths {
 		st.Paths = append(st.Paths, *ps)

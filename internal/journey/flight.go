@@ -2,7 +2,6 @@ package journey
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 )
@@ -126,14 +125,4 @@ func (e FrozenJourney) String() string {
 	fmt.Fprintf(&b, "# frozen reason=%s at=%d\n", e.Reason, e.At)
 	b.WriteString(e.Journey.String())
 	return b.String()
-}
-
-// Dump writes every retained anomaly to w in dipdump-renderable form.
-func (f *FlightRecorder) Dump(w io.Writer) error {
-	for _, e := range f.Entries() {
-		if _, err := io.WriteString(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -190,10 +190,6 @@ const (
 	SpanTunnelEncap
 	// SpanTunnelDecap marks a packet leaving the overlay into a router.
 	SpanTunnelDecap
-	// SpanTunnelProbeMiss records a tunnel liveness probe going unanswered.
-	SpanTunnelProbeMiss
-	// SpanTunnelFailover records a tunnel switching to its backup remote.
-	SpanTunnelFailover
 	// SpanHostSend is a host's first transmission of a packet.
 	SpanHostSend
 	// SpanHostRetx is a fetcher retransmission (opens a new journey instance).
@@ -214,7 +210,7 @@ const (
 )
 
 var spanKindNames = [numSpanKinds]string{
-	"router", "link", "encap", "decap", "probe-miss", "failover",
+	"router", "link", "encap", "decap",
 	"send", "retx", "recv", "satisfy", "dead-letter", "cwnd-cut",
 	"cs-cold",
 }

@@ -2,6 +2,7 @@ package journey
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -345,4 +346,14 @@ func TestFlightRecorderFreezesCwndCutByName(t *testing.T) {
 	if got := c.Flight().Frozen(); got != 1 {
 		t.Fatalf("same journey frozen twice for one reason: %d entries", got)
 	}
+}
+
+// Dump writes every retained anomaly to w in dipdump-renderable form.
+func (f *FlightRecorder) Dump(w io.Writer) error {
+	for _, e := range f.Entries() {
+		if _, err := io.WriteString(w, e.String()); err != nil {
+			return err
+		}
+	}
+	return nil
 }

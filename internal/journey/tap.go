@@ -73,9 +73,7 @@ func NewLinkTap(node string, sink SpanSink) netsim.TransitObserver {
 
 // NewTunnelTap adapts a SpanSink into a tunnel.Observer for the tunnel
 // endpoint labeled node: encap/decap become point spans on the inner
-// packet's journey; probe misses and failovers (which concern no single
-// packet) become zero-trace point spans the Collector files as standalone
-// tunnel-health events.
+// packet's journey.
 func NewTunnelTap(node string, sink SpanSink, now func() int64) tunnel.Observer {
 	if now == nil {
 		now = func() int64 { return time.Now().UnixNano() }
@@ -88,18 +86,11 @@ func NewTunnelTap(node string, sink SpanSink, now func() int64) tunnel.Observer 
 			sp.Kind = SpanTunnelEncap
 		case tunnel.EventDecap:
 			sp.Kind = SpanTunnelDecap
-		case tunnel.EventProbeMiss:
-			sp.Kind = SpanTunnelProbeMiss
-		case tunnel.EventFailover:
-			sp.Kind = SpanTunnelFailover
 		default:
 			return
 		}
-		if len(dipPkt) > 0 {
-			sp.Trace = TraceOf(dipPkt)
-			if sp.Trace == 0 {
-				return
-			}
+		if sp.Trace = TraceOf(dipPkt); sp.Trace == 0 {
+			return
 		}
 		sink.AddSpan(sp)
 	}

@@ -1,10 +1,9 @@
-// Package lpm implements the longest-prefix-match structures that back DIP's
+// Package lpm implements the longest-prefix-match structure that backs DIP's
 // forwarding operations: a path-compressed binary (patricia) trie over
 // fixed-width bit strings for address lookup (F_32_match, F_128_match, and
-// the FIB behind F_FIB when it holds numeric name IDs), and a component trie
-// over hierarchical names for NDN-style content routing.
+// the FIB behind F_FIB, which holds numeric name IDs).
 //
-// Both tries change only by copy-on-write: InsertCOW/DeleteCOW never touch
+// The trie changes only by copy-on-write: InsertCOW/DeleteCOW never touch
 // the receiver; they copy only the nodes along the affected path and return
 // a new trie sharing every untouched subtree, so a published trie is
 // immutable and the data plane reads it without locks or fences while the

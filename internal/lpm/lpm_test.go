@@ -257,94 +257,6 @@ func mustInsert[V any](t *testing.T, tr *BitTrie[V], key []byte, plen int, v V) 
 	return nt
 }
 
-func TestNameTrieBasic(t *testing.T) {
-	tr := NewNameTrie[int]()
-	tr, _ = tr.InsertCOW([]string{"org", "hotnets"}, 1)
-	tr, _ = tr.InsertCOW([]string{"org", "hotnets", "papers"}, 2)
-	tr, _ = tr.InsertCOW([]string{"com"}, 3)
-
-	v, n, ok := tr.Lookup([]string{"org", "hotnets", "papers", "dip"})
-	if !ok || v != 2 || n != 3 {
-		t.Errorf("got (%d,%d,%v)", v, n, ok)
-	}
-	v, n, ok = tr.Lookup([]string{"org", "hotnets", "cfp"})
-	if !ok || v != 1 || n != 2 {
-		t.Errorf("got (%d,%d,%v)", v, n, ok)
-	}
-	if _, _, ok = tr.Lookup([]string{"net", "x"}); ok {
-		t.Error("unexpected match")
-	}
-	if tr.Len() != 3 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-func TestNameTrieRootDefault(t *testing.T) {
-	tr := NewNameTrie[string]()
-	tr, _ = tr.InsertCOW(nil, "default")
-	v, n, ok := tr.Lookup([]string{"anything"})
-	if !ok || v != "default" || n != 0 {
-		t.Errorf("got (%q,%d,%v)", v, n, ok)
-	}
-}
-
-func TestNameTrieGetDelete(t *testing.T) {
-	tr := NewNameTrie[int]()
-	tr, _ = tr.InsertCOW([]string{"a", "b"}, 1)
-	tr, _ = tr.InsertCOW([]string{"a", "b", "c"}, 2)
-	if v, ok := tr.Get([]string{"a", "b"}); !ok || v != 1 {
-		t.Errorf("Get = (%d,%v)", v, ok)
-	}
-	if _, ok := tr.Get([]string{"a"}); ok {
-		t.Error("interior node should not Get")
-	}
-	tr, removed := tr.DeleteCOW([]string{"a", "b", "c"})
-	if !removed {
-		t.Fatal("delete failed")
-	}
-	if _, removed = tr.DeleteCOW([]string{"a", "b", "c"}); removed {
-		t.Error("double delete")
-	}
-	if _, removed = tr.DeleteCOW([]string{"z"}); removed {
-		t.Error("deleting absent prefix succeeded")
-	}
-	v, n, ok := tr.Lookup([]string{"a", "b", "c", "d"})
-	if !ok || v != 1 || n != 2 {
-		t.Errorf("after delete got (%d,%d,%v)", v, n, ok)
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-func TestNameTrieReplace(t *testing.T) {
-	tr := NewNameTrie[int]()
-	tr, created := tr.InsertCOW([]string{"a"}, 1)
-	if !created {
-		t.Error("first insert not created")
-	}
-	if tr, created = tr.InsertCOW([]string{"a"}, 2); created {
-		t.Error("replace reported created")
-	}
-	if v, _ := tr.Get([]string{"a"}); v != 2 {
-		t.Errorf("got %d", v)
-	}
-}
-
-func TestNameTrieWalk(t *testing.T) {
-	tr := NewNameTrie[int]()
-	tr, _ = tr.InsertCOW([]string{"a"}, 1)
-	tr, _ = tr.InsertCOW([]string{"a", "b"}, 2)
-	seen := map[int]int{}
-	tr.Walk(func(c []string, v int) bool {
-		seen[v] = len(c)
-		return true
-	})
-	if len(seen) != 2 || seen[1] != 1 || seen[2] != 2 {
-		t.Errorf("walk saw %v", seen)
-	}
-}
-
 func BenchmarkBitTrieLookup1k(b *testing.B)   { benchLookup(b, 1_000) }
 func BenchmarkBitTrieLookup100k(b *testing.B) { benchLookup(b, 100_000) }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -56,19 +55,6 @@ func MustParse(s string) Name {
 	return n
 }
 
-// FromComponents builds a Name from explicit components.
-func FromComponents(components ...string) (Name, error) {
-	for _, p := range components {
-		if p == "" || strings.Contains(p, "/") {
-			return Name{}, fmt.Errorf("%w: component %q", ErrBadName, p)
-		}
-	}
-	return Name{components: append([]string(nil), components...)}, nil
-}
-
-// Components returns the name's components. The slice must not be modified.
-func (n Name) Components() []string { return n.components }
-
 // Len returns the number of components.
 func (n Name) Len() int { return len(n.components) }
 
@@ -89,19 +75,6 @@ func (n Name) Prefix(k int) Name {
 		k = 0
 	}
 	return Name{components: n.components[:k]}
-}
-
-// IsPrefixOf reports whether n is a component-wise prefix of m.
-func (n Name) IsPrefixOf(m Name) bool {
-	if len(n.components) > len(m.components) {
-		return false
-	}
-	for i, c := range n.components {
-		if m.components[i] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports component-wise equality.
@@ -175,25 +148,4 @@ func (r *Registry) Register(n Name) (uint32, error) {
 	}
 	r.m[id] = n
 	return id, nil
-}
-
-// Resolve returns the name registered under id.
-func (r *Registry) Resolve(id uint32) (Name, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n, ok := r.m[id]
-	return n, ok
-}
-
-// Names returns all registered names sorted by string form (for stable
-// diagnostics output).
-func (r *Registry) Names() []Name {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Name, 0, len(r.m))
-	for _, n := range r.m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }

@@ -35,19 +35,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestFromComponents(t *testing.T) {
-	n, err := FromComponents("a", "b")
-	if err != nil || n.String() != "/a/b" {
-		t.Errorf("got %v, %v", n, err)
-	}
-	if _, err := FromComponents("a", ""); err == nil {
-		t.Error("empty component accepted")
-	}
-	if _, err := FromComponents("a/b"); err == nil {
-		t.Error("slash in component accepted")
-	}
-}
-
 func TestPrefixRelations(t *testing.T) {
 	n := MustParse("/a/b/c")
 	if !n.Prefix(2).Equal(MustParse("/a/b")) {
@@ -58,18 +45,6 @@ func TestPrefixRelations(t *testing.T) {
 	}
 	if n.Prefix(-1).Len() != 0 {
 		t.Error("Prefix(-1) should clamp to root")
-	}
-	if !MustParse("/a/b").IsPrefixOf(n) {
-		t.Error("prefix not detected")
-	}
-	if MustParse("/a/x").IsPrefixOf(n) {
-		t.Error("false prefix")
-	}
-	if MustParse("/a/b/c/d").IsPrefixOf(n) {
-		t.Error("longer name cannot be prefix")
-	}
-	if !MustParse("/").IsPrefixOf(n) {
-		t.Error("root is prefix of everything")
 	}
 }
 
@@ -101,7 +76,7 @@ func TestIDNibblesNonZero(t *testing.T) {
 		if a == "" || b == "" {
 			return true
 		}
-		n, err := FromComponents(a, b)
+		n, err := Parse(a + "/" + b)
 		if err != nil {
 			return true
 		}
@@ -139,21 +114,12 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.Resolve(id)
-	if !ok || !got.Equal(n) {
-		t.Errorf("Resolve = %v, %v", got, ok)
+	if id != n.ID() {
+		t.Errorf("Register = %#08x, want the name's ID %#08x", id, n.ID())
 	}
 	// Re-registering the same name is fine.
 	if _, err := r.Register(n); err != nil {
 		t.Errorf("idempotent register failed: %v", err)
-	}
-	if _, ok := r.Resolve(0xDEADBEEF); ok {
-		t.Error("resolved unregistered ID")
-	}
-	r.Register(MustParse("/com/example"))
-	all := r.Names()
-	if len(all) != 2 || all[0].String() != "/com/example" {
-		t.Errorf("Names() = %v", all)
 	}
 }
 
@@ -167,7 +133,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		r.Resolve(MustParse("/a/b").ID())
+		r.Register(MustParse("/c/d"))
 	}
 	<-done
 }

@@ -3,7 +3,7 @@
 // this file supplies the pathologies real deployments add on top — loss,
 // duplication, reordering, bit corruption, delay jitter, and scheduled
 // link-down/partition windows — so the recovery machinery layered over DIP
-// (interest retransmission, PIT expiry, tunnel failover) has something to
+// (interest retransmission, PIT expiry, route withdrawal) has something to
 // recover from.
 //
 // Everything is driven by one math/rand source seeded by the caller, and the

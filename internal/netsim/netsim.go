@@ -139,9 +139,6 @@ func (s *Simulator) Pipe(dst Receiver, dstPort int, delay time.Duration, bps int
 	return e
 }
 
-// Impair returns the link's fault model, or nil for a perfect link.
-func (e *Endpoint) Impair() *Impairment { return e.impair }
-
 // Send implements the router Port contract: the packet is copied, so the
 // caller's buffer is free for reuse when Send returns. With finite
 // bandwidth, back-to-back packets queue behind each other on the link

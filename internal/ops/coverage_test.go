@@ -200,7 +200,7 @@ func TestVerOperandValidation(t *testing.T) {
 	e := core.NewHostEngine(reg, core.Limits{})
 	runHost := func(h *core.Header) *core.ExecContext {
 		t.Helper()
-		b, err := h.MarshalBinary()
+		b, err := h.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

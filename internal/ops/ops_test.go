@@ -23,7 +23,7 @@ func run(t *testing.T, reg *core.Registry, h *core.Header, inPort int) *core.Exe
 
 func runPayload(t *testing.T, reg *core.Registry, h *core.Header, inPort int, payload []byte) *core.ExecContext {
 	t.Helper()
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestOPTHopMatchesNative(t *testing.T) {
 				},
 				Locations: region,
 			}
-			b, err := h.MarshalBinary()
+			b, err := h.AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func optPacket(t *testing.T, cfg Config) (v core.View, native []byte) {
 		},
 		Locations: region,
 	}
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func TestSessionIDsUnique(t *testing.T) {
 	if s1.ID == s2.ID {
 		t.Error("two sessions share an ID")
 	}
-	if s1.HopKey(0) == s2.HopKey(0) {
+	if s1.hopKeys[0] == s2.hopKeys[0] {
 		t.Error("hop keys identical across sessions")
 	}
 }
@@ -263,75 +263,5 @@ func benchHop(b *testing.B, kind Kind) {
 		if err := ProcessHop(cfg, kind, region); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestVerifyFresh(t *testing.T) {
-	svs := secrets(t, "r1", "dst")
-	hops := pathConfigs(svs[:1])
-	sess, _ := NewSession(Kind2EM, hops, svs[1])
-	payload := []byte("fresh content")
-	guard := NewReplayGuard(16)
-
-	mk := func(ts uint32) []byte {
-		region := make([]byte, RegionSize(1))
-		sess.InitRegion(region, payload, ts)
-		ProcessHop(hops[0], Kind2EM, region)
-		return region
-	}
-
-	// In-window packet accepted once...
-	region := mk(1000)
-	if err := sess.VerifyFresh(region, payload, 1005, 30, 5, guard); err != nil {
-		t.Fatalf("fresh packet rejected: %v", err)
-	}
-	// ...and rejected as a replay the second time.
-	if err := sess.VerifyFresh(region, payload, 1006, 30, 5, guard); !errors.Is(err, ErrReplay) {
-		t.Errorf("replay: %v", err)
-	}
-	// Same timestamp but different payload is a different hash: accepted.
-	region2 := make([]byte, RegionSize(1))
-	sess.InitRegion(region2, []byte("other content"), 1000)
-	ProcessHop(hops[0], Kind2EM, region2)
-	if err := sess.VerifyFresh(region2, []byte("other content"), 1005, 30, 5, guard); err != nil {
-		t.Errorf("distinct payload rejected: %v", err)
-	}
-
-	// Stale packet.
-	if err := sess.VerifyFresh(mk(900), payload, 1000, 30, 5, guard); !errors.Is(err, ErrStale) {
-		t.Errorf("stale: %v", err)
-	}
-	// Future-dated beyond skew.
-	if err := sess.VerifyFresh(mk(1100), payload, 1000, 30, 5, guard); !errors.Is(err, ErrStale) {
-		t.Errorf("future: %v", err)
-	}
-	// Bad tags still fail first.
-	bad := mk(1000)
-	bad[PVFOff] ^= 1
-	if err := sess.VerifyFresh(bad, payload, 1000, 30, 5, guard); !errors.Is(err, ErrPVF) {
-		t.Errorf("tamper: %v", err)
-	}
-	// Nil guard skips replay protection only.
-	r3 := mk(1000)
-	if err := sess.VerifyFresh(r3, payload, 1000, 30, 5, nil); err != nil {
-		t.Errorf("nil guard: %v", err)
-	}
-}
-
-func TestReplayGuardBounded(t *testing.T) {
-	g := NewReplayGuard(2)
-	h := func(b byte) []byte { out := make([]byte, 16); out[0] = b; return out }
-	if !g.accept(h(1)) || !g.accept(h(2)) {
-		t.Fatal("fresh hashes rejected")
-	}
-	if g.accept(h(1)) {
-		t.Fatal("replay accepted")
-	}
-	g.accept(h(3)) // evicts h(1)
-	if !g.accept(h(1)) {
-		t.Error("evicted hash still remembered (not bounded)")
-	}
-	if NewReplayGuard(0) == nil {
-		t.Error("zero capacity")
 	}
 }

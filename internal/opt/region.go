@@ -101,9 +101,6 @@ func (r Region) OPV(i int) []byte { return r.b[OPVOff+i*OPVSize : OPVOff+(i+1)*O
 // MACInput returns the region prefix MACed into OPVs (DataHash through PVF).
 func (r Region) MACInput() []byte { return r.b[:MACInputSize] }
 
-// Bytes returns the full region.
-func (r Region) Bytes() []byte { return r.b }
-
 // ComputeDataHash writes the 16-byte payload hash (truncated SHA-256) into
 // out, which must be DataHashSize long.
 func ComputeDataHash(out, payload []byte) {
@@ -118,8 +115,6 @@ func ComputeDataHash(out, payload []byte) {
 type MAC interface {
 	// SumInto writes the 16-byte tag of msg into out (exactly 16 bytes).
 	SumInto(out, msg []byte)
-	// Verify reports whether tag is the MAC of msg, in constant time.
-	Verify(msg, tag []byte) bool
 }
 
 // Kind selects the MAC algorithm for a session.

@@ -3,9 +3,7 @@ package opt
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 
 	"dip/internal/drkey"
 )
@@ -69,9 +67,6 @@ func NewSession(kind Kind, hops []HopConfig, destSecret *drkey.SecretValue) (*Se
 
 // Hops returns the number of validating hops on the session path.
 func (s *Session) Hops() int { return len(s.hopMACs) }
-
-// HopKey returns hop i's derived key (the source-side copy).
-func (s *Session) HopKey(i int) [16]byte { return s.hopKeys[i] }
 
 // InitRegion fills a fresh OPT region for a packet with the given payload:
 // data hash, session ID, timestamp, and the source-seeded PVF. The region
@@ -163,72 +158,4 @@ func constEq(a, b []byte) bool {
 		v |= a[i] ^ b[i]
 	}
 	return v == 0
-}
-
-// Freshness and replay protection, the destination-side checks real OPT
-// deployments add on top of tag verification: a packet must carry a recent
-// timestamp and a data hash the destination has not accepted before.
-
-// ErrStale reports a packet older than the acceptance window.
-var ErrStale = errors.New("opt: timestamp outside freshness window")
-
-// ErrReplay reports a packet whose data hash was already accepted.
-var ErrReplay = errors.New("opt: replayed packet")
-
-// ReplayGuard remembers recently accepted data hashes in a bounded ring.
-// It is safe for concurrent use.
-type ReplayGuard struct {
-	mu   sync.Mutex
-	set  map[[16]byte]struct{}
-	ring [][16]byte
-	next int
-}
-
-// NewReplayGuard remembers up to capacity hashes.
-func NewReplayGuard(capacity int) *ReplayGuard {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ReplayGuard{
-		set:  make(map[[16]byte]struct{}, capacity),
-		ring: make([][16]byte, capacity),
-	}
-}
-
-// accept records h, reporting whether it was fresh (false = replay).
-func (g *ReplayGuard) accept(h []byte) bool {
-	var k [16]byte
-	copy(k[:], h)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.set[k]; dup {
-		return false
-	}
-	delete(g.set, g.ring[g.next])
-	g.ring[g.next] = k
-	g.next = (g.next + 1) % len(g.ring)
-	g.set[k] = struct{}{}
-	return true
-}
-
-// VerifyFresh is Verify plus freshness and replay checks: the region's
-// timestamp must lie within [now-maxAge, now+maxSkew] (both in the unit the
-// source stamped, typically seconds) and the data hash must not have been
-// accepted before. On success the hash is recorded in the guard.
-func (s *Session) VerifyFresh(region, payload []byte, now uint32, maxAge, maxSkew uint32, guard *ReplayGuard) error {
-	if err := s.Verify(region, payload); err != nil {
-		return err
-	}
-	r, err := AsRegion(region)
-	if err != nil {
-		return err
-	}
-	ts := binary.BigEndian.Uint32(r.Timestamp())
-	if ts+maxAge < now || ts > now+maxSkew {
-		return fmt.Errorf("%w: stamped %d, now %d", ErrStale, ts, now)
-	}
-	if guard != nil && !guard.accept(r.DataHash()) {
-		return ErrReplay
-	}
-	return nil
 }

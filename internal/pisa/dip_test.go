@@ -48,7 +48,7 @@ func dipCfg(t *testing.T) ops.Config {
 
 func wire(t *testing.T, h *core.Header, payload []byte) []byte {
 	t.Helper()
-	b, err := h.MarshalBinary()
+	b, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestInstallOperationAtRuntime(t *testing.T) {
 	telOff := uint16(len(h.Locations) * 8)
 	h.Locations = append(h.Locations, extops.NewTelRegion(2)...)
 	h.FNs = append(h.FNs, core.FN{Loc: telOff, Len: extops.TelOperandBits(2), Key: extops.KeyTel})
-	pkt, err := h.MarshalBinary()
+	pkt, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

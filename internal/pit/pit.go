@@ -139,12 +139,6 @@ func WithTTL[K comparable](ttl time.Duration) Option[K] {
 	return func(t *Table[K]) { t.ttl = ttl }
 }
 
-// WithCapacity bounds the number of simultaneous entries (default 65536).
-// The bound is global and exact regardless of the shard count.
-func WithCapacity[K comparable](n int) Option[K] {
-	return func(t *Table[K]) { t.cap = int64(n) }
-}
-
 // WithClock injects a time source (a simulation's virtual clock; tests).
 func WithClock[K comparable](now func() time.Time) Option[K] {
 	return func(t *Table[K]) { t.now = now }
@@ -184,9 +178,6 @@ func New[K comparable](opts ...Option[K]) *Table[K] {
 	}
 	return t
 }
-
-// NumShards returns the shard count (a power of two).
-func (t *Table[K]) NumShards() int { return len(t.shards) }
 
 func (t *Table[K]) shardOf(k K) *shard[K] {
 	return &t.shards[nhash.Of(k)&t.mask]

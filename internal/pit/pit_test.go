@@ -163,3 +163,9 @@ func BenchmarkAddConsume(b *testing.B) {
 		p.Consume(buf[:0], name)
 	}
 }
+
+// WithCapacity bounds the number of simultaneous entries (default 65536).
+// The bound is global and exact regardless of the shard count.
+func WithCapacity[K comparable](n int) Option[K] {
+	return func(t *Table[K]) { t.cap = int64(n) }
+}

@@ -118,12 +118,6 @@ func NDNOPTData(sess *opt.Session, name uint32, payload []byte, timestamp uint32
 	return ndnOPT(sess, name, payload, timestamp, core.KeyPIT)
 }
 
-// NDNOPTInterest is the interest-side twin of NDNOPTData, composing F_FIB
-// with the OPT FNs so interests are source-authenticated too.
-func NDNOPTInterest(sess *opt.Session, name uint32, timestamp uint32) (*core.Header, error) {
-	return ndnOPT(sess, name, nil, timestamp, core.KeyFIB)
-}
-
 func ndnOPT(sess *opt.Session, name uint32, payload []byte, timestamp uint32, ndnKey core.Key) (*core.Header, error) {
 	hops := sess.Hops()
 	if hops < 1 {
@@ -170,22 +164,6 @@ func XIA(dag *xia.DAG) (*core.Header, error) {
 		},
 		Locations: locs,
 	}, nil
-}
-
-// WithPass prepends an F_pass source-label guard to an NDN-style header:
-// the label region ([name 32b][label 128b]) is appended to the locations
-// and the FN list gains the guard triple. Producers stamp the label with
-// ops.StampLabel before sending.
-func WithPass(h *core.Header, name uint32, label [16]byte) *core.Header {
-	off := uint16(len(h.Locations) * 8)
-	locs := make([]byte, len(h.Locations)+20)
-	copy(locs, h.Locations)
-	binary.BigEndian.PutUint32(locs[len(h.Locations):], name)
-	copy(locs[len(h.Locations)+4:], label[:])
-	out := *h
-	out.Locations = locs
-	out.FNs = append(append([]core.FN(nil), core.RouterFN(off, 160, core.KeyPass)), h.FNs...)
-	return &out
 }
 
 // WithTelemetry appends an F_tel in-band telemetry region to any profile
@@ -240,46 +218,4 @@ func SourceOf(v core.View) []byte {
 		}
 	}
 	return nil
-}
-
-// XIAOPT builds a second derived protocol this implementation contributes
-// beyond the paper's NDN+OPT: XIA addressing with OPT source/path
-// authentication. The encoded DAG occupies the front of the locations
-// (padded to a byte boundary) and the OPT region follows; F_DAG/F_intent
-// traverse while F_parm/F_MAC/F_mark/F_ver authenticate — composability
-// across the two most structurally different protocol families in §3.
-func XIAOPT(dag *xia.DAG, sess *opt.Session, payload []byte, timestamp uint32) (*core.Header, error) {
-	hops := sess.Hops()
-	if hops < 1 {
-		return nil, fmt.Errorf("profiles: XIA+OPT needs ≥ 1 hop, session has %d", hops)
-	}
-	dagSize := dag.WireSize()
-	locs := make([]byte, dagSize+opt.RegionSize(hops))
-	if _, err := dag.Encode(locs[:dagSize], xia.SourceIndex); err != nil {
-		return nil, err
-	}
-	if err := sess.InitRegion(locs[dagSize:], payload, timestamp); err != nil {
-		return nil, err
-	}
-	dagBits := uint16(dagSize * 8)
-	shift := dagBits
-	verBits := uint16(opt.RegionBits(hops))
-	return &core.Header{
-		HopLimit: DefaultHopLimit,
-		FNs: []core.FN{
-			core.RouterFN(0, dagBits, core.KeyDAG),
-			core.RouterFN(0, dagBits, core.KeyIntent),
-			core.RouterFN(shift+opt.SessionIDOff*8, 128, core.KeyParm),
-			core.RouterFN(shift, opt.MACInputSize*8, core.KeyMAC),
-			core.RouterFN(shift+opt.PVFOff*8, 128, core.KeyMark),
-			core.HostFN(shift, verBits, core.KeyVer),
-		},
-		Locations: locs,
-	}, nil
-}
-
-// XIAOPTRegion returns the OPT region view inside an XIA+OPT locations
-// slice, given the DAG's wire size.
-func XIAOPTRegion(locations []byte, dagWireSize int) []byte {
-	return locations[dagWireSize:]
 }

@@ -3,6 +3,7 @@ package profiles
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"dip/internal/core"
@@ -180,14 +181,6 @@ func TestNDNOPTLayoutShift(t *testing.T) {
 	if !bytes.Equal(r.SessionID(), sess.ID[:]) {
 		t.Error("session ID misplaced after shift")
 	}
-	// Interest twin carries F_FIB instead.
-	hi, err := NDNOPTInterest(sess, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi.FNs[0].Key != core.KeyFIB {
-		t.Errorf("interest first FN = %v", hi.FNs[0])
-	}
 }
 
 func TestOPTRequiresHops(t *testing.T) {
@@ -220,7 +213,7 @@ func TestXIAProfile(t *testing.T) {
 		t.Errorf("FNs = %v", h.FNs)
 	}
 	got, last, _, err := xia.Decode(h.Locations)
-	if err != nil || last != xia.SourceIndex || !got.Equal(d) {
+	if err != nil || last != xia.SourceIndex || !reflect.DeepEqual(got, d) {
 		t.Errorf("encoded DAG: %v %d", err, last)
 	}
 	if err := h.Validate(); err != nil {
@@ -266,10 +259,12 @@ func TestWithTelemetryRoundTripsTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ndnOptIntr, err := NDNOPTInterest(sess, 1, 0)
+	// The interest twin: the same layout with F_FIB in the name's FN.
+	ndnOptIntr, err := NDNOPTData(sess, 1, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ndnOptIntr.FNs[0] = core.RouterFN(0, 32, core.KeyFIB)
 	xiaHdr, err := XIA(&xia.DAG{
 		SrcEdges: []int{0},
 		Nodes:    []xia.Node{{XID: xia.NewXID(xia.TypeSID, []byte("s"))}},
@@ -310,7 +305,7 @@ func TestWithTelemetryRoundTripsTable2(t *testing.T) {
 			t.Errorf("%s+tel: %v", r.name, err)
 			continue
 		}
-		b, err := ht.MarshalBinary()
+		b, err := ht.AppendTo(nil)
 		if err != nil {
 			t.Errorf("%s+tel marshal: %v", r.name, err)
 			continue
@@ -336,16 +331,32 @@ func TestWithTelemetryRoundTripsTable2(t *testing.T) {
 
 func TestSourceOf(t *testing.T) {
 	h := IPv4([4]byte{9, 9, 9, 9}, [4]byte{1, 1, 1, 1})
-	b, _ := h.MarshalBinary()
+	b, _ := h.AppendTo(nil)
 	v, _ := core.ParseView(b)
 	src := SourceOf(v)
 	if !bytes.Equal(src, []byte{9, 9, 9, 9}) {
 		t.Errorf("SourceOf = %v", src)
 	}
 	// No F_source FN → nil.
-	b2, _ := NDNInterest(1).MarshalBinary()
+	b2, _ := NDNInterest(1).AppendTo(nil)
 	v2, _ := core.ParseView(b2)
 	if SourceOf(v2) != nil {
 		t.Error("SourceOf without F_source")
 	}
+}
+
+// WithPass prepends an F_pass source-label guard to an NDN-style header:
+// the label region ([name 32b][label 128b]) is appended to the locations
+// and the FN list gains the guard triple. Producers stamp the label with
+// ops.StampLabel before sending.
+func WithPass(h *core.Header, name uint32, label [16]byte) *core.Header {
+	off := uint16(len(h.Locations) * 8)
+	locs := make([]byte, len(h.Locations)+20)
+	copy(locs, h.Locations)
+	binary.BigEndian.PutUint32(locs[len(h.Locations):], name)
+	copy(locs[len(h.Locations)+4:], label[:])
+	out := *h
+	out.Locations = locs
+	out.FNs = append(append([]core.FN(nil), core.RouterFN(off, 160, core.KeyPass)), h.FNs...)
+	return &out
 }

@@ -107,9 +107,6 @@ func (r *Router) AttachPort(p Port) int {
 	return len(r.ports) - 1
 }
 
-// NumPorts returns the number of attached ports.
-func (r *Router) NumPorts() int { return len(r.ports) }
-
 // HandlePacket runs one received packet through the pipeline. The buffer is
 // mutated in place (hop limit, FN operand updates) and handed to egress
 // ports; it must not be reused by the caller until HandlePacket returns.

@@ -416,3 +416,6 @@ func TestRouterAccessors(t *testing.T) {
 	r.sendOn(99, []byte{1})
 	r.sendOn(-1, []byte{1})
 }
+
+// NumPorts returns the number of attached ports.
+func (r *Router) NumPorts() int { return len(r.ports) }

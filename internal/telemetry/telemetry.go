@@ -8,7 +8,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -60,7 +59,7 @@ var timeEvery = core.NewEvery(64)
 
 // Event is a recovery or degradation occurrence counted alongside the
 // per-packet verdicts: link-level faults (reported by impaired simulator
-// links), end-to-end recovery actions (retransmissions, tunnel failovers),
+// links), end-to-end recovery actions (retransmissions, dead letters),
 // and state-maintenance work (PIT expiry sweeps). These make graceful
 // degradation observable — a fabric that delivers everything but only via
 // thousands of retransmits shows it here.
@@ -76,8 +75,6 @@ const (
 	EventRetransmit               // host retransmitted an interest
 	EventDeadLetter               // host gave up on a name (retx cap)
 	EventPITExpired               // PIT sweep removed an expired entry
-	EventProbeMiss                // tunnel liveness probe unanswered
-	EventFailover                 // tunnel switched to its backup remote
 	EventBadEgress                // router asked to send on a missing port
 	EventAdmitReject              // ingress admission control refused a packet
 	EventShedLow                  // low-priority (bulk) queue full, packet shed
@@ -110,10 +107,6 @@ func (e Event) String() string {
 		return "dead-letter"
 	case EventPITExpired:
 		return "pit-expired"
-	case EventProbeMiss:
-		return "probe-miss"
-	case EventFailover:
-		return "failover"
 	case EventBadEgress:
 		return "bad-egress"
 	case EventAdmitReject:
@@ -346,45 +339,6 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		}
 	}
 	return d
-}
-
-// Percentile estimates the p-quantile of an operation's execution time
-// from its log2 histogram, returning the inclusive upper bound of the
-// bucket the quantile falls in: a sample of 3ns reports 3ns (bucket
-// [2,3]), never the lower edge 2ns, so the estimate bounds the true
-// quantile from above instead of undershooting it by up to 2×. The
-// contract for p: NaN or p ≤ 0 returns 0, p > 1 clamps to 1 (the maximum
-// recorded bucket's upper bound). The quantile is over the operation's
-// timed executions; zero when there are none.
-func (m *Metrics) Percentile(k core.Key, p float64) time.Duration {
-	if k > core.MaxKey {
-		return 0
-	}
-	if math.IsNaN(p) || p <= 0 {
-		return 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	hist, total := m.ops[k].timed()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(float64(total) * p))
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum int64
-	for b := 0; b < histBuckets; b++ {
-		cum += hist[b]
-		if cum >= target {
-			return BucketUpper(b)
-		}
-	}
-	return BucketUpper(histBuckets - 1)
 }
 
 // String renders a human-readable report.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -44,7 +43,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 
 // TestEndPacketCountsExactTimesSampled folds an untimed and a timed packet's
 // record: both count every step, only the timed one reaches the latency
-// side (Timed, TotalNs, Hist, Mean, Percentile), and the report says so.
+// side (Timed, TotalNs, Hist, Mean), and the report says so.
 func TestEndPacketCountsExactTimesSampled(t *testing.T) {
 	m := &Metrics{}
 	var ctx core.ExecContext
@@ -55,9 +54,6 @@ func TestEndPacketCountsExactTimesSampled(t *testing.T) {
 	s := m.Snapshot()
 	if len(s.Ops) != 2 || s.Ops[0].Count != 1 || s.Ops[0].Timed != 0 || s.Ops[0].TotalNs != 0 || s.Ops[0].Mean() != 0 {
 		t.Fatalf("untimed packet: %+v", s.Ops)
-	}
-	if m.Percentile(core.KeyFIB, 0.5) != 0 {
-		t.Errorf("percentile with nothing timed = %v", m.Percentile(core.KeyFIB, 0.5))
 	}
 	if out := s.String(); !strings.Contains(out, "timed=0") || !strings.Contains(out, "mean=-") {
 		t.Errorf("report of untimed ops:\n%s", out)
@@ -73,9 +69,6 @@ func TestEndPacketCountsExactTimesSampled(t *testing.T) {
 	fib := s.Ops[0]
 	if fib.Count != 4 || fib.Timed != 2 || fib.TotalNs != 600 || fib.Mean() != 300 || fib.Hist[bucketOf(300)] != 2 {
 		t.Errorf("FIB after 2 timed of 4: %+v", fib)
-	}
-	if got := m.Percentile(core.KeyFIB, 1); got != BucketUpper(bucketOf(300)) {
-		t.Errorf("p100 over the timed executions = %v", got)
 	}
 	if out := s.String(); !strings.Contains(out, "timed=2") || !strings.Contains(out, "mean=300ns") {
 		t.Errorf("report:\n%s", out)
@@ -97,41 +90,14 @@ func TestOutOfRangeKeysIgnored(t *testing.T) {
 	if len(s.Ops) != 0 || len(s.Drops) != 0 {
 		t.Error("out-of-range records counted")
 	}
-	if m.Percentile(core.MaxKey+1, 0.5) != 0 {
-		t.Error("percentile of out-of-range key")
-	}
 }
 
-func TestPercentile(t *testing.T) {
-	m := &Metrics{}
-	if m.Percentile(core.KeyFIB, 0.5) != 0 {
-		t.Error("percentile with no samples")
-	}
-	for i := 0; i < 90; i++ {
-		m.RecordOp(core.KeyFIB, 100*time.Nanosecond)
-	}
-	for i := 0; i < 10; i++ {
-		m.RecordOp(core.KeyFIB, 100*time.Microsecond)
-	}
-	p50 := m.Percentile(core.KeyFIB, 0.5)
-	p99 := m.Percentile(core.KeyFIB, 0.99)
-	if p50 > time.Microsecond {
-		t.Errorf("p50 = %v", p50)
-	}
-	if p99 < 10*time.Microsecond {
-		t.Errorf("p99 = %v", p99)
-	}
-	if p50 >= p99 {
-		t.Errorf("p50 %v ≥ p99 %v", p50, p99)
-	}
-}
-
-// TestPercentileBucketEdges pins the doc contract exactly: the estimate is
-// the inclusive *upper* bound of the log2 bucket the quantile falls in.
-// bucketOf puts ns ∈ [2^b, 2^(b+1)−1] in bucket b, so 2ns and 3ns share
-// bucket 1 (upper bound 3ns) while 4ns opens bucket 2 (upper bound 7ns).
-// The pre-fix implementation returned the lower bound 1<<b and fails here:
-// a 3ns sample reported 2ns, biasing every quantile low by up to 2×.
+// TestPercentileBucketEdges pins the bucket edges every percentile read
+// off the op histogram (the snapshot, or histogram_quantile over the
+// /metrics `le` labels) rests on: a sample lands in the log2 bucket whose
+// inclusive *upper* bound BucketUpper returns. bucketOf puts
+// ns ∈ [2^b, 2^(b+1)−1] in bucket b, so 2ns and 3ns share bucket 1 (upper
+// bound 3ns) while 4ns opens bucket 2 (upper bound 7ns).
 func TestPercentileBucketEdges(t *testing.T) {
 	cases := []struct {
 		ns   int64
@@ -144,47 +110,31 @@ func TestPercentileBucketEdges(t *testing.T) {
 		{7, 7},  //
 		{8, 15}, // bucket 3
 	}
-	for _, c := range cases {
+	// bound is the upper edge of the one bucket a single sample of ns fills.
+	bound := func(ns int64) time.Duration {
 		m := &Metrics{}
-		m.RecordOp(core.KeyFIB, time.Duration(c.ns))
-		if got := m.Percentile(core.KeyFIB, 1); got != c.want {
-			t.Errorf("Percentile of a single %dns sample = %v, want %v (bucket upper bound)", c.ns, got, c.want)
+		m.RecordOp(core.KeyFIB, time.Duration(ns))
+		s := m.Snapshot()
+		for b, n := range s.Ops[0].Hist {
+			if n == 1 {
+				return BucketUpper(b)
+			}
+		}
+		t.Fatalf("a %dns sample filled no bucket: %+v", ns, s.Ops[0])
+		return 0
+	}
+	for _, c := range cases {
+		if got := bound(c.ns); got != c.want {
+			t.Errorf("a single %dns sample lands under bound %v, want %v (bucket upper bound)", c.ns, got, c.want)
 		}
 	}
 	// 2ns and 3ns land in the same bucket and must report the same bound; 4ns must not.
-	m2, m3, m4 := &Metrics{}, &Metrics{}, &Metrics{}
-	m2.RecordOp(core.KeyFIB, 2)
-	m3.RecordOp(core.KeyFIB, 3)
-	m4.RecordOp(core.KeyFIB, 4)
-	b2, b3, b4 := m2.Percentile(core.KeyFIB, 1), m3.Percentile(core.KeyFIB, 1), m4.Percentile(core.KeyFIB, 1)
+	b2, b3, b4 := bound(2), bound(3), bound(4)
 	if b2 != b3 {
 		t.Errorf("2ns and 3ns report different bounds: %v vs %v", b2, b3)
 	}
 	if b4 == b2 {
 		t.Errorf("4ns reports the same bound as 2ns (%v): bucket edge misplaced", b4)
-	}
-}
-
-// TestPercentileArgumentContract pins the p-domain contract: NaN and p ≤ 0
-// return 0 (previously they silently meant "first non-empty bucket"), and
-// p > 1 clamps to 1 rather than falling off the histogram.
-func TestPercentileArgumentContract(t *testing.T) {
-	m := &Metrics{}
-	m.RecordOp(core.KeyFIB, 100*time.Nanosecond)
-	m.RecordOp(core.KeyFIB, 100*time.Microsecond)
-	for _, p := range []float64{0, -0.5, math.NaN(), math.Inf(-1)} {
-		if got := m.Percentile(core.KeyFIB, p); got != 0 {
-			t.Errorf("Percentile(p=%v) = %v, want 0", p, got)
-		}
-	}
-	max := m.Percentile(core.KeyFIB, 1)
-	if max < 100*time.Microsecond {
-		t.Errorf("Percentile(1) = %v, want ≥ the max sample", max)
-	}
-	for _, p := range []float64{1.5, 100, math.Inf(1)} {
-		if got := m.Percentile(core.KeyFIB, p); got != max {
-			t.Errorf("Percentile(p=%v) = %v, want clamp to Percentile(1) = %v", p, got, max)
-		}
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"dip/internal/core"
-	"dip/internal/cs"
 	"dip/internal/fib"
 	"dip/internal/host"
 	"dip/internal/inband"
@@ -616,17 +615,6 @@ func (t *Topology) EnableJourneys(every int) *journey.Collector {
 		l.pipe.SetObserver(journey.NewLinkTap(l.label, t.journeys))
 	}
 	return t.journeys
-}
-
-// TierStats returns the named router's two-tier content-store snapshot,
-// or ok=false when it has no cold tier (no cscold= option) or the scenario
-// has not started.
-func (t *Topology) TierStats(router string) (cs.TierStats, bool) {
-	rn, ok := t.routers[router]
-	if !ok || rn.node == nil || rn.spec.CSCold == 0 {
-		return cs.TierStats{}, false
-	}
-	return rn.node.State.ContentStore.Stats(), true
 }
 
 // Close releases per-router resources (cold-tier arena files). Safe to

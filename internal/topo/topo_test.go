@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dip/internal/cs"
 	"dip/internal/journey"
 	"dip/internal/node"
 )
@@ -371,4 +372,15 @@ send H1 ipv4 1.1.1.1 10.0.0.9 "late" at 20ms
 	if final := series[len(series)-1].Routers["R1"]; final.Received != 2 {
 		t.Errorf("router received %d total, want 2 (one eaten)", final.Received)
 	}
+}
+
+// TierStats returns the named router's two-tier content-store snapshot,
+// or ok=false when it has no cold tier (no cscold= option) or the scenario
+// has not started.
+func (t *Topology) TierStats(router string) (cs.TierStats, bool) {
+	rn, ok := t.routers[router]
+	if !ok || rn.node == nil || rn.spec.CSCold == 0 {
+		return cs.TierStats{}, false
+	}
+	return rn.node.State.ContentStore.Stats(), true
 }

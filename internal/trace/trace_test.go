@@ -409,7 +409,7 @@ func TestParallelWaveStepOrder(t *testing.T) {
 		},
 		Locations: make([]byte, 1),
 	}
-	pkt, err := h.MarshalBinary()
+	pkt, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestStepTruncation(t *testing.T) {
 	for i := 0; i < extra; i++ {
 		h.FNs = append(h.FNs, core.RouterFN(0, 8, core.KeyPIT))
 	}
-	pkt, err := h.MarshalBinary()
+	pkt, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		cp[i] ^= v
 		return cp
 	}
-	probe, err := buildProbe(probeRequest, 1, [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 64)
-	if err != nil {
+	other := make([]byte, ip.HeaderLen4+4) // a valid IPv4 packet of protocol 0xFE
+	if err := ip.Build4(other, [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 0xFE, 64, 4); err != nil {
 		tb.Fatal(err)
 	}
 	return [][]byte{
@@ -33,14 +33,13 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		mutate(9, 0xFF),          // protocol no longer DIP
 		mutate(10, 0x5A),         // checksum broken
 		mutate(ip.HeaderLen4, 1), // payload corruption (header still valid)
-		probe,
+		other,
 	}
 }
 
 // FuzzDecap: arbitrary (and systematically corrupted) outer packets must
 // produce an error or a bounded inner packet — never a panic — and the
-// endpoint receive path (which additionally parses probe control packets)
-// must uphold the same invariant.
+// endpoint receive path must uphold the same invariant.
 func FuzzDecap(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -59,7 +58,7 @@ func FuzzDecap(f *testing.F) {
 		ep := &Endpoint{
 			Local:   [4]byte{10, 0, 0, 1},
 			Remote:  [4]byte{10, 0, 0, 2},
-			Carrier: CarrierFunc(func([]byte) {}),
+			Carrier: &captureCarrier{},
 			Deliver: func(p []byte) { _ = len(p) },
 		}
 		_ = ep.Receive(outer) // must not panic regardless of outcome

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"dip/internal/ip"
-	"dip/internal/telemetry"
 )
 
 // ErrNotTunnel reports a packet that is not DIP-in-IPv4.
@@ -47,12 +46,6 @@ type Carrier interface {
 	Send(pkt []byte)
 }
 
-// CarrierFunc adapts a function to Carrier.
-type CarrierFunc func(pkt []byte)
-
-// Send implements Carrier.
-func (f CarrierFunc) Send(pkt []byte) { f(pkt) }
-
 // Event classifies one observable action of a tunnel endpoint.
 type Event uint8
 
@@ -62,50 +55,30 @@ const (
 	EventEncap Event = iota
 	// EventDecap: an inbound carrier packet was unwrapped and delivered.
 	EventDecap
-	// EventProbeMiss: a liveness probe went unanswered.
-	EventProbeMiss
-	// EventFailover: the endpoint swapped Remote and Backup.
-	EventFailover
 )
 
 // Observer receives tunnel events as they happen. dipPkt is the inner DIP
-// packet for encap/decap and nil for probe-miss/failover (those concern the
-// tunnel, not one packet); it is valid only during the call. Observers run
-// synchronously and must not block.
+// packet; it is valid only during the call. Observers run synchronously and
+// must not block.
 type Observer func(ev Event, dipPkt []byte)
 
 // Endpoint is one end of a tunnel: a router.Port that encapsulates
 // outbound DIP packets onto the carrier, plus a receive hook that
-// decapsulates inbound carrier packets into the local router. With a
-// Backup remote and StartProbing armed (probe.go), the endpoint detects a
-// dead peer and fails over.
+// decapsulates inbound carrier packets into the local router.
 type Endpoint struct {
 	// Local and Remote are the tunnel's outer IPv4 addresses.
 	Local, Remote [4]byte
-	// Backup, when non-zero, is the failover remote StartProbing switches
-	// to after consecutive probe misses.
-	Backup [4]byte
 	// TTL is the outer header's hop budget across the legacy domain.
 	TTL uint8
 	// Carrier transports outer packets (the legacy domain).
 	Carrier Carrier
 	// Deliver receives decapsulated DIP packets (wire into the router's
-	// HandlePacket with the tunnel's port index). Probe traffic never
-	// reaches it.
+	// HandlePacket with the tunnel's port index).
 	Deliver func(dipPkt []byte)
-	// Metrics, when set, receives EventProbeMiss / EventFailover.
-	Metrics *telemetry.Metrics
 	// Observer, when set, receives every tunnel event (journey tracing).
 	Observer Observer
 	// Sent and Received count tunneled data packets.
 	Sent, Received int64
-	// ProbesSent, ProbesAcked, ProbeMisses and Failovers count the
-	// liveness machinery's activity.
-	ProbesSent, ProbesAcked, ProbeMisses, Failovers int64
-
-	probeSeq      uint32
-	awaitingReply bool
-	misses        int
 }
 
 // Send implements router.Port: encapsulate and hand to the carrier.
@@ -121,27 +94,26 @@ func (e *Endpoint) Send(dipPkt []byte) {
 	e.Carrier.Send(outer)
 }
 
-// Receive accepts an outer packet from the legacy domain: probe control
-// packets feed the liveness machinery, tunneled DIP packets are
-// decapsulated and delivered, anything else is reported.
+// Receive accepts an outer packet from the legacy domain: tunneled DIP
+// packets are decapsulated and delivered, anything else is reported.
 func (e *Endpoint) Receive(outer []byte) error {
-	h, err := ip.Parse4(outer)
+	inner, err := Decap(outer)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNotTunnel, err)
+		return err
 	}
-	switch h.Proto() {
-	case ip.ProtoDIPProbe:
-		return e.handleProbe(h)
-	case ip.ProtoDIP:
-		e.Received++
-		if e.Observer != nil {
-			e.Observer(EventDecap, h.Payload())
-		}
-		if e.Deliver != nil {
-			e.Deliver(h.Payload())
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: protocol %d", ErrNotTunnel, h.Proto())
+	e.Received++
+	if e.Observer != nil {
+		e.Observer(EventDecap, inner)
 	}
+	if e.Deliver != nil {
+		e.Deliver(inner)
+	}
+	return nil
+}
+
+func (e *Endpoint) ttl() uint8 {
+	if e.TTL == 0 {
+		return 64
+	}
+	return e.TTL
 }

@@ -75,8 +75,8 @@ func TestEndpointSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(h.Dst(), []byte{10, 0, 0, 2}) || h.TTL() != 64 {
-		t.Errorf("outer dst %v ttl %d", h.Dst(), h.TTL())
+	if !bytes.Equal(h.Dst(), []byte{10, 0, 0, 2}) || carrier.pkts[0][8] != 64 {
+		t.Errorf("outer dst %v ttl %d", h.Dst(), carrier.pkts[0][8])
 	}
 
 	// The peer receives what this side carried.
@@ -93,5 +93,13 @@ func TestEndpointSendReceive(t *testing.T) {
 	}
 	if delivered != nil {
 		t.Error("junk delivered")
+	}
+	// So is a well-formed IPv4 packet of any protocol but DIP's.
+	other := make([]byte, ip.HeaderLen4+4)
+	if err := ip.Build4(other, [4]byte{10, 0, 0, 2}, [4]byte{10, 0, 0, 1}, 0xFE, 64, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Receive(other); !errors.Is(err, ErrNotTunnel) || delivered != nil {
+		t.Errorf("protocol 0xFE: err=%v delivered=%v, want ErrNotTunnel and nothing", err, delivered != nil)
 	}
 }

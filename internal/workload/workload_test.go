@@ -96,7 +96,7 @@ func TestTraceForwardsThroughEngine(t *testing.T) {
 		FIB32:   fib.New(),
 		FIB128:  fib.New(),
 		NameFIB: fib.New(),
-		PIT:     pit.New[uint32](pit.WithCapacity[uint32](1 << 20)),
+		PIT:     pit.New[uint32](),
 		Secret:  sv,
 		MACKind: opt.Kind2EM,
 	}

@@ -13,7 +13,6 @@
 package xia
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -294,41 +293,6 @@ type Decision struct {
 	NewLast int
 }
 
-// Traverse runs XIA's per-hop fallback algorithm: starting from the node
-// after lastVisited, try that node's out-edges in priority order. A local
-// node advances traversal within this hop; a routable node forwards; the
-// intent being local terminates with DecisionIntent.
-func Traverse(d *DAG, lastVisited int, r Resolver) Decision {
-	cur := lastVisited
-	for iter := 0; iter <= len(d.Nodes); iter++ {
-		var edges []int
-		if cur == SourceIndex {
-			edges = d.SrcEdges
-		} else {
-			edges = d.Nodes[cur].Edges
-		}
-		advanced := false
-		for _, e := range edges {
-			x := d.Nodes[e].XID
-			if r.IsLocal(x) {
-				if e == d.IntentIndex() {
-					return Decision{Kind: DecisionIntent, NewLast: e}
-				}
-				cur = e
-				advanced = true
-				break
-			}
-			if port, ok := r.Lookup(x); ok {
-				return Decision{Kind: DecisionForward, Port: port, NewLast: e}
-			}
-		}
-		if !advanced {
-			return Decision{Kind: DecisionDead, NewLast: cur}
-		}
-	}
-	return Decision{Kind: DecisionDead, NewLast: cur}
-}
-
 // RouteTable is a thread-safe Resolver backed by per-type exact-match
 // tables, the way XIA routers keep separate AD/HID/SID/CID tables.
 type RouteTable struct {
@@ -347,13 +311,6 @@ func (t *RouteTable) AddRoute(x XID, port int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.routes[x] = port
-}
-
-// RemoveRoute withdraws the route toward x.
-func (t *RouteTable) RemoveRoute(x XID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.routes, x)
 }
 
 // AddLocal declares x local to this node.
@@ -376,28 +333,4 @@ func (t *RouteTable) IsLocal(x XID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.local[x]
-}
-
-// Equal reports structural equality of two DAGs (for tests).
-func (d *DAG) Equal(o *DAG) bool {
-	if len(d.Nodes) != len(o.Nodes) || len(d.SrcEdges) != len(o.SrcEdges) {
-		return false
-	}
-	for i := range d.SrcEdges {
-		if d.SrcEdges[i] != o.SrcEdges[i] {
-			return false
-		}
-	}
-	for i := range d.Nodes {
-		a, b := d.Nodes[i], o.Nodes[i]
-		if a.XID.Type != b.XID.Type || !bytes.Equal(a.XID.ID[:], b.XID.ID[:]) || len(a.Edges) != len(b.Edges) {
-			return false
-		}
-		for j := range a.Edges {
-			if a.Edges[j] != b.Edges[j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package xia
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -237,4 +238,70 @@ func TestIntentAccessors(t *testing.T) {
 	if d.IntentIndex() != 2 || d.Intent().Type != TypeCID {
 		t.Errorf("intent %d %v", d.IntentIndex(), d.Intent())
 	}
+}
+
+// RemoveRoute withdraws the route toward x.
+func (t *RouteTable) RemoveRoute(x XID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.routes, x)
+}
+
+// Equal reports structural equality of two DAGs (for tests).
+func (d *DAG) Equal(o *DAG) bool {
+	if len(d.Nodes) != len(o.Nodes) || len(d.SrcEdges) != len(o.SrcEdges) {
+		return false
+	}
+	for i := range d.SrcEdges {
+		if d.SrcEdges[i] != o.SrcEdges[i] {
+			return false
+		}
+	}
+	for i := range d.Nodes {
+		a, b := d.Nodes[i], o.Nodes[i]
+		if a.XID.Type != b.XID.Type || !bytes.Equal(a.XID.ID[:], b.XID.ID[:]) || len(a.Edges) != len(b.Edges) {
+			return false
+		}
+		for j := range a.Edges {
+			if a.Edges[j] != b.Edges[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Traverse runs XIA's per-hop fallback algorithm: starting from the node
+// after lastVisited, try that node's out-edges in priority order. A local
+// node advances traversal within this hop; a routable node forwards; the
+// intent being local terminates with DecisionIntent.
+func Traverse(d *DAG, lastVisited int, r Resolver) Decision {
+	cur := lastVisited
+	for iter := 0; iter <= len(d.Nodes); iter++ {
+		var edges []int
+		if cur == SourceIndex {
+			edges = d.SrcEdges
+		} else {
+			edges = d.Nodes[cur].Edges
+		}
+		advanced := false
+		for _, e := range edges {
+			x := d.Nodes[e].XID
+			if r.IsLocal(x) {
+				if e == d.IntentIndex() {
+					return Decision{Kind: DecisionIntent, NewLast: e}
+				}
+				cur = e
+				advanced = true
+				break
+			}
+			if port, ok := r.Lookup(x); ok {
+				return Decision{Kind: DecisionForward, Port: port, NewLast: e}
+			}
+		}
+		if !advanced {
+			return Decision{Kind: DecisionDead, NewLast: cur}
+		}
+	}
+	return Decision{Kind: DecisionDead, NewLast: cur}
 }

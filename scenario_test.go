@@ -148,96 +148,3 @@ func TestMultiASHeterogeneousPathSelection(t *testing.T) {
 		t.Errorf("payload %q", delivered.Payload)
 	}
 }
-
-// XIA+OPT: the second derived protocol — DAG routing with per-hop path
-// authentication — across two routers, with the destination verifying the
-// chain and detecting a bypassed router.
-func TestXIAOPTSecureDAGRouting(t *testing.T) {
-	sim := netsim.New()
-	ad := XID{Type: 0x10}
-	copy(ad.ID[:], "ad")
-	sid := XID{Type: 0x12}
-	copy(sid.ID[:], "svc")
-	dag := &DAG{
-		SrcEdges: []int{1, 0},
-		Nodes: []DAGNode{
-			{XID: ad, Edges: []int{1}},
-			{XID: sid},
-		},
-	}
-
-	sv1, _ := NewSecret("x1", bytes.Repeat([]byte{0x31}, 16))
-	sv2, _ := NewSecret("x2", bytes.Repeat([]byte{0x32}, 16))
-	dstSecret, _ := NewSecret("svc-host", bytes.Repeat([]byte{0x33}, 16))
-	sess, err := NewSession(MAC2EM, []HopConfig{
-		{Secret: sv1, HopIndex: 0},
-		{Secret: sv2, HopIndex: 1},
-	}, dstSecret)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mk := func(sv *SecretValue, hopIndex uint8, cfg func(*NodeState)) *Router {
-		st := NewNodeState()
-		st.EnableOPT(sv, MAC2EM, [16]byte{}, hopIndex)
-		cfg(st)
-		return NewRouter(st.OpsConfig(), RouterOptions{})
-	}
-	// R1 routes toward the AD; R2 is inside the AD and hosts the service.
-	r1 := mk(sv1, 0, func(st *NodeState) { st.XIARoutes.AddRoute(ad, 0) })
-	var deliveredPkt []byte
-	r2 := mk(sv2, 1, func(st *NodeState) {
-		st.XIARoutes.AddLocal(ad)
-		st.XIARoutes.AddLocal(sid)
-	})
-
-	serviceHost := NewHost()
-	serviceHost.Sessions.Add(sess)
-	var rx *Rx
-	r2dc := RouterOptions{LocalDelivery: func(pkt []byte, _ int) {
-		deliveredPkt = append([]byte(nil), pkt...)
-		got := serviceHost.HandlePacket(pkt)
-		rx = &got
-	}}
-	// Rebuild r2 with the delivery hook (options are set at construction).
-	st2 := NewNodeState()
-	st2.EnableOPT(sv2, MAC2EM, [16]byte{}, 1)
-	st2.XIARoutes.AddLocal(ad)
-	st2.XIARoutes.AddLocal(sid)
-	r2 = NewRouter(st2.OpsConfig(), r2dc)
-
-	r1.AttachPort(sim.Pipe(netsim.ReceiverFunc(r2.HandlePacket), 0, 1e6, 0))
-
-	payload := []byte("authenticated service call")
-	h, err := XIAOPTProfile(dag, sess, payload, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt, err := BuildPacket(h, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Schedule(0, func() { r1.HandlePacket(pkt, 0) })
-	sim.Run()
-
-	if rx == nil {
-		t.Fatal("service host received nothing")
-	}
-	if rx.Kind != RxDelivered || !bytes.Equal(rx.Payload, payload) {
-		t.Fatalf("rx %v/%v payload %q", rx.Kind, rx.Reason, rx.Payload)
-	}
-	_ = deliveredPkt
-
-	// Bypass R1 (send straight to R2): the destination must reject the
-	// packet because hop 0's tag chain is missing.
-	rx = nil
-	h2, _ := XIAOPTProfile(dag, sess, payload, 5)
-	pkt2, _ := BuildPacket(h2, payload)
-	r2.HandlePacket(pkt2, 0)
-	if rx == nil {
-		t.Fatal("bypass run: nothing delivered to host stack")
-	}
-	if rx.Kind != RxRejected {
-		t.Fatalf("bypassed-hop packet accepted: %v", rx.Kind)
-	}
-}
