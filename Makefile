@@ -39,7 +39,10 @@ vet:
 # its sealed records to the journey sink, so the separate journey tap, its
 # Spec fields and the recorder's clock setter stay deleted, internal/router
 # stays independent of internal/journey, and the hooks and single-value
-# knobs nothing set stay deleted or constant.
+# knobs nothing set stay deleted or constant. And observation at burst cost:
+# every count comes from the forwarder's tally, folded once per burst, so
+# the sampling decision charges no seen-counter per packet and
+# Metrics.EndPacket adds no per-step count.
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -83,6 +86,12 @@ seamcheck:
 	fi
 	@if grep -rnE 'OnQuarantin[e]|FreezeTrac[e]|JourneyStats fun[c]|DisableSignallin[g]|DispatchShard[s]' --include=*.go .; then \
 		echo "seamcheck: an unwired hook or a one-value knob is back (DESIGN.md §10, §11)"; exit 1; \
+	fi
+	@if sed -n '/^func (c \*ExecContext) SampleEvery/,/^}/p' internal/core/context.go | grep -n 'Add('; then \
+		echo "seamcheck: the sampling decision charges a seen-counter again (charge it in Fold from Tally.Packets: DESIGN.md §9)"; exit 1; \
+	fi
+	@if sed -n '/^func (m \*Metrics) EndPacket/,/^}/p' internal/telemetry/telemetry.go | grep -nE 'count\.Add|Add\(1\)'; then \
+		echo "seamcheck: Metrics.EndPacket counts steps one atomic add at a time again (counts fold from the tally: DESIGN.md §9)"; exit 1; \
 	fi
 	@if $(GO) list -deps ./internal/router | grep -x 'dip/internal/journe[y]'; then \
 		echo "seamcheck: internal/router depends on internal/journey (the sampler hands records to a sink)"; exit 1; \
@@ -238,13 +247,13 @@ intsmoke:
 		|| { echo "F_tel never executed on the live router"; cat $$tmp/scrape; exit 1; }; \
 	echo "intsmoke: dip_int_* families live, F_tel stamping on the wire path"
 
-# The four standing system claims (EXPERIMENTS.md E18, E20, E21, E22) as
-# within-run testing.B pairs: one benchmark run, five rounds, and
+# The five standing system claims (EXPERIMENTS.md E17, E18, E20, E21, E22)
+# as within-run testing.B pairs: one benchmark run, five rounds, and
 # scripts/benchguard.awk checks the median of each pair against its named
 # constant. Nothing is compared with a committed file or an earlier run.
 benchguard:
 	@set -e; out=$$(mktemp); trap 'rm -f $$out' EXIT; \
-	$(GO) test -run '^$$' -bench '^Benchmark(BurstBatch|TelStamp|TieredHotHit|ChurnJitter)$$' \
+	$(GO) test -run '^$$' -bench '^Benchmark(BurstBatch|TelStamp|ObservedBurst|TieredHotHit|ChurnJitter)$$' \
 		-count 5 . ./internal/cs/ ./internal/churn/ >$$out 2>&1 || { cat $$out; exit 1; }; \
 	cat $$out; awk -f scripts/benchguard.awk $$out
 

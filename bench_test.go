@@ -693,9 +693,10 @@ func BenchmarkTelStamp(b *testing.B) {
 // diprouter installs (metrics), and with the one sampler -trace-every 1024
 // adds over it — a trace recorder that also emits journey spans (full).
 // Counts are exact and latencies sampled (DESIGN.md §9), so what
-// metrics/off and full/off show is the bracket calls and the shared
-// counters; this packet-at-a-time path also charges the sampler's
-// seen-counter per packet, which a ServeGuarded burst pays once.
+// metrics/off and full/off show is the shared counters and the bracket on
+// the packets the stack can sample; this packet-at-a-time path folds each
+// packet's tally into the shared counters as it completes, which a
+// ServeGuarded burst does once for the whole burst (BenchmarkObservedBurst).
 func BenchmarkObserved(b *testing.B) {
 	secret := benchSecret(b)
 	tr := benchMix(b, secret)
@@ -721,6 +722,72 @@ func BenchmarkObserved(b *testing.B) {
 			}
 		})
 	}
+}
+
+// E17's cost as a within-run pair on the burst path: the five-protocol mix
+// in 64-packet bursts through ServeGuarded in pump mode (SubmitBurst, then
+// Pump on the caller: the forwarder's burst loop with no goroutine hand-off
+// to add noise), once through a router with no recorder (off) and once
+// through one observed as bench/ builds inproc-mix-obs — Metrics, a trace
+// recorder at 1-in-1024 and a journey tap at 1-in-1024 over it (full). The
+// two sides alternate in blocks of telBlock packets, as BenchmarkTelStamp's
+// do, so both see the machine at the same moment; an op is one packet of
+// each, and full/off is what make benchguard gates.
+func BenchmarkObservedBurst(b *testing.B) {
+	secret := benchSecret(b)
+	type side struct {
+		in    *Ingress
+		tr    *workload.Trace
+		burst [][]byte
+		next  int
+		ns    time.Duration
+	}
+	var sides [2]side
+	for i, full := range []bool{false, true} {
+		s := &sides[i]
+		s.tr, s.burst = benchMix(b, secret), make([][]byte, 64)
+		opts := RouterOptions{}
+		if full {
+			opts.Metrics = &Metrics{}
+			opts.Trace = NewTraceRecorder(opts.Metrics, 1024, 0)
+		}
+		r := NewRouter(mixState(secret, 512).OpsConfig(), opts)
+		if full {
+			r.SetRecorder(NewRouterJourneyTap("bench", NewJourneyEmitter(0), opts.Trace, 1024, nil))
+		}
+		for p := 0; p < 4; p++ {
+			r.AttachPort(PortFunc(func([]byte) {}))
+		}
+		s.in = r.ServeGuarded(ServeConfig{Workers: 0, Batch: 64})
+		defer s.in.Close()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += telBlock {
+		for i := range sides {
+			s := &sides[i]
+			start := time.Now()
+			for left := min(telBlock, b.N-done); left > 0; left -= len(s.burst) {
+				burst := s.burst[:min(len(s.burst), left)]
+				for j := range burst {
+					p := &s.tr.Packets[s.next%len(s.tr.Packets)]
+					s.next++
+					p.Rearm()
+					burst[j] = p.Buf
+				}
+				if n := s.in.SubmitBurst(burst, 0); n != len(burst) {
+					b.Fatalf("accepted %d/%d", n, len(burst))
+				}
+				s.in.Pump()
+			}
+			s.ns += time.Since(start)
+		}
+	}
+	off := float64(sides[0].ns) / float64(b.N)
+	full := float64(sides[1].ns) / float64(b.N)
+	b.ReportMetric(off, "off-ns/pkt")
+	b.ReportMetric(full, "full-ns/pkt")
+	b.ReportMetric(full/off, "full/off")
 }
 
 // E9: OPT path-length scaling. Per-hop router work should be ~constant

@@ -161,10 +161,11 @@ type (
 	// MetricsSnapshot is a point-in-time copy of a node's counters.
 	MetricsSnapshot = telemetry.Snapshot
 	// Recorder is the engine's one observer interface: a BeginPacket/
-	// EndPacket bracket around each packet, whose executed FNs the engine
-	// has written into the context's observation record by EndPacket.
-	// Metrics and TraceRecorder satisfy it; a TraceRecorder wraps an inner
-	// Recorder.
+	// EndPacket bracket around each packet its Period can sample, whose
+	// executed FNs the engine has written into the context's observation
+	// record by EndPacket, and a Fold of the counts every packet adds to its
+	// context's tally. Metrics and TraceRecorder satisfy it; a TraceRecorder
+	// wraps an inner Recorder.
 	Recorder = core.Recorder
 	// TraceRecorder samples per-packet FN journeys into a lock-free ring
 	// (and, built by NewRouterJourneyTap, emits each as a journey span).

@@ -20,7 +20,11 @@ const (
 	VerdictForward          // send out Egress port(s)
 	VerdictDeliver          // hand to the local host stack
 	VerdictDrop
+	numVerdicts
 )
+
+// NumVerdicts is the count of distinct verdicts, for counter arrays.
+const NumVerdicts = int(numVerdicts)
 
 // String names the verdict.
 func (v Verdict) String() string {
@@ -136,6 +140,9 @@ type Observation struct {
 	// readings. An untimed packet's steps carry keys only — counts are exact,
 	// latencies sampled — and its ExecContext.MonoNow stays zero.
 	Timed bool
+	// open says the engine bracketed this packet (its ordinal is a multiple
+	// of the recorder stack's period), so Steps are being filled.
+	open bool
 
 	nclaims int
 	claims  [maxClaims]claim
@@ -232,12 +239,12 @@ type ExecContext struct {
 	// Ordinal counts the packets this context has carried into a recording
 	// engine, the current one included. It is private to the context's
 	// owner, so 1-in-N sampling on it (SampleEvery) is exact per forwarder and
-	// costs no shared state. burstFirst and burstLen are the burst stamp:
-	// the ordinal the burst's first observed packet carries and the burst's
-	// length, so that packet alone charges observers' shared seen-counters.
-	Ordinal    uint64
-	burstFirst uint64
-	burstLen   uint64
+	// costs no shared state. stamped is the burst stamp: the owner of a
+	// context that carries one folds its Tally itself (a forwarder at the
+	// end of every burst, HandlePacket after every packet), so Process
+	// leaves the fold to it.
+	Ordinal uint64
+	stamped bool
 
 	// MonoNow is the engine's monotonic reading (relative to MonoBase)
 	// taken just before dispatching the current operation — the same read
@@ -252,20 +259,85 @@ type ExecContext struct {
 	// Reset) once: Algorithm 1 dispatches from them, never from the bytes.
 	fns [MaxFNs]FN
 
-	// Obs is the packet's observation record. It sits last so the step
-	// array stays out of the cache lines the recorder-less path touches.
+	// Obs is the packet's observation record. It sits after everything the
+	// recorder-less path touches, so the step array stays off its cache
+	// lines.
 	Obs Observation
+
+	// Tally counts what the context's packets did since its last fold. It
+	// sits after Obs for the same reason: without a recorder nothing writes
+	// it.
+	Tally Tally
+}
+
+// Tally is a forwarder's single-writer count of the packets its context
+// carried since the last Engine.Fold: packets that entered the engine,
+// executions per op key, drops per reason, and verdicts. The engine counts
+// the first three when a recorder is installed; the router counts verdicts
+// and the drops it decides before the engine. Every count is a plain add on
+// a context its owner alone writes; Fold turns them into one atomic add per
+// non-zero counter, once per burst.
+type Tally struct {
+	Packets  uint64
+	Verdicts [NumVerdicts]uint64
+	Drops    [NumDropReasons]uint64
+	Ops      [MaxKey + 1]uint64
+	nkeys    int
+	keys     [MaxKey + 1]Key // the keys whose Ops are non-zero
+}
+
+// CountVerdict tallies one packet's final fate.
+func (t *Tally) CountVerdict(v Verdict) { t.Verdicts[v]++ }
+
+// CountDrop tallies a packet dropped before the engine ran: its reason
+// and its drop verdict.
+func (t *Tally) CountDrop(r DropReason) {
+	t.Drops[r]++
+	t.Verdicts[VerdictDrop]++
+}
+
+// OpKeys returns the keys whose Ops counts are non-zero, in the order each
+// was first counted since the last fold.
+func (t *Tally) OpKeys() []Key { return t.keys[:t.nkeys] }
+
+// CountOp tallies one execution of operation k (k ≤ MaxKey: the registry
+// dispatches nothing above it).
+func (t *Tally) CountOp(k Key) { t.addOp(k, 1) }
+
+func (t *Tally) addOp(k Key, n uint64) {
+	if t.Ops[k] == 0 {
+		t.keys[t.nkeys] = k
+		t.nkeys++
+	}
+	t.Ops[k] += n
+}
+
+// add moves o's op counts into t (a parallel wave's copy tallies only the
+// FNs it executed).
+func (t *Tally) add(o *Tally) {
+	for _, k := range o.OpKeys() {
+		t.addOp(k, o.Ops[k])
+	}
+}
+
+// reset zeroes the tally, touching only the op counters in use.
+func (t *Tally) reset() {
+	for _, k := range t.OpKeys() {
+		t.Ops[k] = 0
+	}
+	t.nkeys = 0
+	t.Packets, t.Verdicts, t.Drops = 0, [NumVerdicts]uint64{}, [NumDropReasons]uint64{}
 }
 
 // BeginBurst stamps the serving layer's per-burst state on a context its
 // forwarder owns: the admission snapshot F_tel reads (the dataplane clock at
-// pick-up and the n packets queued at that moment) and the burst stamp
-// SampleEvery charges seen-counters from.
+// pick-up and the n packets queued at that moment) and the burst stamp that
+// leaves folding the context's Tally to the forwarder (Engine.Fold) at the
+// burst's end.
 func (c *ExecContext) BeginBurst(n int, admittedAt int64) {
 	c.AdmittedAt = admittedAt
 	c.QueueDepth = int32(n)
-	c.burstFirst = c.Ordinal + 1
-	c.burstLen = uint64(n)
+	c.stamped = true
 }
 
 // Every is a 1-in-N sampling divisor an observer prepares once (NewEvery),
@@ -303,17 +375,9 @@ func (e Every) Divides(x uint64) bool {
 // SampleEvery is every observer's 1-in-every decision for the packet in flight,
 // taken in BeginPacket: true on the every-th, 2·every-th, … packet this
 // context carries (unless maxClaims observers already claimed it: a yes
-// promises room for one Claim). It also keeps seen — the observer's count
-// of packets that passed the decision — current: one add per packet
-// outside a burst, one add of the whole burst's length on the burst's
-// first observed packet.
-func (c *ExecContext) SampleEvery(every Every, seen *atomic.Uint64) bool {
-	switch {
-	case c.burstLen == 0:
-		seen.Add(1)
-	case c.Ordinal == c.burstFirst:
-		seen.Add(c.burstLen)
-	}
+// promises room for one Claim). The second argument is unused: an
+// observer's seen-counter is charged in Fold, from Tally.Packets.
+func (c *ExecContext) SampleEvery(every Every, _ *atomic.Uint64) bool {
 	return every.Divides(c.Ordinal) && c.Obs.nclaims < maxClaims
 }
 

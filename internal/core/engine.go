@@ -31,22 +31,35 @@ var monoBase = time.Now()
 func MonoBase() time.Time { return monoBase }
 
 // Recorder is the engine's one observation seam: a per-packet bracket
-// around Algorithm 1. With a recorder installed the engine calls
-// BeginPacket once before any FN of a packet executes, appends every
-// executed FN to ctx.Obs inline — no call per op — and calls EndPacket
-// exactly once after the verdict is final, when ctx.Obs, ctx.Verdict,
-// ctx.Reason and the egress set describe the whole packet. Counters fold
-// the record in EndPacket; samplers decide (ctx.SampleEvery) and capture what
-// only the unmutated packet can tell in BeginPacket, Claim it, and Release
-// it in EndPacket beside the steps. A packet that leaves BeginPacket claimed
-// or marked Observation.Timed is timed: only its FNs pay the clock pair.
-// Recorders compose by wrapping: an outer recorder forwards both calls to
-// its inner one. Both hooks must be safe for concurrent use and must not
-// allocate — the observed path is held to the zero-alloc forwarding
-// baseline. A nil Recorder disables recording with no timing overhead.
+// around Algorithm 1 on the packets the stack can sample, and a fold of the
+// counts every packet contributes. Period is the stack's sampling period,
+// fixed when the recorder is built: the gcd of every 1-in-N rate in the
+// chain. The engine brackets only packets whose ordinal Period divides —
+// calling BeginPacket once before any FN of such a packet executes,
+// appending every executed FN to ctx.Obs inline (no call per op), and
+// calling EndPacket exactly once after the verdict is final, when ctx.Obs,
+// ctx.Verdict, ctx.Reason and the egress set describe the whole packet.
+// Samplers decide (ctx.SampleEvery) and capture what only the unmutated
+// packet can tell in BeginPacket, Claim it, and Release it in EndPacket
+// beside the steps. A packet that leaves BeginPacket claimed or marked
+// Observation.Timed is timed: only its FNs pay the clock pair.
+//
+// Every packet, bracketed or not, is counted into its context's Tally with
+// plain adds — the packet, each executed FN, its drop reason, and (the
+// router's) its verdict — and Fold hands the tally over once per burst, or
+// after each packet that carries no burst stamp. Fold must add only the
+// non-zero counters, one atomic add each.
+//
+// Recorders compose by wrapping: an outer recorder forwards all three calls
+// to its inner one and reports the gcd of its own and its inner's Period.
+// The hooks must be safe for concurrent use and must not allocate — the
+// observed path is held to the zero-alloc forwarding baseline. A nil
+// Recorder disables recording with no timing overhead.
 type Recorder interface {
 	BeginPacket(ctx *ExecContext)
 	EndPacket(ctx *ExecContext)
+	Fold(t *Tally)
+	Period() uint64
 }
 
 // Engine executes Algorithm 1 of the paper: iterate the packet's FNs,
@@ -58,6 +71,7 @@ type Engine struct {
 	limits Limits
 	rec    Recorder
 	host   bool
+	period Every // rec's Period: the ordinals the engine brackets
 }
 
 // NewEngine builds a router-side engine over reg with the given limits: it
@@ -81,7 +95,23 @@ func NewHostEngine(reg *Registry, limits Limits) *Engine {
 }
 
 // SetRecorder installs the observer. Must be called before packets flow.
-func (e *Engine) SetRecorder(r Recorder) { e.rec = r }
+func (e *Engine) SetRecorder(r Recorder) {
+	e.rec = r
+	if r != nil {
+		e.period = NewEvery(r.Period())
+	}
+}
+
+// Fold hands ctx's tally to the recorder stack and clears it. The serving
+// layer calls it at the end of each burst; Process calls it itself after a
+// packet whose context carries no burst stamp. Without a recorder the tally
+// stays empty and Fold does nothing.
+func (e *Engine) Fold(ctx *ExecContext) {
+	if e.rec != nil {
+		e.rec.Fold(&ctx.Tally)
+		ctx.Tally.reset()
+	}
+}
 
 // Registry returns the engine's current dispatch table.
 func (e *Engine) Registry() *Registry { return e.reg.Load() }
@@ -108,9 +138,14 @@ func (e *Engine) Process(ctx *ExecContext) {
 	}
 	if e.rec != nil {
 		ctx.Ordinal++
-		e.rec.BeginPacket(ctx)
-		if ctx.Obs.Timed {
-			ctx.Obs.Begin = time.Since(monoBase)
+		ctx.Tally.Packets++
+		// Only an ordinal the stack's period divides can be sampled by any
+		// recorder in it; every other packet is just counted.
+		if ctx.Obs.open = e.period.Divides(ctx.Ordinal); ctx.Obs.open {
+			e.rec.BeginPacket(ctx)
+			if ctx.Obs.Timed {
+				ctx.Obs.Begin = time.Since(monoBase)
+			}
 		}
 	}
 	// Algorithm 1 runs from the triples Load decoded, not from the bytes.
@@ -163,11 +198,14 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 	}
 	err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len))
 	if e.rec != nil {
-		o.Steps[o.N] = Step{Key: fn.Key}
-		if timed {
-			o.Steps[o.N].Ns = int64(time.Since(monoBase) - ctx.MonoNow)
+		ctx.Tally.CountOp(fn.Key)
+		if o.open {
+			o.Steps[o.N] = Step{Key: fn.Key}
+			if timed {
+				o.Steps[o.N].Ns = int64(time.Since(monoBase) - ctx.MonoNow)
+			}
+			o.N++
 		}
-		o.N++
 	}
 	if err != nil {
 		ctx.Drop(DropOpError)
@@ -245,8 +283,8 @@ var wavePool = sync.Pool{New: func() any { return &waveCtxs{} }}
 
 // runWave executes the wave's FNs concurrently on context copies, then
 // merges verdicts (by precedence), egress sets, crypto state, state-budget
-// consumption and — in wave order, so the record is deterministic — each
-// copy's observed steps back into ctx.
+// consumption, each copy's tallied FN and — in wave order, so the record is
+// deterministic — its observed steps back into ctx.
 func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	wc := wavePool.Get().(*waveCtxs)
 	if cap(wc.copies) < len(wave) {
@@ -258,6 +296,9 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 	for i := range wave {
 		copies[i] = *ctx
 		copies[i].Obs.N = 0
+		if e.rec != nil {
+			copies[i].Tally.reset() // a copy tallies only its own FN
+		}
 		// Pass the copy pointer and FN by value so the goroutine closure
 		// does not capture wave, whose backing array is the caller's stack.
 		go func(c *ExecContext, fn FN) {
@@ -300,6 +341,9 @@ func (e *Engine) runWave(reg *Registry, ctx *ExecContext, wave []staged) {
 			consumed += ctx.stateBudget - c.stateBudget
 		}
 		ctx.Obs.N += copy(ctx.Obs.Steps[ctx.Obs.N:], c.Obs.Steps[:c.Obs.N])
+		if e.rec != nil {
+			ctx.Tally.add(&c.Tally)
+		}
 	}
 	if ctx.stateBudget >= 0 {
 		ctx.stateBudget -= consumed
@@ -324,10 +368,25 @@ func (e *Engine) routerFNCount(fns []FN) int {
 	return n
 }
 
-// finish closes the packet's observation bracket. Called exactly once per
-// Process invocation.
+// finish ends the packet's observation, when there is a recorder. Called
+// exactly once per Process invocation; small enough to inline, so the
+// recorder-less path pays no call.
 func (e *Engine) finish(ctx *ExecContext) {
 	if e.rec != nil {
+		e.observed(ctx)
+	}
+}
+
+// observed tallies a drop's reason, closes the packet's observation bracket
+// when it has one, and folds a context that carries no burst stamp.
+func (e *Engine) observed(ctx *ExecContext) {
+	if ctx.Verdict == VerdictDrop {
+		ctx.Tally.Drops[ctx.Reason]++
+	}
+	if ctx.Obs.open {
 		e.rec.EndPacket(ctx)
+	}
+	if !ctx.stamped {
+		e.Fold(ctx)
 	}
 }

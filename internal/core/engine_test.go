@@ -405,6 +405,8 @@ type countingRecorder struct {
 }
 
 func (r *countingRecorder) BeginPacket(*ExecContext) {}
+func (r *countingRecorder) Fold(*Tally)              {}
+func (r *countingRecorder) Period() uint64           { return 1 }
 func (r *countingRecorder) EndPacket(ctx *ExecContext) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -457,6 +459,8 @@ func (r *claimingRecorder) BeginPacket(ctx *ExecContext) {
 	}
 }
 func (r *claimingRecorder) EndPacket(ctx *ExecContext) { r.ends = append(r.ends, ctx.Obs) }
+func (r *claimingRecorder) Fold(t *Tally)              { r.seen.Add(t.Packets) }
+func (r *claimingRecorder) Period() uint64             { return 1 }
 
 // TestEngineTimesClaimedPacketsOnly pins the record's contract: every packet
 // lists its executed FNs, but only a packet an observer claimed is Timed —

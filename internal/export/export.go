@@ -216,7 +216,7 @@ func (s Source) WriteMetrics(w io.Writer) {
 		writeSample(w, "dip_cs_cold_read_ns_count", label, float64(ts.ColdReadCount))
 	}
 	if s.Trace != nil {
-		writeHeader(w, "dip_trace_seen_total", "counter", "Packets that passed the trace sampling decision.")
+		writeHeader(w, "dip_trace_seen_total", "counter", "Packets that passed the trace sampling decision, charged as each burst ends: lags by at most one burst per forwarder.")
 		writeSample(w, "dip_trace_seen_total", label, float64(s.Trace.Seen()))
 		writeHeader(w, "dip_trace_sampled_total", "counter", "Packets traced into the ring.")
 		writeSample(w, "dip_trace_sampled_total", label, float64(s.Trace.Sampled()))

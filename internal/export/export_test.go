@@ -26,19 +26,23 @@ func scrapeSource(t *testing.T) (Source, *telemetry.Metrics, *trace.Recorder) {
 	t.Helper()
 	m := &telemetry.Metrics{}
 	tr := trace.NewRecorder(m, 1, 8, nil, nil)
-	m.RecordOp(core.KeyFIB, 300*time.Nanosecond)
-	m.RecordOp(core.KeyFIB, 5*time.Microsecond)
-	m.RecordOp(core.KeyPIT, time.Microsecond)
-	// An untimed packet's two F_PIT executions: counted, not in the histogram.
-	var untimed core.ExecContext
-	untimed.Obs.N = 2
-	untimed.Obs.Steps[0].Key, untimed.Obs.Steps[1].Key = core.KeyPIT, core.KeyPIT
-	m.EndPacket(&untimed)
-	m.RecordDrop(core.DropNoRoute)
+	// What a forwarder hands Metrics: three timed executions at EndPacket,
+	// then one fold of the tally that counted them, an untimed packet's two
+	// F_PIT executions (counted, not in the histogram), and three verdicts.
+	var tally core.Tally
+	var ctx core.ExecContext
+	for _, s := range []core.Step{{Key: core.KeyFIB, Ns: 300}, {Key: core.KeyFIB, Ns: 5000}, {Key: core.KeyPIT, Ns: 1000}} {
+		ctx.Obs.N, ctx.Obs.Timed, ctx.Obs.Steps[0] = 1, true, s
+		m.EndPacket(&ctx)
+		tally.CountOp(s.Key)
+	}
+	tally.CountOp(core.KeyPIT)
+	tally.CountOp(core.KeyPIT)
+	tally.CountVerdict(core.VerdictForward)
+	tally.CountVerdict(core.VerdictDeliver)
+	tally.CountDrop(core.DropNoRoute)
+	m.Fold(&tally)
 	m.RecordEvent(telemetry.EventRetransmit)
-	m.CountVerdict(core.VerdictForward)
-	m.CountVerdict(core.VerdictDeliver)
-	m.CountVerdict(core.VerdictDrop)
 	return Source{Node: "r1", Metrics: m, Trace: tr}, m, tr
 }
 

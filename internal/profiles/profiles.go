@@ -115,10 +115,6 @@ func OPT(sess *opt.Session, payload []byte, timestamp uint32) (*core.Header, err
 // 32-bit content name occupies bits 0..32 of the locations and every OPT
 // offset shifts by +32 — the composability the derived protocol rests on.
 func NDNOPTData(sess *opt.Session, name uint32, payload []byte, timestamp uint32) (*core.Header, error) {
-	return ndnOPT(sess, name, payload, timestamp, core.KeyPIT)
-}
-
-func ndnOPT(sess *opt.Session, name uint32, payload []byte, timestamp uint32, ndnKey core.Key) (*core.Header, error) {
 	hops := sess.Hops()
 	if hops < 1 {
 		return nil, fmt.Errorf("profiles: NDN+OPT needs ≥ 1 hop, session has %d", hops)
@@ -133,7 +129,7 @@ func ndnOPT(sess *opt.Session, name uint32, payload []byte, timestamp uint32, nd
 	return &core.Header{
 		HopLimit: DefaultHopLimit,
 		FNs: []core.FN{
-			core.RouterFN(0, 32, ndnKey),
+			core.RouterFN(0, 32, core.KeyPIT),
 			core.RouterFN(shift*8+opt.SessionIDOff*8, 128, core.KeyParm),
 			core.RouterFN(shift*8, opt.MACInputSize*8, core.KeyMAC),
 			core.RouterFN(shift*8+opt.PVFOff*8, 128, core.KeyMark),

@@ -34,13 +34,15 @@ type Config struct {
 	Name string
 	// Limits are the per-packet security limits (§2.4).
 	Limits core.Limits
-	// Metrics, when set, receives per-op and per-verdict telemetry.
+	// Metrics, when set, receives per-op and per-verdict telemetry: the
+	// router tallies each packet's verdict (and the drops it decides before
+	// the engine) on the packet's context, and the engine's recorder stack
+	// folds the tally into Metrics.
 	Metrics *telemetry.Metrics
 	// Trace, when set, is installed as the engine's recorder instead of
 	// Metrics directly: it samples per-packet FN journeys into its ring and
-	// forwards the per-packet bracket to its inner recorder. Construct it
-	// with trace.NewRecorder(cfg.Metrics, …) so the counters keep flowing;
-	// Metrics stays the verdict-counting sink either way.
+	// forwards the bracket and the fold to its inner recorder. Construct it
+	// with trace.NewRecorder(cfg.Metrics, …) so the counters keep flowing.
 	Trace *trace.Recorder
 	// LocalDelivery receives packets whose verdict is Deliver (this node
 	// is the destination or the local producer). The buffer is only valid
@@ -73,7 +75,8 @@ func New(reg *core.Registry, cfg Config) *Router {
 // before ServeGuarded) — it installs a stack other than the one Config
 // built, such as a span-emitting trace recorder wrapping Config's (it
 // forwards to the wrapped recorder, so metrics and traces keep working
-// underneath).
+// underneath). Config.Metrics is counted through the stack, so it must be
+// in it.
 func (r *Router) SetRecorder(rec core.Recorder) { r.engine.SetRecorder(rec) }
 
 // Registry exposes the router's current operation catalog (bootstrap
@@ -112,27 +115,28 @@ func (r *Router) AttachPort(p Port) int {
 // ports; it must not be reused by the caller until HandlePacket returns.
 func (r *Router) HandlePacket(pkt []byte, inPort int) {
 	ctx := ctxPool.Get().(*core.ExecContext)
-	defer releaseCtx(ctx)
 	r.handlePacket(ctx, pkt, inPort)
+	r.engine.Fold(ctx)
+	releaseCtx(ctx)
 }
 
 // handlePacket is the context-reusing core of HandlePacket. Forwarders
 // (Ingress.runBurst) call it once per packet with the context they own for
-// life and have burst-stamped; everyone else goes through HandlePacket and
-// pays one pool Get/Put per packet on a context that never carries a burst
-// stamp.
+// life and have burst-stamped, and fold its tally once per burst; everyone
+// else goes through HandlePacket and pays one pool Get/Put and one fold per
+// packet.
 func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
 	if ctx.Load(pkt, inPort) != nil {
-		r.countDrop(core.DropMalformed)
+		r.countDrop(ctx, core.DropMalformed)
 		return
 	}
 	if !ctx.View.DecHopLimit() {
-		r.countDrop(core.DropHopLimit)
+		r.countDrop(ctx, core.DropHopLimit)
 		return
 	}
 	r.engine.Process(ctx)
 	if r.cfg.Metrics != nil {
-		r.cfg.Metrics.CountVerdict(ctx.Verdict)
+		ctx.Tally.CountVerdict(ctx.Verdict)
 	}
 	switch ctx.Verdict {
 	case core.VerdictForward:
@@ -155,8 +159,15 @@ func (r *Router) handlePacket(ctx *core.ExecContext, pkt []byte, inPort int) {
 }
 
 // ctxPool recycles execution contexts so HandlePacket stays allocation-free
-// even though contexts escape into the engine through interface calls.
-var ctxPool = sync.Pool{New: func() any { return new(core.ExecContext) }}
+// even though contexts escape into the engine through interface calls. Each
+// is burst-stamped once, with the unknown admission snapshot (0, 0) an
+// unstamped context has, so Process leaves the fold to HandlePacket: one
+// per packet, after the router has tallied the verdict.
+var ctxPool = sync.Pool{New: func() any {
+	ctx := new(core.ExecContext)
+	ctx.BeginBurst(0, 0)
+	return ctx
+}}
 
 func releaseCtx(ctx *core.ExecContext) {
 	scrub(ctx)
@@ -181,10 +192,9 @@ func (r *Router) sendOn(port int, pkt []byte) {
 	}
 }
 
-func (r *Router) countDrop(reason core.DropReason) {
+func (r *Router) countDrop(ctx *core.ExecContext, reason core.DropReason) {
 	if r.cfg.Metrics != nil {
-		r.cfg.Metrics.RecordDrop(reason)
-		r.cfg.Metrics.CountVerdict(core.VerdictDrop)
+		ctx.Tally.CountDrop(reason)
 	}
 }
 

@@ -308,11 +308,13 @@ func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *work
 	}
 	// One clock read and one depth reading amortized over the burst: F_tel
 	// (when a packet carries it) turns them into per-hop latency and queue
-	// depth, and observers charge their seen-counters once from the stamp.
+	// depth. The stamp also leaves the context's tally to one fold here, at
+	// the burst's end, before Processed counts the burst.
 	ctx.BeginBurst(len(burst), at)
 	for i := 0; i < len(burst); {
 		i = in.safeRun(ctx, burst, i)
 	}
+	in.r.engine.Fold(ctx)
 	scrub(ctx)
 	if w != nil {
 		w.busy.Store(false)

@@ -125,18 +125,15 @@ func (e Event) String() string {
 	return "event(?)"
 }
 
-// Metrics implements core.Recorder — it folds each packet's observation
-// record into per-op counters and (timed packets) histograms at EndPacket —
-// and adds router-level verdict counters. The zero value is ready to use.
+// Metrics implements core.Recorder — it folds forwarders' tallies into
+// exact per-op, per-drop-reason and per-verdict counters and, at EndPacket,
+// a timed packet's latencies into per-op histograms. The zero value is ready
+// to use.
 type Metrics struct {
-	ops       [core.MaxKey + 1]opStat
-	drops     [core.NumDropReasons]atomic.Int64
-	events    [NumEvents]atomic.Int64
-	forwarded atomic.Int64
-	delivered atomic.Int64
-	absorbed  atomic.Int64
-	noAction  atomic.Int64
-	dropped   atomic.Int64
+	ops      [core.MaxKey + 1]opStat
+	drops    [core.NumDropReasons]atomic.Int64
+	events   [NumEvents]atomic.Int64
+	verdicts [core.NumVerdicts]atomic.Int64
 }
 
 // RecordEvent tallies a recovery/degradation event.
@@ -163,61 +160,55 @@ func (m *Metrics) BeginPacket(ctx *core.ExecContext) {
 	}
 }
 
-// EndPacket implements core.Recorder: every executed FN of the packet is
-// counted, on a timed packet timed, and a dropped packet's reason is tallied.
+// EndPacket implements core.Recorder: a timed packet's FN latencies go into
+// the histograms. Executions are counted by Fold, untimed or not.
 func (m *Metrics) EndPacket(ctx *core.ExecContext) {
 	o := &ctx.Obs
-	for _, s := range o.Steps[:o.N] {
-		if o.Timed {
-			m.RecordOp(s.Key, time.Duration(s.Ns))
-		} else if s.Key <= core.MaxKey {
-			m.ops[s.Key].count.Add(1)
-		}
+	if !o.Timed {
+		return
 	}
-	if ctx.Verdict == core.VerdictDrop {
-		m.RecordDrop(ctx.Reason)
+	for _, s := range o.Steps[:o.N] {
+		m.recordTimed(s.Key, s.Ns)
 	}
 }
 
-// RecordOp tallies one timed execution of operation k that took d.
-func (m *Metrics) RecordOp(k core.Key, d time.Duration) {
+// Fold implements core.Recorder: one add per non-zero counter of the tally.
+func (m *Metrics) Fold(t *core.Tally) {
+	for _, k := range t.OpKeys() {
+		m.ops[k].count.Add(int64(t.Ops[k]))
+	}
+	for r := range t.Drops {
+		if n := t.Drops[r]; n != 0 {
+			m.drops[r].Add(int64(n))
+		}
+	}
+	for v := range t.Verdicts {
+		if n := t.Verdicts[v]; n != 0 {
+			m.verdicts[v].Add(int64(n))
+		}
+	}
+}
+
+// Period implements core.Recorder: Metrics times 1 packet in timeEvery.
+func (m *Metrics) Period() uint64 { return timeEvery.N() }
+
+// recordTimed adds one timed execution of operation k that took ns to its
+// histogram; the execution itself is counted when its tally folds.
+func (m *Metrics) recordTimed(k core.Key, ns int64) {
 	if k > core.MaxKey {
 		return
 	}
 	s := &m.ops[k]
-	s.count.Add(1)
-	ns := d.Nanoseconds()
 	s.totalNs.Add(ns)
 	s.hist[bucketOf(ns)].Add(1)
 }
 
-// RecordDrop tallies one dropped packet by reason (EndPacket for packets
-// the engine dropped; routers call it for packets dropped before the engine).
-func (m *Metrics) RecordDrop(r core.DropReason) {
-	if int(r) < core.NumDropReasons {
-		m.drops[r].Add(1)
-	}
-}
-
-// CountVerdict tallies a packet's final fate. Dropped packets land in the
-// dropped total here (the per-reason breakdown comes from RecordDrop);
-// received is the sum of the verdict buckets, so the two cannot disagree
-// even in a snapshot taken mid-traffic.
+// CountVerdict tallies one packet's final fate, for a packet no forwarder
+// tallies (a host's receive outcome). received is the sum of the verdict
+// buckets, so the two cannot disagree even in a snapshot taken mid-traffic.
 func (m *Metrics) CountVerdict(v core.Verdict) {
-	switch v {
-	case core.VerdictForward:
-		m.forwarded.Add(1)
-	case core.VerdictDeliver:
-		m.delivered.Add(1)
-	case core.VerdictAbsorb:
-		m.absorbed.Add(1)
-	case core.VerdictDrop:
-		m.dropped.Add(1)
-	case core.VerdictContinue:
-		// Every FN ran but none chose an egress: the packet completes with
-		// no action (e.g. a pure authentication composition with no match
-		// FN). Counted so received covers every packet.
-		m.noAction.Add(1)
+	if int(v) < core.NumVerdicts {
+		m.verdicts[v].Add(1)
 	}
 }
 
@@ -270,12 +261,14 @@ func (m *Metrics) Snapshot() Snapshot {
 		if st.count.Load() == 0 {
 			continue
 		}
-		// Read in the reverse of RecordOp's write order, so a snapshot taken
-		// mid-traffic never shows more timed executions than executions.
+		// A timed execution reaches the histogram at EndPacket and the count
+		// when its burst folds; until then the count is raised to the timed
+		// total, so Count ≥ Timed in every snapshot and is exact at burst
+		// boundaries.
 		op := OpSnapshot{Key: k}
 		op.Hist, op.Timed = st.timed()
 		op.TotalNs = st.totalNs.Load()
-		op.Count = st.count.Load()
+		op.Count = max(st.count.Load(), op.Timed)
 		s.Ops = append(s.Ops, op)
 	}
 	for r := 0; r < core.NumDropReasons; r++ {
@@ -288,11 +281,13 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Events[Event(e)] = c
 		}
 	}
-	s.Forwarded = m.forwarded.Load()
-	s.Delivered = m.delivered.Load()
-	s.Absorbed = m.absorbed.Load()
-	s.NoAction = m.noAction.Load()
-	s.Dropped = m.dropped.Load()
+	s.Forwarded = m.verdicts[core.VerdictForward].Load()
+	s.Delivered = m.verdicts[core.VerdictDeliver].Load()
+	s.Absorbed = m.verdicts[core.VerdictAbsorb].Load()
+	// Continue as a final verdict: every FN ran but none chose an egress (a
+	// pure authentication composition with no match FN).
+	s.NoAction = m.verdicts[core.VerdictContinue].Load()
+	s.Dropped = m.verdicts[core.VerdictDrop].Load()
 	s.Received = s.Forwarded + s.Delivered + s.Absorbed + s.NoAction + s.Dropped
 	return s
 }

@@ -10,6 +10,22 @@ import (
 	"dip/internal/core"
 )
 
+// RecordOp tallies one timed execution of operation k that took d, as a
+// folded tally and EndPacket would between them.
+func (m *Metrics) RecordOp(k core.Key, d time.Duration) {
+	if k <= core.MaxKey {
+		m.ops[k].count.Add(1)
+	}
+	m.recordTimed(k, d.Nanoseconds())
+}
+
+// RecordDrop tallies one dropped packet by reason, as a folded tally would.
+func (m *Metrics) RecordDrop(r core.DropReason) {
+	if int(r) < core.NumDropReasons {
+		m.drops[r].Add(1)
+	}
+}
+
 func TestRecordAndSnapshot(t *testing.T) {
 	m := &Metrics{}
 	m.RecordOp(core.KeyFIB, 100*time.Nanosecond)
@@ -41,16 +57,27 @@ func TestRecordAndSnapshot(t *testing.T) {
 	}
 }
 
-// TestEndPacketCountsExactTimesSampled folds an untimed and a timed packet's
-// record: both count every step, only the timed one reaches the latency
-// side (Timed, TotalNs, Hist, Mean), and the report says so.
-func TestEndPacketCountsExactTimesSampled(t *testing.T) {
+// TestFoldCountsExactEndPacketTimesSampled feeds Metrics an untimed and a
+// timed packet the way the engine does — every step tallied, the packet's
+// record shown to EndPacket — and folds: both count every step, only the
+// timed one reaches the latency side (Timed, TotalNs, Hist, Mean), and the
+// report says so. Between a timed packet's EndPacket and its fold, Count
+// does not fall below Timed.
+func TestFoldCountsExactEndPacketTimesSampled(t *testing.T) {
 	m := &Metrics{}
 	var ctx core.ExecContext
 	ctx.Obs.N = 2
 	ctx.Obs.Steps[0] = core.Step{Key: core.KeyFIB}
 	ctx.Obs.Steps[1] = core.Step{Key: core.KeyMAC}
-	m.EndPacket(&ctx)
+	var tally core.Tally
+	packet := func() {
+		for _, s := range ctx.Obs.Steps[:ctx.Obs.N] {
+			tally.CountOp(s.Key)
+		}
+		m.EndPacket(&ctx)
+	}
+	packet()
+	m.Fold(&tally)
 	s := m.Snapshot()
 	if len(s.Ops) != 2 || s.Ops[0].Count != 1 || s.Ops[0].Timed != 0 || s.Ops[0].TotalNs != 0 || s.Ops[0].Mean() != 0 {
 		t.Fatalf("untimed packet: %+v", s.Ops)
@@ -59,12 +86,17 @@ func TestEndPacketCountsExactTimesSampled(t *testing.T) {
 		t.Errorf("report of untimed ops:\n%s", out)
 	}
 
+	tally = core.Tally{}
 	ctx.Obs.Timed = true
 	ctx.Obs.Steps[0].Ns, ctx.Obs.Steps[1].Ns = 300, 1000
-	m.EndPacket(&ctx)
-	m.EndPacket(&ctx)
+	packet()
+	packet()
+	if fib := m.Snapshot().Ops[0]; fib.Count != 2 || fib.Timed != 2 {
+		t.Errorf("FIB before the fold, 1 folded and 2 timed: count %d timed %d, want 2 and 2", fib.Count, fib.Timed)
+	}
 	ctx.Obs.Timed = false
-	m.EndPacket(&ctx)
+	packet()
+	m.Fold(&tally)
 	s = m.Snapshot()
 	fib := s.Ops[0]
 	if fib.Count != 4 || fib.Timed != 2 || fib.TotalNs != 600 || fib.Mean() != 300 || fib.Hist[bucketOf(300)] != 2 {

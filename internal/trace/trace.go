@@ -12,9 +12,11 @@
 // must ride the hot path without serializing or allocating on it.
 //
 //   - Sampling is 1-in-N on the execution context's private packet ordinal
-//     (core.ExecContext.SampleEvery), so the decision touches no shared state;
-//     the shared seen-counter is charged once per burst by the burst's first
-//     packet. The unsampled path is that decision and nothing else.
+//     (core.ExecContext.SampleEvery), so the decision touches no shared state,
+//     and the engine shows the recorder only the ordinals its stack's period
+//     divides; the shared seen-counter is charged from the forwarder's folded
+//     packet count (Fold), once per burst. An unsampled packet costs the
+//     recorder nothing.
 //   - Sampled packets write in place into a fixed-size ring of preallocated
 //     records guarded by per-slot sequence locks: a writer takes the slot
 //     (version even → odd, by CAS), fills it, and bumps it to even; readers
@@ -119,15 +121,16 @@ type slot struct {
 // *telemetry.Metrics). It implements core.Recorder; install it with
 // Engine.SetRecorder (or router.Config.Trace).
 type Recorder struct {
-	inner core.Recorder
-	every core.Every
-	mask  uint64
-	slots []slot
-	seq   atomic.Uint64 // next sample sequence number
-	seen  atomic.Uint64 // packets that passed the sampling decision
-	lost  atomic.Uint64 // samples dropped at a slot still owned by a lapped writer
-	clock func() int64  // stamps Record.At and the sink's end
-	sink  Sink          // nil: records only go to the ring
+	inner  core.Recorder
+	every  core.Every
+	period uint64 // gcd of every and inner's Period
+	mask   uint64
+	slots  []slot
+	seq    atomic.Uint64 // next sample sequence number
+	seen   atomic.Uint64 // packets that passed the sampling decision
+	lost   atomic.Uint64 // samples dropped at a slot still owned by a lapped writer
+	clock  func() int64  // stamps Record.At and the sink's end
+	sink   Sink          // nil: records only go to the ring
 }
 
 // NewRecorder builds a sampling trace recorder: every-th packet is traced
@@ -153,14 +156,26 @@ func NewRecorder(inner core.Recorder, every, ring int, clock func() int64, sink 
 	if clock == nil {
 		clock = wallNanos
 	}
-	return &Recorder{
-		inner: inner,
-		every: core.NewEvery(uint64(every)),
-		mask:  uint64(size - 1),
-		slots: make([]slot, size),
-		clock: clock,
-		sink:  sink,
+	period := uint64(every)
+	if inner != nil {
+		period = gcd(period, inner.Period())
 	}
+	return &Recorder{
+		inner:  inner,
+		every:  core.NewEvery(uint64(every)),
+		period: period,
+		mask:   uint64(size - 1),
+		slots:  make([]slot, size),
+		clock:  clock,
+		sink:   sink,
+	}
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func wallNanos() int64 { return time.Now().UnixNano() }
@@ -172,7 +187,7 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 	if r.inner != nil {
 		r.inner.BeginPacket(ctx)
 	}
-	if !ctx.SampleEvery(r.every, &r.seen) {
+	if !ctx.SampleEvery(r.every, nil) {
 		return
 	}
 	seq := r.seq.Add(1) - 1
@@ -216,12 +231,28 @@ func (r *Recorder) EndPacket(ctx *core.ExecContext) {
 	}
 }
 
+// Fold implements core.Recorder: the folded packets passed the sampling
+// decision, and the tally goes on to the inner recorder.
+func (r *Recorder) Fold(t *core.Tally) {
+	if t.Packets != 0 {
+		r.seen.Add(t.Packets)
+	}
+	if r.inner != nil {
+		r.inner.Fold(t)
+	}
+}
+
+// Period implements core.Recorder: the gcd of the sampling divisor and the
+// inner recorder's period, fixed at construction.
+func (r *Recorder) Period() uint64 { return r.period }
+
 // Sampled returns how many packets have been traced so far.
 func (r *Recorder) Sampled() uint64 { return r.seq.Load() }
 
 // Seen returns how many packets passed the sampling decision (traced or
-// not). A burst is charged whole when its first packet arrives, so a
-// concurrent reading may run up to one burst per forwarder ahead.
+// not). A forwarder charges a burst when the burst ends, so a concurrent
+// reading may lag by up to one burst per forwarder; once traffic stops it
+// is exact.
 func (r *Recorder) Seen() uint64 { return r.seen.Load() }
 
 // Overwritten returns how many sampled records have been lost: to ring

@@ -1,4 +1,4 @@
-# benchguard: the four standing system claims of EXPERIMENTS.md, each a
+# benchguard: the five standing system claims of EXPERIMENTS.md, each a
 # within-run testing.B pair from one `go test -bench -count 5` run (make
 # benchguard), checked on the median over the rounds. Both sides of every
 # pair come from the same run on the same machine; nothing is compared
@@ -10,6 +10,7 @@ BEGIN {
 	CSTIER_SLACK_NS = 15    #      max(PCT % of catalog2048, NS)
 	MAX_CHURN_JITTER = 30   # E21: storm p99 / quiescent p99, at most
 	MAX_TEL_RATIO = 2.15    # E22: stamped8 ns / unstamped ns, at most
+	MAX_OBS_RATIO = 1.15    # E17: observed ns / unobserved ns on the burst path, at most
 }
 /^(FAIL|--- FAIL)/ { bad = 1 }
 /^Benchmark/ {
@@ -51,5 +52,6 @@ END {
 	check("E20 cstier hot hit 65536−2048 ns", pair("BenchmarkTieredHotHit/catalog65536", "BenchmarkTieredHotHit/catalog2048", "ns/op", 1), "<=", slack)
 	check("E21 churn storm/quiesce p99", pair("BenchmarkChurnJitter", "", "storm/quiesce-p99"), "<=", MAX_CHURN_JITTER)
 	check("E22 F_tel stamped8/unstamped", pair("BenchmarkTelStamp", "", "stamped8/unstamped"), "<=", MAX_TEL_RATIO)
+	check("E17 observed burst full/off", pair("BenchmarkObservedBurst", "", "full/off"), "<=", MAX_OBS_RATIO)
 	exit bad
 }
