@@ -15,8 +15,13 @@ test:
 benchmodule:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
+# go vet, and gofmt over the whole tree (bench/ included): a file gofmt
+# would rewrite fails here rather than drifting in unnoticed.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "$$out"; echo "vet: gofmt -l lists the files above (run gofmt -w on them)"; exit 1; \
+	fi
 
 # core has one observer interface (Recorder) and one per-packet record
 # (ExecContext.Obs); the five-interface seam it replaced must not grow back
@@ -42,7 +47,12 @@ vet:
 # knobs nothing set stay deleted or constant. And observation at burst cost:
 # every count comes from the forwarder's tally, folded once per burst, so
 # the sampling decision charges no seen-counter per packet and
-# Metrics.EndPacket adds no per-step count.
+# Metrics.EndPacket adds no per-step count. And one clock per node: every
+# instant the router-side packages stamp is an int64 read from one
+# func() int64 (nil is core.Now, DESIGN.md §16), so none of them reads the
+# wall clock itself, takes a time.Time or time.Duration clock, or builds
+# F_tel through the second constructor.
+CLOCKPKGS = node router guard pit cs trace journey extops bootstrap
 seamcheck:
 	@if grep -rnE 'PacketRecorder|BurstSampler|BurstPlan|TraceSink|SampleHint|SampleForce|SampleSkip|SampleAuto' --include=*.go .; then \
 		echo "seamcheck: the old observation seam is back (see DESIGN.md §9)"; exit 1; \
@@ -95,6 +105,15 @@ seamcheck:
 	fi
 	@if $(GO) list -deps ./internal/router | grep -x 'dip/internal/journe[y]'; then \
 		echo "seamcheck: internal/router depends on internal/journey (the sampler hands records to a sink)"; exit 1; \
+	fi
+	@if for d in $(CLOCKPKGS); do ls internal/$$d/*.go; done | grep -v _test.go | xargs grep -nE 'time\.(Now|Since)\('; then \
+		echo "seamcheck: a router-side package reads the wall clock itself (take the node's clock; nil is core.Now: DESIGN.md §16)"; exit 1; \
+	fi
+	@if for d in $(CLOCKPKGS); do ls internal/$$d/*.go; done | grep -v _test.go | xargs grep -nE 'func\(\) time\.(Time|Duration)'; then \
+		echo "seamcheck: a time.Time or time.Duration clock is back (instants are int64 ns from one func() int64: DESIGN.md §16)"; exit 1; \
+	fi
+	@if grep -rn 'NewTelWit[h]' --include=*.go .; then \
+		echo "seamcheck: a second F_tel constructor is back (extops.NewTel(TelConfig) is the one)"; exit 1; \
 	fi
 
 # Every function outside the main packages is linked into a program (the

@@ -638,7 +638,7 @@ func BenchmarkTelStamp(b *testing.B) {
 		s := &sides[i]
 		s.n = newBenchNode(b, MAC2EM)
 		reg := NewRouterRegistry(s.n.state.OpsConfig())
-		reg.MustRegister(extops.NewTelWith(extops.TelConfig{HopID: 7, Epoch: s.n.state.FIB32.Epoch}))
+		reg.MustRegister(extops.NewTel(extops.TelConfig{HopID: 7, Epoch: s.n.state.FIB32.Epoch}))
 		s.n.engine = core.NewEngine(reg, Limits{})
 		s.n.engine.SetRecorder(&Metrics{})
 		h := IPv4Profile([4]byte{1, 1, 1, 1}, [4]byte{10, 0, 0, 9})

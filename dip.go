@@ -367,10 +367,11 @@ func NewJourneyEmitter(size int) *JourneyEmitter { return journey.NewEmitter(siz
 // NewRouterJourneyTap builds a trace recorder whose samples (every every-th
 // packet, 1 = all) also become journey spans on sink — the one sampler a
 // traced node runs, over any inner recorder (the node's *Metrics, or a
-// *TraceRecorder sampling at its own rate). now stamps records and spans
-// (nil = wall time). Its own ring is tapRing records: they matter as spans,
-// and the ring only has to outnumber the packets sampled at once. Install
-// via RouterOptions.Trace, or Router.SetRecorder before ServeGuarded.
+// *TraceRecorder sampling at its own rate). now stamps records and spans,
+// in ns (nil = the wall-anchored monotonic clock every node defaults to).
+// Its own ring is tapRing records: they matter as spans, and the ring only
+// has to outnumber the packets sampled at once. Install via
+// RouterOptions.Trace, or Router.SetRecorder before ServeGuarded.
 func NewRouterJourneyTap(node string, sink journey.SpanSink, inner core.Recorder, every int, now func() int64) *TraceRecorder {
 	return trace.NewRecorder(inner, max(every, 1), tapRing, now, journey.RouterSpans(node, sink))
 }

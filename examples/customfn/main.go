@@ -27,9 +27,10 @@ func main() {
 	var ccKey [16]byte
 	copy(ccKey[:], "netfence-demo-k!")
 
-	// Two routers: R1 lightly loaded, R2 a 64 kB/s bottleneck.
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
+	// Two routers: R1 lightly loaded, R2 a 64 kB/s bottleneck. Both run
+	// on one virtual clock (ns), as a simulation's nodes do.
+	var clock time.Duration
+	now := func() int64 { return int64(clock) }
 	mkRouter := func(name string, hopID uint32, capacityBps float64, egress dip.Port) *dip.Router {
 		state := dip.NewNodeState()
 		state.FIB32.AddUint32(0x0A000000, 8, dip.NextHop{Port: 0})
@@ -42,7 +43,7 @@ func main() {
 		})); err != nil {
 			log.Fatal(err)
 		}
-		if err := reg.Register(extops.NewTel(hopID, now)); err != nil {
+		if err := reg.Register(extops.NewTel(extops.TelConfig{HopID: hopID, Now: now})); err != nil {
 			log.Fatal(err)
 		}
 		r := dip.NewRouterWithRegistry(reg, dip.RouterOptions{Name: name})
@@ -54,7 +55,7 @@ func main() {
 	sink := dip.PortFunc(func(pkt []byte) { delivered = append(delivered[:0], pkt...) })
 	r2 := mkRouter("R2-bottleneck", 202, 64_000, sink)
 	r1 := mkRouter("R1", 101, 1e9, dip.PortFunc(func(pkt []byte) {
-		clock = clock.Add(2 * time.Millisecond) // link latency
+		clock += 2 * time.Millisecond // link latency
 		r2.HandlePacket(pkt, 0)
 	}))
 
@@ -82,7 +83,7 @@ func main() {
 	sender := &extops.AIMD{RateBps: 1_000_000, Step: 50_000, Floor: 8_000}
 	fmt.Printf("%-8s %-12s %-10s %s\n", "packet", "rate (B/s)", "feedback", "telemetry path (hop@µs)")
 	for i := 0; i < 12; i++ {
-		clock = clock.Add(time.Millisecond)
+		clock += time.Millisecond
 		pkt, err := dip.BuildPacket(base, make([]byte, 1000))
 		if err != nil {
 			log.Fatal(err)

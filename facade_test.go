@@ -7,7 +7,6 @@ package dip
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"dip/internal/bootstrap"
 	"dip/internal/extops"
@@ -95,7 +94,7 @@ func TestExtensionOpsThroughFacade(t *testing.T) {
 	if err := reg.Register(extops.NewCC(extops.CCConfig{CapacityBps: 1e9, Key: ccKey})); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(extops.NewTel(7, nil)); err != nil {
+	if err := reg.Register(extops.NewTel(extops.TelConfig{HopID: 7})); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRouterWithRegistry(reg, RouterOptions{})
@@ -136,7 +135,7 @@ func TestExtensionOpsThroughFacade(t *testing.T) {
 // real Router, whose F_ctl verdict hands it to the local-delivery sink, and
 // the learning side commits the route into its FIB.
 func TestRouteExchangeThroughFacade(t *testing.T) {
-	now := func() time.Duration { return 0 }
+	now := func() int64 { return 0 }
 
 	// Learner: a router whose local-delivery sink feeds its Speaker.
 	state := NewNodeState()

@@ -45,11 +45,12 @@ const (
 func runGuardChaos(t *testing.T, nFetch, batch int) guardChaosOutcome {
 	t.Helper()
 	sim := netsim.New()
+	simNow := func() int64 { return int64(sim.Now()) }
 
 	st := NewNodeState()
 	st.PIT = pit.New[uint32](
 		pit.WithTTL[uint32](50*time.Millisecond),
-		pit.WithClock[uint32](func() time.Time { return time.Unix(0, 0).Add(sim.Now()) }),
+		pit.WithClock[uint32](simNow),
 		pit.WithPerPortCap[uint32](8),
 	)
 	st.NameFIB.AddUint32(0xAA000000, 8, NextHop{Port: gcProducerPort})
@@ -66,14 +67,14 @@ func runGuardChaos(t *testing.T, nFetch, batch int) guardChaosOutcome {
 
 	adm := guard.NewAdmission(AdmissionPolicy{
 		PerPort: AdmissionRate{PerSec: 500, Burst: 8},
-	}, sim.Now)
+	}, simNow)
 	in := r.ServeGuarded(ServeConfig{
 		Workers:   0, // pump mode: deterministic inline drain under virtual time
 		Batch:     batch,
 		HighDepth: 16,
 		LowDepth:  4,
 		Admission: adm,
-		Clock:     sim.Now,
+		Clock:     simNow,
 	})
 	defer in.Close()
 
@@ -295,7 +296,7 @@ func TestGuardChaosQuarantineDumpShape(t *testing.T) {
 	r := NewRouter(st.OpsConfig(), RouterOptions{
 		LocalDelivery: func([]byte, int) { panic("boom") },
 	})
-	in := r.ServeGuarded(ServeConfig{Workers: 0, Clock: sim.Now})
+	in := r.ServeGuarded(ServeConfig{Workers: 0, Clock: func() int64 { return int64(sim.Now()) }})
 	defer in.Close()
 	p, err := BuildPacket(IPv4Profile([4]byte{1, 1, 1, 1}, [4]byte{2, 2, 2, 2}), []byte{0xEE})
 	if err != nil {

@@ -252,8 +252,9 @@ type SpeakerConfig struct {
 	FIB32, FIB128, NameFIB *fib.Table
 	// Catalog is the FN set advertised alongside routes (§2.3 gossip).
 	Catalog Catalog
-	// Now is the clock (virtual under netsim, wall elsewhere). Required.
-	Now func() time.Duration
+	// Now is the node's clock, in ns (virtual under netsim); nil is
+	// core.Now.
+	Now func() int64
 	// HoldFor expires learned routes not refreshed within this window
 	// (checked at each Refresh). Zero disables soft-state expiry.
 	HoldFor time.Duration
@@ -268,9 +269,9 @@ type SpeakerConfig struct {
 
 // SpeakerStats counts protocol activity; all fields are cumulative.
 type SpeakerStats struct {
-	AdvertisesSent, WithdrawsSent   int64
-	AdvertisesRecv, WithdrawsRecv   int64
-	Malformed, Stale                int64
+	AdvertisesSent, WithdrawsSent                   int64
+	AdvertisesRecv, WithdrawsRecv                   int64
+	Malformed, Stale                                int64
 	RoutesInstalled, RoutesWithdrawn, RoutesExpired int64
 	// Commits counts FIB transactions that published a snapshot;
 	// NoopBatches counts messages whose transactions changed nothing
@@ -283,7 +284,7 @@ type SpeakerStats struct {
 type ribEntry struct {
 	metric   int
 	port     int
-	lastSeen time.Duration
+	lastSeen int64 // ns on the speaker's clock
 }
 
 type localRoute struct {
@@ -330,7 +331,7 @@ func NewSpeaker(cfg SpeakerConfig) *Speaker {
 		cfg.MaxRoutesPerMsg = 1024
 	}
 	if cfg.Now == nil {
-		panic("bootstrap: SpeakerConfig.Now is required")
+		cfg.Now = core.Now
 	}
 	return &Speaker{
 		cfg:       cfg,
@@ -419,7 +420,7 @@ func (s *Speaker) Refresh() {
 	if s.cfg.HoldFor > 0 {
 		tx := s.txns()
 		for k, e := range s.rib {
-			if now-e.lastSeen > s.cfg.HoldFor {
+			if time.Duration(now-e.lastSeen) > s.cfg.HoldFor {
 				delete(s.rib, k)
 				tx.remove(k)
 				expired = append(expired, k.entry(s.cfg.MaxMetric))

@@ -102,7 +102,7 @@ type testNet struct {
 	cut      map[[2]int]bool
 }
 
-func (n *testNet) clock() time.Duration { return n.now }
+func (n *testNet) clock() int64 { return int64(n.now) }
 
 // link joins speakers a and b; the port numbers are chosen by the caller.
 // A link silenced via silence() eats messages in both directions — the
@@ -371,7 +371,7 @@ func TestSpeakerOriginateFromFIBs(t *testing.T) {
 	tname.AddUint32(0xdeadbeef, 32, fib.Local)
 	s := NewSpeaker(SpeakerConfig{
 		Name: "r", FIB32: t32, FIB128: t128, NameFIB: tname,
-		Now: func() time.Duration { return 0 },
+		Now: func() int64 { return 0 },
 	})
 	if n := s.OriginateFromFIBs(); n != 3 {
 		t.Fatalf("originated %d, want 3", n)

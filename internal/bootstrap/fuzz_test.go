@@ -3,7 +3,6 @@ package bootstrap
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"dip/internal/fib"
 )
@@ -86,7 +85,7 @@ func FuzzRouteExchange(f *testing.F) {
 		// The speaker must also digest whatever decoded, without panicking:
 		// via an adjacency and via an unknown port.
 		tb := fib.New()
-		s := NewSpeaker(SpeakerConfig{Name: "f", FIB32: tb, Now: func() time.Duration { return 0 }})
+		s := NewSpeaker(SpeakerConfig{Name: "f", FIB32: tb, Now: func() int64 { return 0 }})
 		s.AddNeighbor(0, func([]byte) {})
 		s.Handle(data, 0)
 		s.Handle(data, 3)

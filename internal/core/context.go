@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
-	"time"
 
 	"dip/internal/crypto2em"
 )
@@ -129,10 +127,10 @@ type claim struct {
 // order inside a parallel stage — and can never truncate: the array holds
 // the wire maximum. Without a recorder the engine never touches it.
 type Observation struct {
-	// Begin is the engine's monotonic reading (relative to MonoBase) as
-	// BeginPacket returns: the start of every observer's begin→end bracket
-	// around Algorithm 1. Stamped on timed packets only.
-	Begin time.Duration
+	// Begin is the engine's reading of Now as BeginPacket returns: the
+	// start of every observer's begin→end bracket around Algorithm 1.
+	// Stamped on timed packets only.
+	Begin int64
 	N     int
 	// Timed says an observer asked for this packet's latencies in BeginPacket
 	// (Claim sets it; one with nothing to remember sets it itself), so the
@@ -221,12 +219,13 @@ type ExecContext struct {
 	// UnsupportedKey is the offending key when SignalUnsupported is set.
 	UnsupportedKey Key
 
-	// Deadline is the absolute per-packet processing deadline (security
-	// limit, paper §2.4), set by Process when the engine has one.
-	Deadline time.Time
+	// Deadline is the absolute per-packet processing deadline on Now's
+	// timeline (security limit, paper §2.4), set by Process when the engine
+	// has one.
+	Deadline int64
 
 	// AdmittedAt and QueueDepth are the serving layer's admission snapshot
-	// for in-band telemetry: the dataplane clock reading (ns) when this
+	// for in-band telemetry: the node clock's reading (ns) when this
 	// packet's burst was picked up, and how many packets were queued behind
 	// it at that moment. F_tel folds them into the hop record (per-hop
 	// latency, queue depth at admission). They are burst-scoped — stamped
@@ -246,12 +245,12 @@ type ExecContext struct {
 	Ordinal uint64
 	stamped bool
 
-	// MonoNow is the engine's monotonic reading (relative to MonoBase)
-	// taken just before dispatching the current operation — the same read
-	// that starts the op-latency measurement. Operations needing "now" at
-	// coarse granularity (F_tel's wall-µs stamp) reuse it instead of
-	// paying their own clock read. Zero when the packet is not timed.
-	MonoNow time.Duration
+	// MonoNow is the engine's reading of Now taken just before dispatching
+	// the current operation — the same read that starts the op-latency
+	// measurement. Operations on the default clock (F_tel's stamp) reuse it
+	// instead of paying their own clock read. Zero when the packet is not
+	// timed.
+	MonoNow int64
 
 	stateBudget int // remaining per-packet state bytes; <0 means unlimited
 
@@ -375,9 +374,9 @@ func (e Every) Divides(x uint64) bool {
 // SampleEvery is every observer's 1-in-every decision for the packet in flight,
 // taken in BeginPacket: true on the every-th, 2·every-th, … packet this
 // context carries (unless maxClaims observers already claimed it: a yes
-// promises room for one Claim). The second argument is unused: an
-// observer's seen-counter is charged in Fold, from Tally.Packets.
-func (c *ExecContext) SampleEvery(every Every, _ *atomic.Uint64) bool {
+// promises room for one Claim). An observer's seen-counter is charged in
+// Fold, from Tally.Packets.
+func (c *ExecContext) SampleEvery(every Every) bool {
 	return every.Divides(c.Ordinal) && c.Obs.nclaims < maxClaims
 }
 
@@ -417,7 +416,7 @@ func (c *ExecContext) reset(inPort int) {
 	c.SourceLoc, c.SourceLen, c.HasSource = 0, 0, false
 	c.SignalUnsupported = false
 	c.UnsupportedKey = 0
-	c.Deadline = time.Time{}
+	c.Deadline = 0
 	c.MonoNow = 0
 	c.stateBudget = -1
 	c.Obs.N, c.Obs.Timed, c.Obs.nclaims = 0, false, 0

@@ -20,15 +20,20 @@ type Limits struct {
 	MaxStateBytes int
 }
 
-// monoBase anchors the engine's per-op latency reads: durations are taken
-// as differences of time.Since(monoBase), which touches only the monotonic
-// clock instead of time.Now's wall+mono pair.
-var monoBase = time.Now()
+// monoBase anchors Now: one wall read at start-up, after which a reading is
+// time.Since(monoBase), which touches only the monotonic clock instead of
+// time.Now's wall+mono pair.
+var (
+	monoBase   = time.Now()
+	monoBaseNs = monoBase.UnixNano()
+)
 
-// MonoBase is the process-wide anchor of ExecContext.MonoNow readings.
-// Modules converting MonoNow to wall time subtract their own construction
-// instant's offset from it (see extops.Tel).
-func MonoBase() time.Time { return monoBase }
+// Now is the default node clock — a nil func() int64 clock means Now in
+// every package: Unix-epoch ns, anchored to the wall clock at start-up and
+// advanced by the monotonic clock, so a reading compares with wall
+// timestamps yet never steps back. A simulation passes its virtual clock
+// instead (node.SimEnv).
+func Now() int64 { return monoBaseNs + int64(time.Since(monoBase)) }
 
 // Recorder is the engine's one observation seam: a per-packet bracket
 // around Algorithm 1 on the packets the stack can sample, and a fold of the
@@ -134,7 +139,7 @@ func (e *Engine) Process(ctx *ExecContext) {
 		ctx.stateBudget = e.limits.MaxStateBytes
 	}
 	if e.limits.Deadline > 0 {
-		ctx.Deadline = time.Now().Add(e.limits.Deadline)
+		ctx.Deadline = Now() + int64(e.limits.Deadline)
 	}
 	if e.rec != nil {
 		ctx.Ordinal++
@@ -144,7 +149,7 @@ func (e *Engine) Process(ctx *ExecContext) {
 		if ctx.Obs.open = e.period.Divides(ctx.Ordinal); ctx.Obs.open {
 			e.rec.BeginPacket(ctx)
 			if ctx.Obs.Timed {
-				ctx.Obs.Begin = time.Since(monoBase)
+				ctx.Obs.Begin = Now()
 			}
 		}
 	}
@@ -175,7 +180,7 @@ func (e *Engine) Process(ctx *ExecContext) {
 
 // execute dispatches one FN and reports whether processing should continue.
 func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
-	if e.limits.Deadline > 0 && time.Now().After(ctx.Deadline) {
+	if e.limits.Deadline > 0 && Now() > ctx.Deadline {
 		ctx.Drop(DropDeadline)
 		return false
 	}
@@ -189,12 +194,12 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 		}
 		return true // PolicyIgnore, §2.4: "the router can simply ignore this FN"
 	}
-	// time.Since against a fixed base reads only the monotonic clock, but a
-	// pair per op is still most of what observing costs: timed packets only.
+	// Now reads only the monotonic clock, but a pair per op is still most of
+	// what observing costs: timed packets only.
 	o := &ctx.Obs
 	timed := e.rec != nil && o.Timed
 	if timed {
-		ctx.MonoNow = time.Since(monoBase)
+		ctx.MonoNow = Now()
 	}
 	err := op.Execute(ctx, uint(fn.Loc), uint(fn.Len))
 	if e.rec != nil {
@@ -202,7 +207,7 @@ func (e *Engine) execute(reg *Registry, ctx *ExecContext, fn FN) bool {
 		if o.open {
 			o.Steps[o.N] = Step{Key: fn.Key}
 			if timed {
-				o.Steps[o.N].Ns = int64(time.Since(monoBase) - ctx.MonoNow)
+				o.Steps[o.N].Ns = Now() - ctx.MonoNow
 			}
 			o.N++
 		}

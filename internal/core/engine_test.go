@@ -454,7 +454,7 @@ type claimingRecorder struct {
 }
 
 func (r *claimingRecorder) BeginPacket(ctx *ExecContext) {
-	if ctx.SampleEvery(r.every, &r.seen) {
+	if ctx.SampleEvery(r.every) {
 		ctx.Obs.Claim(r, 0, 0)
 	}
 }
@@ -468,7 +468,7 @@ func (r *claimingRecorder) Period() uint64             { return 1 }
 // takes no clock reading at all.
 func TestEngineTimesClaimedPacketsOnly(t *testing.T) {
 	reg := NewRegistry()
-	var sawNow []time.Duration
+	var sawNow []int64
 	reg.MustRegister(&testOp{key: KeyFIB, fn: func(ctx *ExecContext, _, _ uint) error {
 		sawNow = append(sawNow, ctx.MonoNow)
 		time.Sleep(time.Microsecond)

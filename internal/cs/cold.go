@@ -29,8 +29,8 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"dip/internal/core"
 	"dip/internal/nhash"
 )
 
@@ -72,8 +72,9 @@ type ColdConfig struct {
 	// when full, evicted entries are dropped rather than stalling the
 	// RAM-tier shard lock (default 256).
 	SpillQueue int
-	// Now supplies timestamps for the cold-read latency histogram
-	// (default wall clock). Simulations pass their virtual clock.
+	// Now is the node's clock, in ns: it stamps the cold-read latency
+	// histogram and the read's start and end (nil is core.Now).
+	// Simulations pass their virtual clock.
 	Now func() int64
 	// ReadGate, when set, is invoked immediately before every slot pread.
 	// It exists for tests: blocking in the gate holds cold reads in flight
@@ -184,7 +185,7 @@ func (s *Store[K]) OpenCold(cfg ColdConfig) error {
 		readGate:   cfg.ReadGate,
 	}
 	if c.now == nil {
-		c.now = func() int64 { return time.Now().UnixNano() }
+		c.now = core.Now
 	}
 	if cfg.Readers > 0 {
 		c.spills = make(chan spillReq[K], cfg.SpillQueue)

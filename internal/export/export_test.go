@@ -310,7 +310,7 @@ func TestWriteMetricsRouteFamily(t *testing.T) {
 	// route, B learns it, and B's scrape must show the exchange.
 	fibB := fib.New()
 	var a, b *bootstrap.Speaker
-	now := func() time.Duration { return 0 }
+	now := func() int64 { return 0 }
 	a = bootstrap.NewSpeaker(bootstrap.SpeakerConfig{Name: "A", Now: now})
 	b = bootstrap.NewSpeaker(bootstrap.SpeakerConfig{Name: "B", FIB32: fibB, Now: now})
 	a.AddNeighbor(0, func(msg []byte) { b.Handle(msg, 0) })

@@ -46,16 +46,16 @@ func processCC(t *testing.T, e *core.Engine, pkt []byte) core.View {
 }
 
 func TestCCIncreaseWhenUncongested(t *testing.T) {
-	clock := time.Unix(0, 0)
+	var clock time.Duration
 	cc := NewCC(CCConfig{
 		CapacityBps: 1e9, // far above what one packet per 10ms produces
 		Key:         [16]byte{1},
-		Now:         func() time.Time { return clock },
+		Now:         func() int64 { return int64(clock) },
 	})
 	e := ccEngine(t, cc)
 	pkt := ccPacket(t, 7)
 	for i := 0; i < 5; i++ {
-		clock = clock.Add(10 * time.Millisecond)
+		clock += 10 * time.Millisecond
 		pkt[3] = 4
 		v := processCC(t, e, pkt)
 		flow, action, _, ok := VerifyCC(&[16]byte{1}, v.Locations())
@@ -72,17 +72,17 @@ func TestCCIncreaseWhenUncongested(t *testing.T) {
 }
 
 func TestCCDecreaseWhenCongested(t *testing.T) {
-	clock := time.Unix(0, 0)
+	var clock time.Duration
 	cc := NewCC(CCConfig{
 		CapacityBps: 1_000, // 1 KB/s: a 1 KB packet per ms is way over
 		Key:         [16]byte{2},
-		Now:         func() time.Time { return clock },
+		Now:         func() int64 { return int64(clock) },
 	})
 	e := ccEngine(t, cc)
 	pkt := ccPacket(t, 9)
 	var lastAction byte
 	for i := 0; i < 20; i++ {
-		clock = clock.Add(time.Millisecond)
+		clock += time.Millisecond
 		pkt[3] = 4
 		v := processCC(t, e, pkt)
 		_, lastAction, _, _ = VerifyCC(&[16]byte{2}, v.Locations())
@@ -97,11 +97,11 @@ func TestCCDecreaseWhenCongested(t *testing.T) {
 
 func TestCCDecreaseSticksAcrossHops(t *testing.T) {
 	// An upstream Decrease must survive a downstream uncongested hop.
-	clock := time.Unix(0, 0)
+	var clock time.Duration
 	uncongested := NewCC(CCConfig{
 		CapacityBps: 1e12,
 		Key:         [16]byte{3},
-		Now:         func() time.Time { clock = clock.Add(time.Millisecond); return clock },
+		Now:         func() int64 { clock += time.Millisecond; return int64(clock) },
 	})
 	e := ccEngine(t, uncongested)
 	pkt := ccPacket(t, 1)
@@ -183,10 +183,10 @@ func telPacket(t *testing.T, slots int) []byte {
 }
 
 func TestTelemetryCollectsHops(t *testing.T) {
-	base := time.UnixMicro(1_000_000)
+	base := time.Second
 	mkEngine := func(hop uint32, at time.Duration) *core.Engine {
 		reg := core.NewRegistry()
-		reg.MustRegister(NewTel(hop, func() time.Time { return base.Add(at) }))
+		reg.MustRegister(NewTel(TelConfig{HopID: hop, Now: func() int64 { return int64(base + at) }}))
 		return core.NewEngine(reg, core.Limits{})
 	}
 	pkt := telPacket(t, 4)
@@ -226,7 +226,7 @@ func TestTelemetryOverflow(t *testing.T) {
 	pkt := telPacket(t, 2)
 	for hop := uint32(1); hop <= 4; hop++ {
 		reg := core.NewRegistry()
-		reg.MustRegister(NewTel(hop, nil))
+		reg.MustRegister(NewTel(TelConfig{HopID: hop}))
 		e := core.NewEngine(reg, core.Limits{})
 		v, _ := core.ParseView(pkt)
 		var ctx core.ExecContext
@@ -262,10 +262,9 @@ func TestTelZeroAlloc(t *testing.T) {
 	// All providers wired: the rich record (latency, depth, epoch,
 	// congestion) must stamp at 0 allocs, same as the toy one did.
 	reg := core.NewRegistry()
-	reg.MustRegister(NewTelWith(TelConfig{
+	reg.MustRegister(NewTel(TelConfig{
 		HopID:      7,
-		Now:        func() time.Time { return time.UnixMicro(1) },
-		ClockNs:    func() int64 { return 5_000 },
+		Now:        func() int64 { return 5_000 },
 		QueueDepth: func() int { return 3 },
 		Epoch:      func() uint32 { return 1 },
 	}))
@@ -291,7 +290,7 @@ func TestTelZeroAlloc(t *testing.T) {
 // MonoNow is zero and F_tel reads the clock itself — both stamp wall µs.
 func TestTelDefaultClockTimedAndUntimed(t *testing.T) {
 	reg := core.NewRegistry()
-	reg.MustRegister(NewTel(7, nil))
+	reg.MustRegister(NewTel(TelConfig{HopID: 7}))
 	e := core.NewEngine(reg, core.Limits{})
 	m := &telemetry.Metrics{}
 	e.SetRecorder(m)
@@ -332,10 +331,9 @@ func TestTelDefaultClockTimedAndUntimed(t *testing.T) {
 
 func TestTelemetryRichRecord(t *testing.T) {
 	reg := core.NewRegistry()
-	reg.MustRegister(NewTelWith(TelConfig{
+	reg.MustRegister(NewTel(TelConfig{
 		HopID:      42,
-		Now:        func() time.Time { return time.UnixMicro(5000) },
-		ClockNs:    func() int64 { return 12_500 },
+		Now:        func() int64 { return 5_000_000 }, // 5000 µs
 		QueueDepth: func() int { return 3 },
 		Epoch:      func() uint32 { return 9 },
 		CongestAt:  10,
@@ -345,8 +343,8 @@ func TestTelemetryRichRecord(t *testing.T) {
 	v, _ := core.ParseView(pkt)
 	var ctx core.ExecContext
 	ctx.Reset(v, 5)
-	ctx.AdmittedAt = 10_000 // latency = 12500 - 10000
-	ctx.QueueDepth = 12     // beats the provider's 3, trips CongestAt=10
+	ctx.AdmittedAt = 4_997_500 // latency = 5_000_000 - 4_997_500
+	ctx.QueueDepth = 12        // beats the provider's 3, trips CongestAt=10
 	e.Process(&ctx)
 	if ctx.Verdict == core.VerdictDrop {
 		t.Fatalf("dropped: %v", ctx.Reason)
@@ -383,7 +381,7 @@ func TestTelemetryRichRecord(t *testing.T) {
 func TestTelemetryEgressAndFallbackDepth(t *testing.T) {
 	// Without a burst-admission snapshot, the hop's own provider supplies
 	// the depth; a chosen egress port is stamped.
-	tel := NewTelWith(TelConfig{HopID: 7, QueueDepth: func() int { return 4 }})
+	tel := NewTel(TelConfig{HopID: 7, QueueDepth: func() int { return 4 }})
 	pkt := telPacket(t, 1)
 	v, _ := core.ParseView(pkt)
 	var ctx core.ExecContext

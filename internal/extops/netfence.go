@@ -72,8 +72,9 @@ type CCConfig struct {
 	// Key authenticates feedback tags (shared with receivers, as
 	// NetFence shares keys between routers and trusted hosts).
 	Key [16]byte
-	// Now is the clock (tests inject a fake one; nil means time.Now).
-	Now func() time.Time
+	// Now is the node's clock, in ns (tests inject a fake one; nil is
+	// core.Now).
+	Now func() int64
 }
 
 // CC is the F_cc router module: a per-flow rate estimator plus the
@@ -86,13 +87,13 @@ type CC struct {
 
 type flowState struct {
 	rate float64 // bytes/sec EWMA
-	last time.Time
+	last int64   // ns on the module's clock
 }
 
 // NewCC builds the module.
 func NewCC(cfg CCConfig) *CC {
 	if cfg.Now == nil {
-		cfg.Now = time.Now
+		cfg.Now = core.Now
 	}
 	if cfg.HalfLife <= 0 {
 		cfg.HalfLife = 100 * time.Millisecond
@@ -143,7 +144,7 @@ func (o *CC) observe(flow uint32, bytes int) float64 {
 		st = &flowState{last: now}
 		o.flows[flow] = st
 	}
-	dt := now.Sub(st.last).Seconds()
+	dt := time.Duration(now - st.last).Seconds()
 	st.last = now
 	if dt <= 0 {
 		// Same-instant packets accumulate into the estimate directly,

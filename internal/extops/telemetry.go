@@ -3,7 +3,6 @@ package extops
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"dip/internal/bitfield"
 	"dip/internal/core"
@@ -68,15 +67,14 @@ func TelOperandBits(slots int) uint16 {
 type TelConfig struct {
 	// HopID identifies this hop in the records it stamps.
 	HopID uint32
-	// Now supplies the wall timestamp (nil → wall time derived from one
-	// time.Now at construction plus a monotonic delta, which is cheaper on
-	// the hot path than time.Now per stamp). Simulations inject the
-	// virtual clock here so timestamp deltas equal simulated transit.
-	Now func() time.Time
-	// ClockNs reads the dataplane clock — the same clock the serving layer
-	// stamps into ExecContext.AdmittedAt — so their difference is this
-	// hop's admission→execution latency. Nil disables latency stamping.
-	ClockNs func() int64
+	// Now is the node's clock, in ns (nil is core.Now). One read per stamp
+	// gives both the record's wall µs and, against the ExecContext.AdmittedAt
+	// the serving layer stamped on the same clock, the hop's
+	// admission→execution latency. On the default clock a timed packet
+	// reuses the engine's reading (ExecContext.MonoNow) and costs no read of
+	// its own. Simulations inject the virtual clock, so timestamp deltas
+	// equal simulated transit.
+	Now func() int64
 	// QueueDepth reports local queue occupancy, used when the context
 	// carries no burst-admission depth (packet-at-a-time entry points,
 	// or fabric depth sources like in-flight link counts).
@@ -92,48 +90,26 @@ type TelConfig struct {
 // Tel is the F_tel router module: append this hop's record in place.
 type Tel struct {
 	cfg TelConfig
-	// base/baseUs/monoZeroUs implement the default timestamp source: wall
-	// µs derived from one wall read at construction plus a monotonic delta
-	// per stamp. When the engine is recording op latency it already read
-	// the monotonic clock for this dispatch (ExecContext.MonoNow, anchored
-	// at core.MonoBase); monoZeroUs is the wall instant of that anchor so
-	// the stamp costs no clock read at all. Otherwise one time.Since —
-	// still roughly half the cost of time.Now's wall+mono pair. All unused
-	// when cfg.Now is set.
-	base       time.Time
-	baseUs     int64
-	monoZeroUs int64
 }
 
-// NewTel builds the module for a hop identifier with default providers —
-// the compatibility constructor. now may be nil (time.Now).
-func NewTel(hopID uint32, now func() time.Time) *Tel {
-	return NewTelWith(TelConfig{HopID: hopID, Now: now})
-}
-
-// NewTelWith builds the module from a full provider configuration.
-func NewTelWith(cfg TelConfig) *Tel {
+// NewTel builds the module from its provider configuration.
+func NewTel(cfg TelConfig) *Tel {
 	if cfg.CongestAt == 0 {
 		cfg.CongestAt = 64
 	}
-	o := &Tel{cfg: cfg}
-	if cfg.Now == nil {
-		o.base = time.Now()
-		o.baseUs = o.base.UnixMicro()
-		o.monoZeroUs = o.baseUs - o.base.Sub(core.MonoBase()).Microseconds()
-	}
-	return o
+	return &Tel{cfg: cfg}
 }
 
-// nowUs reads the stamp timestamp in wall µs.
-func (o *Tel) nowUs(ctx *core.ExecContext) int64 {
-	if o.cfg.Now != nil {
-		return o.cfg.Now().UnixMicro()
+// now reads the stamp instant: the injected clock, else the engine's
+// reading for this dispatch when the packet is timed, else core.Now.
+func (o *Tel) now(ctx *core.ExecContext) int64 {
+	switch {
+	case o.cfg.Now != nil:
+		return o.cfg.Now()
+	case ctx.MonoNow != 0:
+		return ctx.MonoNow
 	}
-	if ctx.MonoNow != 0 {
-		return o.monoZeroUs + int64(ctx.MonoNow)/1000
-	}
-	return o.baseUs + int64(time.Since(o.base))/1000
+	return core.Now()
 }
 
 // Key implements core.Operation.
@@ -162,12 +138,10 @@ func (o *Tel) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	}
 	slot := region[telSlotsOff+count*TelSlotSize : telSlotsOff+(count+1)*TelSlotSize]
 
+	now := o.now(ctx)
 	var latNs int64
-	if o.cfg.ClockNs != nil && ctx.AdmittedAt != 0 {
-		latNs = o.cfg.ClockNs() - ctx.AdmittedAt
-		if latNs < 0 {
-			latNs = 0
-		}
+	if ctx.AdmittedAt != 0 {
+		latNs = now - ctx.AdmittedAt
 	}
 	depth := int(ctx.QueueDepth)
 	if o.cfg.QueueDepth != nil {
@@ -193,7 +167,7 @@ func (o *Tel) Execute(ctx *core.ExecContext, loc, bits uint) error {
 	}
 
 	binary.BigEndian.PutUint32(slot[telHopIDOff:], o.cfg.HopID)
-	binary.BigEndian.PutUint32(slot[telTsOff:], uint32(o.nowUs(ctx)))
+	binary.BigEndian.PutUint32(slot[telTsOff:], uint32(now/1000))
 	binary.BigEndian.PutUint32(slot[telLatOff:], satU32(latNs))
 	binary.BigEndian.PutUint32(slot[telEpochOff:], epoch)
 	binary.BigEndian.PutUint16(slot[telInOff:], ingress)
@@ -230,7 +204,7 @@ type HopRecord struct {
 	HopID       uint32
 	TimestampUs uint32
 	// LatencyNs is the hop's admission→F_tel latency in ns (saturating at
-	// ~4.29 s); 0 means the hop had no latency provider.
+	// ~4.29 s); 0 means the packet reached F_tel without an admission stamp.
 	LatencyNs uint32
 	// Epoch is the hop's FIB snapshot epoch at stamping time.
 	Epoch uint32

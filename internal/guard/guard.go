@@ -6,15 +6,17 @@
 // policing and isolation as first-class dataplane stages, the way NFV
 // forwarders treat them, rather than afterthoughts.
 //
-// Everything is driven by an injected clock returning elapsed time, so the
-// same limiters run deterministically under the netsim virtual clock and on
-// wall time in a live deployment.
+// Everything is driven by the node's injected clock (ns on its timeline),
+// so the same limiters run deterministically under the netsim virtual clock
+// and on wall time in a live deployment.
 package guard
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dip/internal/core"
 )
 
 // Class is an admission priority class. Two classes keep the policy
@@ -102,7 +104,7 @@ type TokenBucket struct {
 	rate   Rate
 	mu     sync.Mutex
 	tokens float64
-	last   time.Duration
+	last   int64 // ns
 }
 
 // NewTokenBucket returns a full bucket.
@@ -113,14 +115,14 @@ func NewTokenBucket(rate Rate) *TokenBucket {
 // Allow takes one token at time now, reporting false when the bucket is
 // empty. now must be monotone non-decreasing across calls (a regression is
 // treated as "no time passed").
-func (b *TokenBucket) Allow(now time.Duration) bool {
+func (b *TokenBucket) Allow(now int64) bool {
 	if b.rate.unlimited() {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if now > b.last {
-		b.tokens += (now - b.last).Seconds() * b.rate.PerSec
+		b.tokens += time.Duration(now-b.last).Seconds() * b.rate.PerSec
 		if b.tokens > b.rate.Burst {
 			b.tokens = b.rate.Burst
 		}
@@ -138,7 +140,7 @@ func (b *TokenBucket) Allow(now time.Duration) bool {
 // lock round and one refill amortize a whole burst's admission; granting
 // follows the same whole-token rule as Allow, so AllowN(now, n) admits
 // exactly as many packets as n consecutive Allow(now) calls would.
-func (b *TokenBucket) AllowN(now time.Duration, n int) int {
+func (b *TokenBucket) AllowN(now int64, n int) int {
 	if n <= 0 {
 		return 0
 	}
@@ -148,7 +150,7 @@ func (b *TokenBucket) AllowN(now time.Duration, n int) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if now > b.last {
-		b.tokens += (now - b.last).Seconds() * b.rate.PerSec
+		b.tokens += time.Duration(now-b.last).Seconds() * b.rate.PerSec
 		if b.tokens > b.rate.Burst {
 			b.tokens = b.rate.Burst
 		}
@@ -178,7 +180,7 @@ type Policy struct {
 // concurrent use.
 type Admission struct {
 	policy Policy
-	clock  func() time.Duration
+	clock  func() int64
 
 	mu    sync.Mutex
 	ports map[int]*TokenBucket
@@ -190,13 +192,11 @@ type Admission struct {
 	classRejected [NumClasses]atomic.Int64
 }
 
-// NewAdmission builds the admission state. clock returns elapsed time (the
-// netsim Simulator's Now, or a wall-clock shim); nil means wall time from
-// first use.
-func NewAdmission(policy Policy, clock func() time.Duration) *Admission {
+// NewAdmission builds the admission state. clock is the node's clock, in
+// ns (a simulation's virtual clock); nil is core.Now.
+func NewAdmission(policy Policy, clock func() int64) *Admission {
 	if clock == nil {
-		start := time.Now()
-		clock = func() time.Duration { return time.Since(start) }
+		clock = core.Now
 	}
 	a := &Admission{policy: policy, clock: clock, ports: map[int]*TokenBucket{}}
 	for c := 0; c < NumClasses; c++ {

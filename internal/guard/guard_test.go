@@ -10,7 +10,7 @@ import (
 
 func TestTokenBucketDeterministicRefill(t *testing.T) {
 	b := NewTokenBucket(Rate{PerSec: 10, Burst: 2})
-	now := time.Duration(0)
+	var now int64
 	// Burst drains first.
 	if !b.Allow(now) || !b.Allow(now) {
 		t.Fatal("burst tokens refused")
@@ -19,16 +19,16 @@ func TestTokenBucketDeterministicRefill(t *testing.T) {
 		t.Fatal("empty bucket admitted")
 	}
 	// 10/s → one token every 100ms.
-	now += 99 * time.Millisecond
+	now += int64(99 * time.Millisecond)
 	if b.Allow(now) {
 		t.Fatal("token appeared 1ms early")
 	}
-	now += time.Millisecond
+	now += int64(time.Millisecond)
 	if !b.Allow(now) {
 		t.Fatal("refilled token refused")
 	}
 	// Refill never exceeds the burst.
-	now += time.Hour
+	now += int64(time.Hour)
 	if !b.Allow(now) || !b.Allow(now) {
 		t.Fatal("burst after idle refused")
 	}
@@ -36,7 +36,7 @@ func TestTokenBucketDeterministicRefill(t *testing.T) {
 		t.Fatal("idle refill exceeded burst")
 	}
 	// Clock regressions are tolerated (treated as no elapsed time).
-	if b.Allow(now - time.Hour) {
+	if b.Allow(now - int64(time.Hour)) {
 		t.Fatal("clock regression minted tokens")
 	}
 }
@@ -47,14 +47,14 @@ func TestTokenBucketRefillsByDelta(t *testing.T) {
 	// absolute-time bug refilled the bucket to full burst on every call,
 	// disabling admission control entirely in live deployments.
 	b := NewTokenBucket(Rate{PerSec: 10, Burst: 5})
-	now := time.Second // clock well past zero, as wall time always is
+	now := int64(time.Second) // clock well past zero, as wall time always is
 	for i := 0; i < 5; i++ {
 		if !b.Allow(now) {
 			t.Fatalf("burst token %d refused", i)
 		}
 	}
 	// 100ms later exactly one token has accrued — not burst-many.
-	now += 100 * time.Millisecond
+	now += int64(100 * time.Millisecond)
 	if !b.Allow(now) {
 		t.Fatal("accrued token refused")
 	}
@@ -97,8 +97,8 @@ func TestClassify(t *testing.T) {
 }
 
 func TestAdmissionIsolatesPorts(t *testing.T) {
-	now := time.Duration(0)
-	a := NewAdmission(Policy{PerPort: Rate{PerSec: 1, Burst: 5}}, func() time.Duration { return now })
+	var now int64
+	a := NewAdmission(Policy{PerPort: Rate{PerSec: 1, Burst: 5}}, func() int64 { return now })
 	// Port 0 floods and exhausts its own bucket.
 	admitted := 0
 	for i := 0; i < 100; i++ {
@@ -126,8 +126,8 @@ func TestAdmissionIsolatesPorts(t *testing.T) {
 func TestAdmissionClassBuckets(t *testing.T) {
 	var policy Policy
 	policy.PerClass[ClassBulk] = Rate{PerSec: 1, Burst: 2}
-	now := time.Duration(0)
-	a := NewAdmission(policy, func() time.Duration { return now })
+	var now int64
+	a := NewAdmission(policy, func() int64 { return now })
 	if !a.Admit(0, ClassBulk) || !a.Admit(1, ClassBulk) {
 		t.Fatal("bulk burst refused")
 	}

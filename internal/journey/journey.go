@@ -20,8 +20,8 @@
 //     hop by hop (OPT's PVF) defeat fingerprinting and need the TraceCtx FN.
 //
 // Span timestamps come from one injected clock (the netsim virtual clock in
-// simulations, wall time in live processes) so a journey never mixes time
-// bases; router CPU time is metered separately on the wall clock.
+// simulations, core.Now in live processes) so a journey never mixes time
+// bases; router CPU time is metered separately on core.Now.
 package journey
 
 import (

@@ -1,8 +1,6 @@
 package journey
 
 import (
-	"time"
-
 	"dip/internal/core"
 	"dip/internal/host"
 	"dip/internal/netsim"
@@ -73,10 +71,10 @@ func NewLinkTap(node string, sink SpanSink) netsim.TransitObserver {
 
 // NewTunnelTap adapts a SpanSink into a tunnel.Observer for the tunnel
 // endpoint labeled node: encap/decap become point spans on the inner
-// packet's journey.
+// packet's journey, stamped on now (nil is core.Now).
 func NewTunnelTap(node string, sink SpanSink, now func() int64) tunnel.Observer {
 	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
+		now = core.Now
 	}
 	return func(ev tunnel.Event, dipPkt []byte) {
 		sp := Span{Node: node, Start: now()}
@@ -101,9 +99,10 @@ func NewTunnelTap(node string, sink SpanSink, now func() int64) tunnel.Observer 
 // instance at the Collector), satisfactions and dead letters become host
 // spans. The satisfy span carries the data packet's trace ID, so it
 // terminates the data journey; the interest journey is linked by name.
+// Spans are stamped on now (nil is core.Now).
 func NewFetchTap(node string, sink SpanSink, now func() int64) host.FetchObserver {
 	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
+		now = core.Now
 	}
 	return func(ev host.FetchEvent, name uint32, pkt []byte) {
 		sp := Span{Node: node, Start: now(), Name: name, HasName: true}

@@ -32,15 +32,13 @@ import (
 // simulation. None of it is a user option: WallEnv and SimEnv are the only
 // two values in the tree.
 type Env struct {
-	// Clock is the dataplane clock — elapsed time since the environment
-	// started. The serve layer stamps admission with it, F_tel reads it
-	// back for per-hop latency, and the speaker ages soft state on it.
-	Clock func() time.Duration
-	// Stamp supplies absolute nanosecond timestamps for spans, postcards,
-	// F_tel records and the cold-read histogram. Nil is the wall clock; a
-	// simulation passes its virtual clock so every timestamp is comparable.
-	Stamp func() int64
-	// Schedule runs fn after delay of Clock time: the simulator's event
+	// Now is the node's one clock, in ns: every instant the node stamps —
+	// admission, trace records and spans, F_tel, postcards, PIT expiry,
+	// token refills, cold reads, the speaker's soft state — is a reading of
+	// it, so any two are comparable. Nil is core.Now (wall-anchored,
+	// monotonic); a simulation passes its virtual clock.
+	Now func() int64
+	// Schedule runs fn after delay on Now's timeline: the simulator's event
 	// queue, or a wall-clock timer. The PIT's TTL sweep runs on it.
 	Schedule func(delay time.Duration, fn func())
 	// Defer schedules work that must not run re-entrantly inside the
@@ -65,12 +63,10 @@ type Env struct {
 	Log func(format string, args ...any)
 }
 
-// WallEnv is the live-process environment: wall time, timers on
+// WallEnv is the live-process environment: core.Now, timers on
 // time.AfterFunc, inline re-injects, async cold reads.
 func WallEnv(log func(format string, args ...any)) Env {
-	start := time.Now()
 	return Env{
-		Clock:    func() time.Duration { return time.Since(start) },
 		Schedule: func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
 		Log:      log,
 	}
@@ -82,8 +78,7 @@ func WallEnv(log func(format string, args ...any)) Env {
 // caller adds what only it knows (QueueDepth, Journeys, Log).
 func SimEnv(sim *netsim.Simulator) Env {
 	return Env{
-		Clock:    sim.Now,
-		Stamp:    func() int64 { return int64(sim.Now()) },
+		Now:      func() int64 { return int64(sim.Now()) },
 		Schedule: sim.Schedule,
 		Defer:    func(fn func()) { sim.Schedule(0, fn) },
 		SyncCold: true,
@@ -104,6 +99,7 @@ type Node struct {
 	Speaker *bootstrap.Speaker // nil when off
 
 	env      Env
+	now      func() int64 // env.Now, or core.Now where that is nil: stamps postcards
 	tracer   *trace.Recorder
 	journeys *journey.Emitter // nil when Env.Journeys collects instead
 	spans    journey.SpanSink // nil when the node is not traced
@@ -126,7 +122,10 @@ func Build(s Spec, env Env) (*Node, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Node{Spec: s, env: env, State: NewState(), Metrics: &telemetry.Metrics{}}
+	n := &Node{Spec: s, env: env, now: env.Now, State: NewState(), Metrics: &telemetry.Metrics{}}
+	if n.now == nil {
+		n.now = core.Now
+	}
 	n.pump = n.runPump
 	st := n.State
 	for _, t := range []struct {
@@ -145,7 +144,7 @@ func Build(s Spec, env Env) (*Node, error) {
 	}
 	popts := []pit.Option[uint32]{
 		pit.WithTTL[uint32](n.Spec.PITTTL),
-		pit.WithClock[uint32](func() time.Time { return time.Time{}.Add(env.Clock()) }),
+		pit.WithClock[uint32](env.Now),
 	}
 	if s.PITPerPort > 0 {
 		popts = append(popts, pit.WithPerPortCap[uint32](s.PITPerPort))
@@ -178,7 +177,7 @@ func Build(s Spec, env Env) (*Node, error) {
 			readers = 2
 		}
 		if err := st.ContentStore.OpenCold(cs.ColdConfig{
-			Path: s.CSColdFile, Slots: s.CSCold, SlotSize: s.CSSlot, Readers: readers, Now: env.Stamp,
+			Path: s.CSColdFile, Slots: s.CSCold, SlotSize: s.CSSlot, Readers: readers, Now: env.Now,
 		}); err != nil {
 			return nil, fmt.Errorf("cscold: %w", err)
 		}
@@ -194,7 +193,7 @@ func Build(s Spec, env Env) (*Node, error) {
 			n.journeys = journey.NewEmitter(0)
 			n.spans = n.journeys
 		}
-		n.tracer = trace.NewRecorder(n.Metrics, s.TraceEvery, s.TraceRing, env.Stamp, journey.RouterSpans(s.Name, n.spans))
+		n.tracer = trace.NewRecorder(n.Metrics, s.TraceEvery, s.TraceRing, env.Now, journey.RouterSpans(s.Name, n.spans))
 	}
 	n.Router = router.New(ops.NewRouterRegistry(st.OpsConfig()), router.Config{
 		Name:          s.Name,
@@ -212,18 +211,15 @@ func Build(s Spec, env Env) (*Node, error) {
 			n.Spec.IntSlots = 8
 		}
 		n.intc = inband.NewCollector(inband.Config{})
-		tel := extops.TelConfig{
-			HopID: n.Spec.HopID,
-			// The clock the serve layer stamps AdmittedAt with, so stamped
-			// per-hop latency is admission→execution.
-			ClockNs:    func() int64 { return int64(env.Clock()) },
+		// env.Now, not n.now: it is the clock the serve layer stamps
+		// AdmittedAt with, and left nil under WallEnv F_tel reuses the
+		// engine's reading on timed packets.
+		n.Router.Registry().MustRegister(extops.NewTel(extops.TelConfig{
+			HopID:      n.Spec.HopID,
+			Now:        env.Now,
 			QueueDepth: env.QueueDepth,
 			Epoch:      func() uint32 { return st.FIB32.Epoch() + st.FIB128.Epoch() + st.NameFIB.Epoch() },
-		}
-		if env.Stamp != nil {
-			tel.Now = func() time.Time { return time.Unix(0, env.Stamp()) }
-		}
-		n.Router.Registry().MustRegister(extops.NewTelWith(tel))
+		}))
 	}
 
 	if s.Speaker {
@@ -237,7 +233,7 @@ func Build(s Spec, env Env) (*Node, error) {
 			FIB128:    st.FIB128,
 			NameFIB:   st.NameFIB,
 			Catalog:   bootstrap.CatalogOf(n.Router.Registry()),
-			Now:       env.Clock,
+			Now:       env.Now,
 			HoldFor:   hold,
 			MaxMetric: s.SpeakerMaxMetric,
 			Log:       env.Log,
@@ -253,7 +249,7 @@ func Build(s Spec, env Env) (*Node, error) {
 		if (s.AdmitPort != guard.Rate{} || s.AdmitBulk != guard.Rate{}) {
 			policy := guard.Policy{PerPort: s.AdmitPort}
 			policy.PerClass[guard.ClassBulk] = s.AdmitBulk
-			admission = guard.NewAdmission(policy, env.Clock)
+			admission = guard.NewAdmission(policy, env.Now)
 		}
 		queue := s.Queue
 		if queue == 0 {
@@ -265,7 +261,7 @@ func Build(s Spec, env Env) (*Node, error) {
 			LowDepth:  queue,
 			Batch:     s.Batch,
 			Admission: admission,
-			Clock:     env.Clock,
+			Clock:     env.Now,
 		})
 	}
 	return n, nil
@@ -324,13 +320,6 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-func (n *Node) stamp() int64 {
-	if n.env.Stamp != nil {
-		return n.env.Stamp()
-	}
-	return time.Now().UnixNano()
-}
-
 // reinject is the cold tier's completion callback. The payload re-enters
 // through Handle as an ordinary NDN data packet: it consumes the parked PIT
 // entry, replicates to the requesting ports, and the cache insert promotes
@@ -380,7 +369,7 @@ func (n *Node) deliver(pkt []byte, inPort int) {
 				every := int64(n.Spec.IntEvery)
 				if region, off, ok := profiles.TelemetryRegion(v); ok && (n.intSeen.Add(1)-1)%every == 0 {
 					AddPostcard(n.intc, v, pkt, region, off, inband.Postcard{
-						Node: n.Spec.Name, At: n.stamp(), Proto: journey.ProtoOf(v),
+						Node: n.Spec.Name, At: n.now(), Proto: journey.ProtoOf(v),
 					})
 				}
 			}

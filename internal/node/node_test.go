@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,58 +245,191 @@ func TestPITSweptOnEnvTimer(t *testing.T) {
 	}
 }
 
-type spanLog []journey.Span
-
-func (l *spanLog) AddSpan(sp journey.Span) { *l = append(*l, sp) }
-
-// TestTracedNodeSamplesOnce: a traced node runs one sampler. Under SimEnv
-// one sampled packet yields exactly one trace record and one journey span,
-// both stamped on the virtual clock (the record's At used to be wall time
-// beside a virtual-time span), with the same steps; the span's trace ID is
-// the packet's as it arrived, and the seen-counter is charged once.
+// TestTracedNodeSamplesOnce: a traced node runs one sampler, and every
+// instant it stamps is a reading of the Env's one clock. One sampled packet
+// yields exactly one trace record and one journey span with the same steps;
+// the span's trace ID is the packet's as it arrived, and the seen-counter is
+// charged once. Under SimEnv at virtual T (an instant no wall clock reads)
+// the record's At, the span's Start, F_tel's wall µs × 1000 and a cold
+// read's span all equal T, and a PIT entry expires at exactly T + PITTTL;
+// under WallEnv each lies within the time.Now readings around the packet.
 func TestTracedNodeSamplesOnce(t *testing.T) {
-	sim := netsim.New()
-	sim.RunUntil(5 * time.Millisecond) // a virtual instant no wall clock reads
-	env := SimEnv(sim)
-	var spans spanLog
-	env.Journeys = &spans
-	n, err := Build(Spec{
-		Name:       "once",
-		Routes32:   []Route{{Prefix: []byte{10, 0, 0, 0}, Len: 8, Port: 0}},
-		TraceEvery: 1,
-	}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.AttachPort(router.PortFunc(func([]byte) {}), false)
-	pkt, err := host.BuildPacket(profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{10, 0, 0, 9}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := journey.TraceOf(pkt)
-	n.Handle(pkt, 0)
+	const ttl = 20 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		sim  bool
+	}{{"SimEnv", true}, {"WallEnv", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sim *netsim.Simulator
+			env := WallEnv(nil)
+			if tc.sim {
+				sim = netsim.New()
+				env = SimEnv(sim)
+			}
+			spans := &lockedSpans{}
+			env.Journeys = spans
+			n, err := Build(Spec{
+				Name:       "once",
+				Routes32:   []Route{{Prefix: []byte{10, 0, 0, 0}, Len: 8, Port: 0}},
+				Names:      []Route{{Prefix: []byte{0xAA, 0, 0, 0}, Len: 8, Port: 1}},
+				TraceEvery: 1, IntEvery: 1, Cache: 2, CSCold: 8, PITTTL: ttl,
+			}, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			var egress []byte
+			n.AttachPort(router.PortFunc(func(pkt []byte) { egress = append(egress[:0], pkt...) }), false)
+			n.AttachPort(router.PortFunc(func([]byte) {}), false)
+			// at runs do at a fresh instant and returns the clock readings
+			// that bracket it: one virtual instant, or two wall reads.
+			at := func(do func()) (lo, hi int64) {
+				if sim == nil {
+					lo = time.Now().UnixNano()
+					do()
+					return lo, time.Now().UnixNano()
+				}
+				sim.RunUntil(sim.Now() + 5*time.Millisecond)
+				do()
+				sim.RunUntil(sim.Now()) // the deferred events, not the PIT sweep
+				return int64(sim.Now()), int64(sim.Now())
+			}
+			within := func(what string, v, lo, hi int64) {
+				t.Helper()
+				if v < lo || v > hi {
+					t.Errorf("%s = %d, outside the clock readings [%d, %d]", what, v, lo, hi)
+				}
+			}
+			handle := func(h *core.Header, payload string, inPort int) {
+				t.Helper()
+				pkt, err := host.BuildPacket(h, []byte(payload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.Handle(pkt, inPort)
+			}
 
-	recs := n.tracer.Snapshot()
-	if len(recs) != 1 || len(spans) != 1 {
-		t.Fatalf("%d records and %d spans from one sampled packet, want 1 and 1", len(recs), len(spans))
+			pkt, err := host.BuildPacket(profiles.WithTelemetry(profiles.IPv4([4]byte{1, 1, 1, 1}, [4]byte{10, 0, 0, 9}), 2), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := journey.TraceOf(pkt)
+			lo, hi := at(func() { n.Handle(pkt, 0) })
+			recs, sps := n.tracer.Snapshot(), spans.get()
+			if len(recs) != 1 || len(sps) != 1 {
+				t.Fatalf("%d records and %d spans from one sampled packet, want 1 and 1", len(recs), len(sps))
+			}
+			rec, sp := recs[0], sps[0]
+			within("record At", rec.At, lo, hi)
+			within("span Start", sp.Start, lo, hi)
+			if rec.NSteps == 0 || sp.NSteps != rec.NSteps {
+				t.Fatalf("record has %d steps, span %d", rec.NSteps, sp.NSteps)
+			}
+			for i := range rec.NSteps {
+				if rec.Steps[i].Key != sp.Steps[i].Key {
+					t.Errorf("step %d: record %v, span %v", i, rec.Steps[i].Key, sp.Steps[i].Key)
+				}
+			}
+			if sp.Trace != want {
+				t.Errorf("span trace %016x, want %016x (the packet as it arrived)", uint64(sp.Trace), uint64(want))
+			}
+			if seen := n.tracer.Seen(); seen != 1 {
+				t.Errorf("seen %d for one packet", seen)
+			}
+			v, err := core.ParseView(egress)
+			if err != nil {
+				t.Fatal(err)
+			}
+			region, _, _ := profiles.TelemetryRegion(v)
+			hops, _, err := extops.DecodeTel(region)
+			if err != nil || len(hops) != 1 {
+				t.Fatalf("F_tel region: hops %+v err %v", hops, err)
+			}
+			// The slot keeps the low 32 bits of the µs; compare modulo 2^32.
+			if us := hops[0].TimestampUs; us-uint32(lo/1000) > uint32(hi/1000-lo/1000) {
+				t.Errorf("F_tel stamp %d µs, outside the clock readings [%d, %d] ns", us, lo, hi)
+			}
+
+			// A cold read: "the one" spills from the 2-entry hot tier, and a
+			// later interest for it is answered from the arena.
+			store := n.State.ContentStore
+			fetch := func(name uint32, payload string) {
+				handle(profiles.NDNInterest(name), "", 0)
+				handle(profiles.NDNData(name), payload, 1)
+			}
+			at(func() {
+				fetch(0xAA000001, "the one")
+				handle(profiles.NDNInterest(0xAA000001), "", 0) // hot hit: marks it admissible
+				fetch(0xAA000002, "the two")
+				fetch(0xAA000003, "the three")
+			})
+			waitFor(t, func() bool { return store.Stats().Spilled >= 1 })
+			lo, hi = at(func() {
+				handle(profiles.NDNInterest(0xAA000001), "", 0)
+				waitFor(t, func() bool { return store.Stats().Reinjected == 1 })
+			})
+			var cold []journey.Span
+			for _, sp := range spans.get() {
+				if sp.Kind == journey.SpanCSCold {
+					cold = append(cold, sp)
+				}
+			}
+			if len(cold) != 1 {
+				t.Fatalf("%d cold-read spans, want 1", len(cold))
+			}
+			within("cold-read span Start", cold[0].Start, lo, hi)
+			within("cold-read span End", cold[0].End, cold[0].Start, hi)
+
+			// A PIT entry expires one PITTTL after the interest, on the
+			// same clock.
+			const unanswered = 0xAA0000FF
+			lo, hi = at(func() { handle(profiles.NDNInterest(unanswered), "", 0) })
+			if sim != nil {
+				sim.RunUntil(time.Duration(hi) + ttl)
+				if !n.State.PIT.Pending(unanswered) {
+					t.Errorf("PIT entry gone at T + PITTTL, want expiry exactly there")
+				}
+				sim.RunUntil(time.Duration(hi) + ttl + time.Nanosecond)
+			} else {
+				if !n.State.PIT.Pending(unanswered) && time.Now().UnixNano() < lo+int64(ttl) {
+					t.Errorf("PIT entry expired before its interest's instant + PITTTL")
+				}
+				for time.Now().UnixNano() <= hi+int64(ttl) {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			if n.State.PIT.Pending(unanswered) {
+				t.Errorf("PIT entry still pending past its interest's instant + PITTTL")
+			}
+		})
 	}
-	rec, sp := recs[0], spans[0]
-	if now := int64(sim.Now()); rec.At != now || sp.Start != now {
-		t.Errorf("record At %d, span Start %d, virtual now %d: want all equal", rec.At, sp.Start, now)
-	}
-	if rec.NSteps == 0 || sp.NSteps != rec.NSteps {
-		t.Fatalf("record has %d steps, span %d", rec.NSteps, sp.NSteps)
-	}
-	for i := range rec.NSteps {
-		if rec.Steps[i].Key != sp.Steps[i].Key {
-			t.Errorf("step %d: record %v, span %v", i, rec.Steps[i].Key, sp.Steps[i].Key)
+}
+
+// waitFor polls cond until it holds (a live node's cold tier completes on
+// its own goroutines); under SimEnv it already holds on the first call.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in 5 s")
 		}
 	}
-	if sp.Trace != want {
-		t.Errorf("span trace %016x, want %016x (the packet as it arrived)", uint64(sp.Trace), uint64(want))
-	}
-	if seen := n.tracer.Seen(); seen != 1 {
-		t.Errorf("seen %d for one packet", seen)
-	}
+}
+
+// lockedSpans is a span sink safe for a live node's cold readers.
+type lockedSpans struct {
+	mu    sync.Mutex
+	spans []journey.Span
+}
+
+func (l *lockedSpans) AddSpan(sp journey.Span) {
+	l.mu.Lock()
+	l.spans = append(l.spans, sp)
+	l.mu.Unlock()
+}
+
+func (l *lockedSpans) get() []journey.Span {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]journey.Span(nil), l.spans...)
 }

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dip/internal/core"
 	"dip/internal/nhash"
 )
 
@@ -63,7 +64,7 @@ type Table[K comparable] struct {
 
 	ttl time.Duration
 	cap int64
-	now func() time.Time
+	now func() int64
 	// size is the live entry count across all shards. Creations reserve a
 	// slot with a CAS loop against cap, so the bound is exact.
 	size    atomic.Int64
@@ -90,7 +91,7 @@ type shard[K comparable] struct {
 type entry struct {
 	ports   [MaxPortsPerEntry]int
 	nports  int
-	expires time.Time
+	expires int64 // ns on the table's clock
 }
 
 // portTab tracks per-port pending charges as shared atomic counters. The
@@ -139,9 +140,14 @@ func WithTTL[K comparable](ttl time.Duration) Option[K] {
 	return func(t *Table[K]) { t.ttl = ttl }
 }
 
-// WithClock injects a time source (a simulation's virtual clock; tests).
-func WithClock[K comparable](now func() time.Time) Option[K] {
-	return func(t *Table[K]) { t.now = now }
+// WithClock injects the node's clock, in ns (a simulation's virtual
+// clock; tests). Nil is core.Now.
+func WithClock[K comparable](now func() int64) Option[K] {
+	return func(t *Table[K]) {
+		if now != nil {
+			t.now = now
+		}
+	}
 }
 
 // WithPerPortCap bounds the pending entries any single ingress port may
@@ -164,7 +170,7 @@ func New[K comparable](opts ...Option[K]) *Table[K] {
 	t := &Table[K]{
 		ttl: DefaultTTL,
 		cap: 65536,
-		now: time.Now,
+		now: core.Now,
 	}
 	for _, o := range opts {
 		o(t)
@@ -205,7 +211,7 @@ func (t *Table[K]) AddInterest(k K, port int) (created bool, err error) {
 	defer sh.mu.Unlock()
 	now := t.now()
 	e, ok := sh.entries[k]
-	if ok && now.After(e.expires) {
+	if ok && now > e.expires {
 		t.removeLocked(sh, k, e)
 		ok = false
 	}
@@ -226,13 +232,13 @@ func (t *Table[K]) AddInterest(k K, port int) (created bool, err error) {
 			return false, ErrPortCap
 		}
 		e = sh.getEntry()
-		e.expires = now.Add(t.ttl)
+		e.expires = now + int64(t.ttl)
 		e.ports[0] = port
 		e.nports = 1
 		sh.entries[k] = e
 		return true, nil
 	}
-	e.expires = now.Add(t.ttl)
+	e.expires = now + int64(t.ttl)
 	for i := 0; i < e.nports; i++ {
 		if e.ports[i] == port {
 			return false, nil
@@ -291,7 +297,7 @@ func (t *Table[K]) Consume(dst []int, k K) (ports []int, ok bool) {
 	if !found {
 		return dst, false
 	}
-	expired := t.now().After(e.expires)
+	expired := t.now() > e.expires
 	if !expired {
 		dst = append(dst, e.ports[:e.nports]...)
 	}
@@ -305,7 +311,7 @@ func (t *Table[K]) Pending(k K) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[k]
-	return ok && !t.now().After(e.expires)
+	return ok && t.now() <= e.expires
 }
 
 // Len returns the number of entries, counting ones not yet swept.
@@ -324,7 +330,7 @@ func (t *Table[K]) Expire() int {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for k, e := range sh.entries {
-			if now.After(e.expires) {
+			if now > e.expires {
 				t.removeLocked(sh, k, e)
 				n++
 			}

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-type fakeClock struct{ t time.Time }
+type fakeClock struct{ t time.Duration }
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() int64              { return int64(c.t) }
+func (c *fakeClock) advance(d time.Duration) { c.t += d }
 
 func newTestPIT(opts ...Option[uint32]) (*Table[uint32], *fakeClock) {
-	c := &fakeClock{t: time.Unix(1000, 0)}
+	c := &fakeClock{t: 1000 * time.Second}
 	opts = append(opts, WithClock[uint32](c.now))
 	return New[uint32](opts...), c
 }

@@ -82,8 +82,8 @@ func TestPITUnderDuplicateAndReorderedData(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			now := time.Unix(0, 0)
-			tab := New[uint32](WithTTL[uint32](tc.ttl), WithClock[uint32](func() time.Time { return now }))
+			var now time.Duration
+			tab := New[uint32](WithTTL[uint32](tc.ttl), WithClock[uint32](func() int64 { return int64(now) }))
 			for i, s := range tc.steps {
 				switch s.op {
 				case "interest":
@@ -108,7 +108,7 @@ func TestPITUnderDuplicateAndReorderedData(t *testing.T) {
 						}
 					}
 				case "advance":
-					now = now.Add(s.d)
+					now += s.d
 				case "sweep":
 					tab.Expire()
 					if tab.Len() != s.wantLen {
@@ -118,7 +118,7 @@ func TestPITUnderDuplicateAndReorderedData(t *testing.T) {
 			}
 			// No stale-entry leak: after expiring everything, a final sweep
 			// leaves the table empty.
-			now = now.Add(time.Hour)
+			now += time.Hour
 			tab.Expire()
 			if tab.Len() != 0 {
 				t.Errorf("stale entries leaked: len=%d", tab.Len())
@@ -130,10 +130,9 @@ func TestPITUnderDuplicateAndReorderedData(t *testing.T) {
 func TestSweepEveryOnSimulator(t *testing.T) {
 	sim := netsim.New()
 	// Drive the PIT clock from virtual time so expiry is deterministic.
-	base := time.Unix(0, 0)
 	tab := New[uint32](
 		WithTTL[uint32](30*time.Millisecond),
-		WithClock[uint32](func() time.Time { return base.Add(sim.Now()) }),
+		WithClock[uint32](func() int64 { return int64(sim.Now()) }),
 	)
 	var sweeps []int
 	cancel := tab.SweepEvery(sim, 25*time.Millisecond, func(n int) { sweeps = append(sweeps, n) })

@@ -340,7 +340,7 @@ func TestSubmitBurstAdmissionControlNotStarved(t *testing.T) {
 	var now time.Duration
 	policy := guard.Policy{}
 	policy.PerClass[guard.ClassBulk] = guard.Rate{PerSec: 1, Burst: 4}
-	adm := guard.NewAdmission(policy, func() time.Duration { return now })
+	adm := guard.NewAdmission(policy, func() int64 { return int64(now) })
 	in := r.ServeGuarded(ServeConfig{
 		Workers:   0,
 		Batch:     64,

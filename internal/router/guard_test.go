@@ -146,7 +146,7 @@ func TestIngressAdmissionAndHealth(t *testing.T) {
 	m := &telemetry.Metrics{}
 	r := New(ops.NewRouterRegistry(cfg), Config{Metrics: m, LocalDelivery: func([]byte, int) {}})
 	now := time.Duration(0)
-	clock := func() time.Duration { return now }
+	clock := func() int64 { return int64(now) }
 	adm := guard.NewAdmission(guard.Policy{PerPort: guard.Rate{PerSec: 1, Burst: 2}}, clock)
 	in := r.ServeGuarded(ServeConfig{
 		Workers: 0, HighDepth: 2, LowDepth: 2,
@@ -208,7 +208,7 @@ func TestHealthDetectsStalledWorker(t *testing.T) {
 	})
 	in := r.ServeGuarded(ServeConfig{
 		Workers: 1,
-		Clock:   func() time.Duration { return time.Duration(clk.Load()) },
+		Clock:   clk.Load,
 	})
 	if !in.Submit(localPkt(t, 0x55), 0) {
 		t.Fatal("submit refused")

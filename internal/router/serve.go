@@ -65,9 +65,11 @@ type ServeConfig struct {
 	// Classify maps raw packet bytes to an admission class. Nil uses
 	// guard.Classify (DIP control next-headers → ClassControl).
 	Classify func(pkt []byte) guard.Class
-	// Clock supplies elapsed time for heartbeats and stall detection (the
-	// netsim Simulator's Now, or nil for wall time).
-	Clock func() time.Duration
+	// Clock is the node's clock, in ns: it stamps each burst's admission
+	// (ExecContext.AdmittedAt, which F_tel turns into per-hop latency) and
+	// the heartbeats stall detection reads. Nil is core.Now; a simulation
+	// passes its virtual clock.
+	Clock func() int64
 }
 
 // Ingress is a running queue-and-forwarders front end for a router: a
@@ -214,8 +216,7 @@ func (r *Router) ServeGuarded(cfg ServeConfig) *Ingress {
 		cfg.Classify = guard.Classify
 	}
 	if cfg.Clock == nil {
-		start := time.Now()
-		cfg.Clock = func() time.Duration { return time.Since(start) }
+		cfg.Clock = core.Now
 	}
 	nq := cfg.Workers
 	if nq < 1 {
@@ -301,7 +302,7 @@ func (in *Ingress) forwarder(q *burstQueue, w *workerState) {
 // burst. The burst executes behind the panic quarantine, so a poison packet
 // costs exactly itself — the rest of its burst completes.
 func (in *Ingress) runBurst(ctx *core.ExecContext, burst []queuedPacket, w *workerState) {
-	at := int64(in.cfg.Clock())
+	at := in.cfg.Clock()
 	if w != nil {
 		w.beat.Store(at)
 		w.busy.Store(true)
@@ -609,7 +610,7 @@ func (in *Ingress) Health() Health {
 	now := in.cfg.Clock()
 	for i := range in.workers {
 		w := &in.workers[i]
-		if w.busy.Load() && now-time.Duration(w.beat.Load()) > stallAfter {
+		if w.busy.Load() && time.Duration(now-w.beat.Load()) > stallAfter {
 			h.Stalled++
 		}
 	}

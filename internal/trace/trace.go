@@ -72,9 +72,9 @@ type Record struct {
 	// this recorder's monotonic capture sequence: records from one router
 	// always sort correctly by Seq regardless of clock quality.
 	Seq uint64
-	// At is the capture timestamp on the recorder's clock: wall nanoseconds,
-	// or the clock NewRecorder was given (node.Build passes the Env's Stamp,
-	// so under a simulation it is virtual time). Stitching records from
+	// At is the capture timestamp on the recorder's clock: core.Now, or the
+	// clock NewRecorder was given (node.Build passes the Env's Now, so under
+	// a simulation it is virtual time). Stitching records from
 	// several routers sorts by (At, Seq); with a shared clock that order is
 	// exact even when the routers' wall clocks diverge, which per-router wall
 	// stamps cannot guarantee.
@@ -94,7 +94,8 @@ type Record struct {
 	// Egress[:NEgr] are the chosen output ports.
 	Egress [8]int32
 	NEgr   uint8
-	// TotalNs is the wall-clock begin→end bracket around Algorithm 1.
+	// TotalNs is the begin→end bracket around Algorithm 1, measured on
+	// core.Now whatever the recorder's clock.
 	TotalNs int64
 	// Pkt[:PktLen] is the captured packet prefix, as the packet arrived
 	// (before any FN ran); PktTotal is the full packet length on the wire.
@@ -136,12 +137,11 @@ type Recorder struct {
 // NewRecorder builds a sampling trace recorder: every-th packet is traced
 // (1 traces everything), ring is the record capacity (rounded up to a power
 // of two; < 1 uses DefaultRing). inner, when non-nil, observes every packet
-// exactly as if it were installed directly. clock stamps the records in
-// nanoseconds on any monotonic scale (nil is wall time; a simulation passes
-// its virtual clock, so records from every router in one run share one time
-// base); TotalNs stays a wall-clock measurement either way: At orders
-// records, TotalNs meters the engine. sink, when non-nil, receives every
-// record the recorder seals.
+// exactly as if it were installed directly. clock is the node's clock
+// (nil is core.Now; a simulation passes its virtual clock, so records from
+// every router in one run share one time base); TotalNs stays a core.Now
+// measurement either way: At orders records, TotalNs meters the engine.
+// sink, when non-nil, receives every record the recorder seals.
 func NewRecorder(inner core.Recorder, every, ring int, clock func() int64, sink Sink) *Recorder {
 	if every < 1 {
 		every = DefaultEvery
@@ -154,7 +154,7 @@ func NewRecorder(inner core.Recorder, every, ring int, clock func() int64, sink 
 		size <<= 1
 	}
 	if clock == nil {
-		clock = wallNanos
+		clock = core.Now
 	}
 	period := uint64(every)
 	if inner != nil {
@@ -178,8 +178,6 @@ func gcd(a, b uint64) uint64 {
 	return a
 }
 
-func wallNanos() int64 { return time.Now().UnixNano() }
-
 // BeginPacket implements core.Recorder: it decides whether this packet is
 // sampled and, if so, claims a ring slot and captures the packet prefix
 // before any FN mutates it. Allocation-free on both paths.
@@ -187,7 +185,7 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 	if r.inner != nil {
 		r.inner.BeginPacket(ctx)
 	}
-	if !ctx.SampleEvery(r.every, nil) {
+	if !ctx.SampleEvery(r.every) {
 		return
 	}
 	seq := r.seq.Add(1) - 1
@@ -210,7 +208,7 @@ func (r *Recorder) BeginPacket(ctx *core.ExecContext) {
 func (r *Recorder) EndPacket(ctx *core.ExecContext) {
 	if seq, _, ok := ctx.Obs.Release(r); ok {
 		o, sl := &ctx.Obs, &r.slots[seq&r.mask]
-		sl.rec.TotalNs = int64(time.Since(core.MonoBase()) - o.Begin)
+		sl.rec.TotalNs = core.Now() - o.Begin
 		n := copy(sl.rec.Steps[:], o.Steps[:o.N])
 		sl.rec.NSteps = uint8(n)
 		sl.rec.Truncated = uint8(o.N - n)
